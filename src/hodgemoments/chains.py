@@ -27,7 +27,7 @@ from math import comb, gcd
 
 from .cyclo import CycloInt
 from .families import Family
-from .linalg import SparseEchelon, TrackedEchelon
+from .linalg import SparseEchelon, apply_columns, jordan_type, matrix_rank
 from .multiindex import MultiIndex, weak_compositions, weight
 
 Mono = tuple[int, int]  # (z_power, basis index into the graded space V)
@@ -38,7 +38,7 @@ class BadFamilyParams(ValueError):
 
 
 class DegenerateReduction(ArithmeticError):
-    """The z^0 reduction failed to reproduce its input; arithmetic bug."""
+    """A basis reduction failed an exact consistency check; arithmetic bug."""
 
 
 def shift_action(index: MultiIndex) -> dict[MultiIndex, int]:
@@ -84,6 +84,10 @@ class GradedChain:
     _by_weight: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if self.max_degree < self.n * self.k + 2:
+            raise BadFamilyParams(
+                f"max_degree {self.max_degree} would truncate the basis; it must be "
+                f"at least n*k + 2 = {self.n * self.k + 2}")
         by_w = {}
         for j, w in enumerate(self.weights):
             by_w.setdefault(w, []).append(j)
@@ -197,7 +201,8 @@ def build_chain(family: Family, n: int, k: int, max_degree: int | None = None) -
     """Assemble the chain for a symmetric-power family.
 
     max_degree defaults to n*k + 2, one degree past the top of cohomology,
-    so downstream basis extraction can verify the support closes off.
+    so downstream basis extraction can verify the support closes off; a
+    smaller max_degree would truncate the basis and is rejected.
     """
     if family is Family.V21:
         raise BadFamilyParams("the V21 chain is built by weyl.v21_chain")
@@ -239,7 +244,7 @@ def build_chain(family: Family, n: int, k: int, max_degree: int | None = None) -
         tower_degree = 2 * k
     chain = GradedChain(family, n, k, max_degree, zweight, ezshift, scale,
                         labels, weights, nmat, emat, tower, tower_degree)
-    if family is Family.KL_TILDE_T and max_degree >= n * k:
+    if family is Family.KL_TILDE_T:
         stable = comb(n + k, n)
         if len(chain.slice_monomials(max_degree)) != stable:
             raise RuntimeError("tilde slices failed to stabilize; bad construction")
@@ -250,11 +255,7 @@ def coker_slice_dims(chain: GradedChain) -> list[int]:
     """dim coker(theta_bar: slice d-1 -> slice d) for d = 0..max_degree."""
     out = []
     for d in range(chain.max_degree + 1):
-        ech = SparseEchelon()
-        rank = 0
-        for row in chain.theta_bar_rows(d - 1) if d else []:
-            if ech.add_row(row):
-                rank += 1
+        rank = matrix_rank(chain.theta_bar_rows(d - 1)) if d else 0
         out.append(len(chain.slice_monomials(d)) - rank)
     return out
 
@@ -263,12 +264,8 @@ def kernel_slice_dims(chain: GradedChain) -> list[int]:
     """dim ker(theta_bar restricted to slice d) for d = 0..max_degree-1."""
     out = []
     for d in range(chain.max_degree):
-        ech = SparseEchelon()
-        null = 0
-        for row in chain.theta_bar_rows(d):
-            if not ech.add_row(row):
-                null += 1
-        out.append(null)
+        rows = chain.theta_bar_rows(d)
+        out.append(len(rows) - matrix_rank(rows))
     return out
 
 
@@ -332,15 +329,10 @@ def cohomology_basis(chain: GradedChain) -> BasisSet:
 
 
 def _shift_solver(chain: GradedChain, d: int):
-    """Tracked echelon of N applied to the weight d-1 layer of V."""
-    solver = TrackedEchelon()
+    """Tagged echelon of N applied to the weight d-1 layer of V."""
+    solver = SparseEchelon()
     for j in chain._by_weight.get(d - 1, ()):
-        col = chain.nmat[j]
-        if col:
-            solver.add_row(col, j)
-        else:
-            # zero column: j is in the kernel, contributes nothing to the image
-            pass
+        solver.add_row(chain.nmat[j], j)
     return solver
 
 
@@ -386,15 +378,8 @@ def middle_cohomology_basis(chain: GradedChain) -> BasisSet:
             else:
                 residual, combo = solver.reduce({j: 1})
                 _check_reduction(chain, j, residual, combo)
-                vec = {}
-                for src, c in combo.items():
-                    for i, e in chain.emat[src].items():
-                        key = (chain.ezshift, i)
-                        nv = vec.get(key, 0) - chain.scale * c * e
-                        if nv:
-                            vec[key] = nv
-                        elif key in vec:
-                            del vec[key]
+                vec = {(chain.ezshift, i): -chain.scale * c
+                       for i, c in apply_columns(chain.emat, combo).items()}
             if line_mono is not None and line_mono in vec:
                 del vec[line_mono]
             chosen.append(_primitive(vec))
@@ -406,15 +391,10 @@ def middle_cohomology_basis(chain: GradedChain) -> BasisSet:
 
 def _check_reduction(chain: GradedChain, j: int, residual, combo):
     """Verify v_j == residual + N(sum combo) exactly."""
-    recon = dict(residual)
-    for src, c in combo.items():
-        for i, e in chain.nmat[src].items():
-            nv = recon.get(i, 0) + c * e
-            if nv:
-                recon[i] = nv
-            elif i in recon:
-                del recon[i]
-    if recon != {j: Fraction(1)}:
+    recon = apply_columns(chain.nmat, combo)
+    for i, v in residual.items():
+        recon[i] = recon.get(i, 0) + v
+    if {i: v for i, v in recon.items() if v} != {j: 1}:
         raise DegenerateReduction(
             f"z^0 reduction of basis vector {chain.labels[j]} failed to reconstruct")
 
@@ -438,61 +418,24 @@ def _primitive(vec: dict) -> dict:
     return ints
 
 
-def jordan_block_sizes(n: int, k: int) -> dict[int, int]:
-    """Jordan type of the shift derivation on the |I| = k layer: size -> count."""
+def _shift_layer(n: int, k: int):
+    """Labels of the |I| = k layer in n+1 slots and the shift columns over them."""
     labels = sorted(weak_compositions(k, n + 1))
     pos = {ix: j for j, ix in enumerate(labels)}
-    cols = []
-    for ix in labels:
-        cols.append({pos[t]: c for t, c in shift_action(ix).items()})
-    dim = len(labels)
-    ranks = [dim]
-    cur = cols
-    while True:
-        ech = SparseEchelon()
-        r = 0
-        for col in cur:
-            if ech.add_row(col):
-                r += 1
-        ranks.append(r)
-        if r == 0:
-            break
-        nxt = []
-        for col in cur:
-            img = {}
-            for j, c in col.items():
-                for i, e in cols[j].items():
-                    nv = img.get(i, 0) + c * e
-                    if nv:
-                        img[i] = nv
-                    elif i in img:
-                        del img[i]
-            nxt.append(img)
-        cur = nxt
-    blocks = {}
-    for s in range(1, len(ranks)):
-        count = (ranks[s - 1] - ranks[s]) - ((ranks[s] - ranks[s + 1]) if s + 1 < len(ranks) else 0)
-        if count:
-            blocks[s] = count
-    return blocks
+    return labels, [{pos[t]: c for t, c in shift_action(ix).items()} for ix in labels]
+
+
+def jordan_block_sizes(n: int, k: int) -> dict[int, int]:
+    """Jordan type of the shift derivation on the |I| = k layer: size -> count."""
+    labels, cols = _shift_layer(n, k)
+    return jordan_type(cols, len(labels))
 
 
 def shift_coker_dims(n: int, k: int) -> list[int]:
     """Graded dims of coker(N) on the |I| = k layer, weights 0..n*k."""
-    labels = sorted(weak_compositions(k, n + 1))
-    pos = {ix: j for j, ix in enumerate(labels)}
+    labels, cols = _shift_layer(n, k)
     by_w = {}
-    for ix in labels:
-        by_w.setdefault(weight(ix), []).append(ix)
-    out = []
-    for w in range(n * k + 1):
-        layer = by_w.get(w, [])
-        layer_pos = {ix: i for i, ix in enumerate(layer)}
-        ech = SparseEchelon()
-        rank = 0
-        for src in by_w.get(w - 1, []):
-            row = {layer_pos[t]: c for t, c in shift_action(src).items()}
-            if ech.add_row(row):
-                rank += 1
-        out.append(len(layer) - rank)
-    return out
+    for j, ix in enumerate(labels):
+        by_w.setdefault(weight(ix), []).append(j)
+    return [len(by_w.get(w, ())) - matrix_rank(cols[j] for j in by_w.get(w - 1, ()))
+            for w in range(n * k + 1)]

@@ -1,9 +1,12 @@
 """Command line interface.
 
 Every subcommand renders one canonical document: json (default, sorted keys,
-stable bytes), csv (flat rows), or md (human tables).  Exit codes: 0 on
-success, 1 when a both-routes comparison or a verify run finds a mismatch,
-2 on invalid input.
+stable bytes), csv (flat rows), or md (human tables).  Exit codes:
+
+    0  success
+    1  a both-routes comparison or a verify run finds a mismatch, or an
+       internal check fails (one `error:` line on stderr, no traceback)
+    2  invalid input, a bad --max-degree included (one `error:` line)
 """
 
 import argparse
@@ -419,6 +422,9 @@ def main(argv=None) -> int:
             DimensionMismatch, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from .cyclo import signed_orbit_count, vanishing_orbit_count, vanishing_tuple_count
 from .families import Family
-from .poly import one_minus, poly_div_exact, poly_mul
-from .series import BiSeries, expand_rational
+from .poly import RemainderNonzero, one_minus, poly_div_exact, poly_mul
+from .series import BiSeries, NonIntegerCoefficient, expand_rational
 
 
 @lru_cache(maxsize=None)
@@ -35,8 +35,11 @@ def block_multiplicity_poly(n: int, k: int) -> tuple[int, ...]:
     for i in range(2, k + 1):
         den = poly_mul(den, one_minus(i))
     q = poly_div_exact(num, den)
-    assert len(q) == n * k + 2, "block multiplicity polynomial has degree nk+1"
-    assert all(c.denominator == 1 for c in q)
+    if len(q) != n * k + 2:
+        raise RemainderNonzero(f"block multiplicity quotient has degree {len(q) - 1},"
+                               f" expected {n * k + 1}")
+    if any(c.denominator != 1 for c in q):
+        raise NonIntegerCoefficient("block multiplicity polynomial is not integral")
     return tuple(int(c) for c in q)
 
 

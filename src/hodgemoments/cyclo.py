@@ -11,6 +11,7 @@ from functools import lru_cache
 
 from .multiindex import MultiIndex, canonical_rotation, rotate, weak_compositions
 from .poly import normalize, poly_div_exact, one_minus
+from .series import NonIntegerCoefficient
 
 
 @lru_cache(maxsize=None)
@@ -24,7 +25,8 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
         if m % d == 0:
             num = poly_div_exact(num, list(cyclotomic_poly(d)))
     out = normalize(num)
-    assert all(c.denominator == 1 for c in out)
+    if any(c.denominator != 1 for c in out):
+        raise NonIntegerCoefficient(f"Phi_{m} is not integral")
     return tuple(int(c) for c in out)
 
 

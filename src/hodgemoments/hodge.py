@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .chains import (BadFamilyParams, build_chain, cohomology_basis, coker_slice_dims,
-                     eigenvector_product, jordan_block_sizes, kernel_slice_dims,
+from .chains import (BadFamilyParams, DegenerateReduction, build_chain, cohomology_basis,
+                     coker_slice_dims, eigenvector_product, jordan_block_sizes, kernel_slice_dims,
                      middle_cohomology_basis, shift_coker_dims)
 from .counting import (block_multiplicity, block_multiplicity_n2_closed,
                        bottom_multiplicity, lattice_step, lattice_step_n2_closed,
@@ -158,7 +158,8 @@ def hodge_kl_from_basis(n: int, k: int, max_degree: "int | None" = None) -> Hodg
             levels[(w - d, d)] += count
     else:
         low = {d: c for d, c in cards.items() if d <= k}
-        assert 2 * sum(low.values()) == mid.total()
+        if 2 * sum(low.values()) != mid.total():
+            raise DegenerateReduction("the low half of the middle basis is not half of it")
         for d, count in low.items():
             levels[(w - d, d)] += count
             levels[(d, w - d)] += count

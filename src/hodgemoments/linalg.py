@@ -7,6 +7,10 @@ until a row is finally normalized.  Fraction entries are accepted too (the
 same elimination runs field-style); only a handful of small matrices need
 that path.
 
+Rows added with a tag are reduced over Q and remember how they combine the
+tagged inputs, so reduce() can write a vector as a residual plus an explicit
+combination of inputs.
+
 There is no back-substitution: stored rows keep their pivot as the smallest
 column of their support, which is all that rank, pivot-set and membership
 questions require.
@@ -32,10 +36,14 @@ def _strip_int_row(vec, pivot):
 
 
 class SparseEchelon:
-    """Incremental echelon of sparse rows; tracks rank and pivot columns."""
+    """Incremental echelon of sparse rows; tracks rank and pivot columns.
+
+    reduce() needs every row to have been added with a tag.
+    """
 
     def __init__(self):
-        self.rows = {}  # pivot column -> row dict
+        self.rows = {}    # pivot column -> row dict
+        self.combos = {}  # pivot column -> {tag: Fraction}, tagged rows only
 
     @property
     def rank(self) -> int:
@@ -45,13 +53,12 @@ class SparseEchelon:
     def pivot_cols(self):
         return self.rows.keys()
 
-    def copy(self) -> "SparseEchelon":
-        dup = SparseEchelon()
-        dup.rows = {p: dict(r) for p, r in self.rows.items()}
-        return dup
+    def _eliminate(self, vec, combo=None):
+        """Remove every pivot column from vec's support, in ascending order.
 
-    def _eliminate(self, vec):
-        """Remove every pivot column from vec's support, in ascending order."""
+        With a combo dict, vec must hold Fractions; combo then collects the
+        tagged inputs subtracted, so vec_in == vec_out + sum combo[t] * input[t].
+        """
         heap = list(vec)
         heapq.heapify(heap)
         seen = set()
@@ -81,134 +88,86 @@ class SparseEchelon:
                     vec[cc] = nv
                 elif cc in vec:
                     del vec[cc]
-        return vec
+            if combo is not None:
+                for t, v in self.combos[c].items():
+                    nv = combo.get(t, 0) - sr * v
+                    if nv:
+                        combo[t] = nv
+                    elif t in combo:
+                        del combo[t]
 
-    def add_row(self, vec) -> bool:
-        """Insert a copy of vec; True if it was independent of current rows."""
-        vec = {c: v for c, v in vec.items() if v}
-        self._eliminate(vec)
+    def reduce(self, vec):
+        """(residual, combo) with vec == residual + sum combo[tag] * input[tag].
+
+        The residual is supported away from every pivot column.
+        """
+        residual = {c: Fraction(v) for c, v in vec.items() if v}
+        combo = {}
+        self._eliminate(residual, combo)
+        return residual, combo
+
+    def add_row(self, vec, tag=None) -> bool:
+        """Insert a copy of vec; True if it was independent of current rows.
+
+        With a tag the row is reduced over Q and its combination of the
+        tagged inputs is kept in combos under its pivot.
+        """
+        if tag is None:
+            vec = {c: v for c, v in vec.items() if v}
+            self._eliminate(vec)
+        else:
+            vec, combo = self.reduce(vec)
         if not vec:
             return False
         pivot = min(vec)
-        if all(isinstance(v, int) for v in vec.values()):
+        lead = vec[pivot]
+        if tag is None and all(isinstance(v, int) for v in vec.values()):
             _strip_int_row(vec, pivot)
         else:
-            lead = vec[pivot]
             for c in list(vec):
                 vec[c] = Fraction(vec[c]) / lead
+        if tag is not None:
+            combo = {t: -v / lead for t, v in combo.items()}
+            combo[tag] = 1 / lead
+            self.combos[pivot] = combo
         self.rows[pivot] = vec
         return True
 
-    def contains(self, vec) -> bool:
-        """Membership of vec in the row span (no insertion)."""
-        probe = {c: v for c, v in vec.items() if v}
-        self._eliminate(probe)
-        return not probe
 
-
-class TrackedEchelon:
-    """Echelon over Q that remembers how each row combines the inputs.
-
-    reduce(vec) returns (residual, combo) with
-        vec == residual + sum combo[tag] * original_row[tag]
-    and residual supported away from all pivot columns.
-    """
-
-    def __init__(self):
-        self.rows = {}  # pivot -> (row dict, combo dict), row[pivot] == 1
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    @property
-    def pivot_cols(self):
-        return self.rows.keys()
-
-    def reduce(self, vec):
-        out = {c: Fraction(v) for c, v in vec.items() if v}
-        combo = {}
-        heap = list(out)
-        heapq.heapify(heap)
-        seen = set()
-        while heap:
-            c = heapq.heappop(heap)
-            if c in seen or c not in out or not out[c]:
-                continue
-            seen.add(c)
-            hit = self.rows.get(c)
-            if hit is None:
-                continue
-            row, rcombo = hit
-            scale = out[c]  # row is pivot-normalized
-            for cc, v in row.items():
-                nv = out.get(cc, 0) - scale * v
-                if nv:
-                    if cc not in out and cc not in seen:
-                        heapq.heappush(heap, cc)
-                    out[cc] = nv
-                elif cc in out:
-                    del out[cc]
-            for t, v in rcombo.items():
-                nv = combo.get(t, 0) + scale * v
-                if nv:
-                    combo[t] = nv
-                elif t in combo:
-                    del combo[t]
-        return out, combo
-
-    def add_row(self, vec, tag):
-        """Insert vec under tag; returns None, or a kernel combo if dependent.
-
-        A kernel combo is a dict of tags whose weighted sum of original rows
-        vanishes (the coefficient of tag itself is 1).
-        """
-        residual, combo = self.reduce(vec)
-        if not residual:
-            kernel = {t: -v for t, v in combo.items()}
-            kernel[tag] = Fraction(1)
-            return kernel
-        pivot = min(residual)
-        lead = residual[pivot]
-        row = {c: v / lead for c, v in residual.items()}
-        stored_combo = {t: -v / lead for t, v in combo.items()}
-        stored_combo[tag] = Fraction(1) / lead
-        self.rows[pivot] = (row, stored_combo)
-        return None
+def apply_columns(cols, vec) -> dict:
+    """The matrix with these sparse columns applied to vec: sum vec[j] * cols[j]."""
+    out = {}
+    for j, c in vec.items():
+        for i, e in cols[j].items():
+            nv = out.get(i, 0) + c * e
+            if nv:
+                out[i] = nv
+            elif i in out:
+                del out[i]
+    return out
 
 
 def matrix_rank(vectors) -> int:
     ech = SparseEchelon()
-    n = 0
-    for v in vectors:
-        if ech.add_row(v):
-            n += 1
-    return n
-
-
-def kernel_basis(vectors) -> list[dict]:
-    """Basis of combinations of the given vectors summing to zero.
-
-    Input vectors are indexed 0..len-1; each kernel element is a dict
-    index -> Fraction.
-    """
-    ech = TrackedEchelon()
-    out = []
-    for i, v in enumerate(vectors):
-        ker = ech.add_row(v, i)
-        if ker is not None:
-            out.append(ker)
-    return out
-
-
-def coker_complement(vectors, ncols: int) -> list[int]:
-    """Indices of standard basis vectors spanning the cokernel of the span.
-
-    Reduction is left to right in column order, so the returned monomial
-    indices are the ones no pivot reaches.
-    """
-    ech = SparseEchelon()
     for v in vectors:
         ech.add_row(v)
-    piv = ech.pivot_cols
-    return [c for c in range(ncols) if c not in piv]
+    return ech.rank
+
+
+def jordan_type(cols, dim: int) -> dict[int, int]:
+    """Jordan type of a nilpotent dim x dim matrix given by columns: size -> count.
+
+    Read off the ranks r_s of its powers: r_{s-1} - 2 r_s + r_{s+1} blocks of size s.
+    """
+    ranks = [dim]
+    cur = cols
+    while ranks[-1]:
+        ranks.append(matrix_rank(cur))
+        cur = [apply_columns(cols, col) for col in cur]
+    ranks.append(0)
+    blocks = {}
+    for s in range(1, len(ranks) - 1):
+        count = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
+        if count:
+            blocks[s] = count
+    return blocks

@@ -28,10 +28,6 @@ class BiSeries:
                              f"({self.trunc_t}, {self.trunc_x})")
         return self.rows[d][e]
 
-    def column(self, e: int) -> list[int]:
-        """All stored t-coefficients of x^e."""
-        return [self.rows[d][e] for d in range(self.trunc_t)]
-
 
 def expand_rational(num, denom_factors, trunc_t: int, trunc_x: int) -> BiSeries:
     """Expand num(t) / prod (1 - t^a x^b) as a truncated series.

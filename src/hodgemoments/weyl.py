@@ -5,7 +5,7 @@ symmetrize over the row group (all permutations of slots 0,1,2) and
 antisymmetrize over the column group (identity and the swap of slots 0,3).
 The raw sum S of signed permutation operators satisfies S^2 = c S for a
 scalar c; the projector is S / c.  Idempotency, the rank, and commutation
-with the shift and corner derivations are all asserted exactly at build
+with the shift and corner derivations are all checked exactly at build
 time, so a wrong normalization cannot slip through.
 """
 
@@ -16,7 +16,7 @@ from itertools import permutations, product
 
 from .families import Family
 from .chains import GradedChain
-from .linalg import SparseEchelon, TrackedEchelon
+from .linalg import SparseEchelon, apply_columns, jordan_type
 
 EXPECTED_DIM = 15
 
@@ -74,18 +74,6 @@ def _tensor_corner_columns(basis, pos):
     return cols
 
 
-def _apply_columns(cols, vec):
-    out = {}
-    for j, c in vec.items():
-        for i, e in cols[j].items():
-            nv = out.get(i, 0) + c * e
-            if nv:
-                out[i] = nv
-            elif i in out:
-                del out[i]
-    return out
-
-
 @dataclass(frozen=True)
 class ProjectedSpace:
     """Image of the symmetrizer: graded basis and induced derivations."""
@@ -110,7 +98,7 @@ def young_projector() -> ProjectedSpace:
             raw[j][i] = raw[j].get(i, 0) + sign
     raw = [{i: c for i, c in col.items() if c} for col in raw]
     # S^2 must be an exact scalar multiple of S
-    square = [_apply_columns(raw, col) for col in raw]
+    square = [apply_columns(raw, col) for col in raw]
     scalar = None
     for j in range(dim):
         for i, c in raw[j].items():
@@ -129,8 +117,8 @@ def young_projector() -> ProjectedSpace:
     corner_cols = _tensor_corner_columns(basis, pos)
     for name, cols in (("shift", shift_cols), ("corner", corner_cols)):
         for j in range(dim):
-            left = _apply_columns(cols, proj[j])
-            right = _apply_columns(proj, cols[j])
+            left = apply_columns(cols, proj[j])
+            right = apply_columns(proj, cols[j])
             if left != right:
                 raise DimensionMismatch(f"projector does not commute with the {name}")
 
@@ -139,7 +127,7 @@ def young_projector() -> ProjectedSpace:
     chosen = []
     solvers = {}
     for w in range(9):
-        solver = TrackedEchelon()
+        solver = SparseEchelon()
         solvers[w] = solver
         for j in range(dim):
             if wt[j] != w or not proj[j]:
@@ -147,7 +135,7 @@ def young_projector() -> ProjectedSpace:
             if any(wt[i] != w for i in proj[j]):
                 raise DimensionMismatch("projector failed to preserve the grading")
             tag = len(chosen)
-            if solver.add_row(proj[j], tag) is None:
+            if solver.add_row(proj[j], tag):
                 chosen.append((w, dict(proj[j])))
     if len(chosen) != EXPECTED_DIM:
         raise DimensionMismatch(f"projected space has dimension {len(chosen)},"
@@ -156,7 +144,7 @@ def young_projector() -> ProjectedSpace:
     def induced(cols, delta):
         out = []
         for i, (w, vec) in enumerate(chosen):
-            img = _apply_columns(cols, vec)
+            img = apply_columns(cols, vec)
             if not img:
                 out.append({})
                 continue
@@ -185,24 +173,7 @@ def young_projector() -> ProjectedSpace:
 def v21_jordan_blocks() -> dict[int, int]:
     """Jordan type of the induced shift on the projected space: size -> count."""
     ps = young_projector()
-    base = [dict(col) for col in ps.nmat]
-    ranks = [ps.dim]
-    cur = base
-    while True:
-        ech = SparseEchelon()
-        for col in cur:
-            ech.add_row(dict(col))
-        ranks.append(ech.rank)
-        if ech.rank == 0:
-            break
-        cur = [_apply_columns(base, col) for col in cur]
-    blocks = {}
-    for s in range(1, len(ranks)):
-        nxt = ranks[s + 1] if s + 1 < len(ranks) else 0
-        count = (ranks[s - 1] - ranks[s]) - (ranks[s] - nxt)
-        if count:
-            blocks[s] = count
-    return blocks
+    return jordan_type(ps.nmat, ps.dim)
 
 
 def v21_chain(max_degree: int = 11) -> GradedChain:

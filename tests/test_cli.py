@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import hodgemoments.cli as cli
+from hodgemoments.chains import DegenerateReduction
 from hodgemoments.cli import main
 from hodgemoments.families import Family
 from hodgemoments.hodge import HodgeDiamond
@@ -114,6 +115,51 @@ def test_route_mismatch_exits_1(capsys, monkeypatch):
     code, out, _ = run_main(capsys, "hodge", "--family", "kl", "--n", "2", "--k", "4")
     assert code == 1
     assert json.loads(out)["payload"]["equal"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "--family", "kl", "--n", "2", "--k", "5", "--max-degree", "7"),
+    ("basis", "--family", "kl", "--n", "2", "--k", "5", "--max-degree", "1"),
+    ("hodge", "--family", "kl", "--n", "2", "--k", "5", "--max-degree", "-3",
+     "--route", "basis"),
+    ("basis", "--family", "v21", "--max-degree", "9"),
+])
+def test_truncating_max_degree_exits_2(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "n*k + 2" in err
+
+
+def test_smallest_max_degree_keeps_the_full_basis(capsys):
+    code, out, _ = run_main(capsys, "basis", "--family", "kl", "--n", "2", "--k", "5",
+                            "--max-degree", "12")
+    assert code == 0
+    assert json.loads(out)["payload"]["total"] == 7
+
+
+def test_failed_internal_check_is_one_line_exit_1():
+    # n + 1 = 6 is not a prime power: the basis route's support check fails
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgemoments", "hodge", "--family", "kl",
+         "--n", "5", "--k", "5"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_degenerate_reduction_exits_1(capsys, monkeypatch):
+    def broken(n, k, max_degree=None):
+        raise DegenerateReduction("reduction failed to reconstruct")
+
+    monkeypatch.setattr(cli, "hodge_kl_from_basis", broken)
+    code, out, err = run_main(capsys, "hodge", "--family", "kl", "--n", "2", "--k", "4")
+    assert code == 1
+    assert out == ""
+    assert err == "error: reduction failed to reconstruct\n"
 
 
 def test_counts_point_query(capsys):

@@ -5,13 +5,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from hodgemoments.linalg import (
-    SparseEchelon,
-    TrackedEchelon,
-    coker_complement,
-    kernel_basis,
-    matrix_rank,
-)
+from hodgemoments.linalg import SparseEchelon, apply_columns, jordan_type, matrix_rank
 
 
 def sparse_rows(nrows=5, ncols=5, lo=-6, hi=6):
@@ -22,6 +16,14 @@ def sparse_rows(nrows=5, ncols=5, lo=-6, hi=6):
 
 def to_sparse(dense_rows):
     return [{j: c for j, c in enumerate(row) if c} for row in dense_rows]
+
+
+def coker_columns(vectors, ncols):
+    """Columns that no pivot reaches: a monomial complement of the span."""
+    ech = SparseEchelon()
+    for v in vectors:
+        ech.add_row(v)
+    return [c for c in range(ncols) if c not in ech.pivot_cols]
 
 
 @settings(max_examples=150)
@@ -40,7 +42,15 @@ def test_rank_matches_sympy(rows):
 @given(sparse_rows(nrows=6, ncols=4))
 def test_kernel_combos_vanish(rows):
     vectors = to_sparse(rows)
-    kers = kernel_basis(vectors)
+    ech = SparseEchelon()
+    kers = []
+    for i, v in enumerate(vectors):
+        if not ech.add_row(v, i):
+            residual, combo = ech.reduce(v)
+            assert not residual
+            kernel = {t: -c for t, c in combo.items()}
+            kernel[i] = Fraction(1)
+            kers.append(kernel)
     for combo in kers:
         acc = {}
         for i, c in combo.items():
@@ -55,7 +65,7 @@ def test_kernel_combos_vanish(rows):
 @given(sparse_rows(nrows=5, ncols=5))
 def test_tracked_reduce_reconstructs(rows):
     vectors = to_sparse(rows)
-    ech = TrackedEchelon()
+    ech = SparseEchelon()
     for i, v in enumerate(vectors):
         ech.add_row(v, i)
     probe = {0: Fraction(3), 2: Fraction(-1), 4: Fraction(2)}
@@ -73,20 +83,41 @@ def test_tracked_reduce_reconstructs(rows):
 def test_coker_complement_picks_unreached_columns():
     # span of e0 + e1 and e2 inside Q^4: complement is columns 1 and 3
     vectors = [{0: 1, 1: 1}, {2: 5}]
-    assert coker_complement(vectors, 4) == [1, 3]
+    assert coker_columns(vectors, 4) == [1, 3]
 
 
 def test_coker_complement_full_rank_is_empty():
     vectors = [{0: 1}, {1: 2}, {2: -1}]
-    assert coker_complement(vectors, 3) == []
+    assert coker_columns(vectors, 3) == []
 
 
 @settings(max_examples=100)
 @given(sparse_rows(nrows=5, ncols=4))
 def test_coker_complement_size(rows):
     vectors = to_sparse(rows)
-    comp = coker_complement(vectors, 4)
+    comp = coker_columns(vectors, 4)
     assert len(comp) == 4 - matrix_rank(vectors)
+
+
+@settings(max_examples=100)
+@given(sparse_rows(nrows=4, ncols=4))
+def test_apply_columns_matches_sympy(rows):
+    cols = to_sparse(rows)
+    vec = {j: j - 1 for j in range(len(cols)) if j != 1}
+    dense = sympy.zeros(4, len(cols))
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            dense[i, j] = c
+    x = sympy.Matrix([vec.get(j, 0) for j in range(len(cols))])
+    want = {i: int(v) for i, v in enumerate(dense * x) if v} if cols else {}
+    assert apply_columns(cols, vec) == want
+
+
+def test_jordan_type_of_shift_blocks():
+    # e0 -> e1 -> e2 and e3 -> e4, e5 fixed at zero: blocks 3, 2, 1
+    cols = [{1: 1}, {2: 1}, {}, {4: 1}, {}, {}]
+    assert jordan_type(cols, 6) == {1: 1, 2: 1, 3: 1}
+    assert jordan_type([], 0) == {}
 
 
 class TestSparseEchelon:
@@ -101,10 +132,9 @@ class TestSparseEchelon:
         assert not ech.add_row({})
         assert ech.rank == 0
 
-    def test_copy_is_independent(self):
+    def test_tagged_rows_are_pivot_normalized(self):
         ech = SparseEchelon()
-        ech.add_row({0: 1})
-        dup = ech.copy()
-        dup.add_row({1: 1})
-        assert ech.rank == 1
-        assert dup.rank == 2
+        assert ech.add_row({0: 2, 1: 3}, "a")
+        assert not ech.add_row({0: 4, 1: 6}, "b")
+        assert ech.rows == {0: {0: 1, 1: Fraction(3, 2)}}
+        assert ech.combos == {0: {"a": Fraction(1, 2)}}

@@ -36,12 +36,6 @@ def test_numerator_shifts_and_cancels():
     assert all(s.coeff(d, 0) == 0 for d in range(1, 8))
 
 
-def test_column_view():
-    s = expand_rational([1], [(1, 1)], 4, 3)
-    assert s.column(1) == [0, 1, 0, 0]
-    assert s.column(0) == [1, 0, 0, 0]
-
-
 def test_coeff_bounds():
     s = expand_rational([1], [(1, 0)], 3, 2)
     with pytest.raises(IndexError):

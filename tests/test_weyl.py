@@ -4,12 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 from hodgemoments.chains import cohomology_basis, middle_cohomology_basis
-from hodgemoments.weyl import (
-    _apply_columns,
-    v21_chain,
-    v21_jordan_blocks,
-    young_projector,
-)
+from hodgemoments.linalg import apply_columns
+from hodgemoments.weyl import v21_chain, v21_jordan_blocks, young_projector
 
 
 def test_projector_dimension_and_scalar():
@@ -21,7 +17,7 @@ def test_projector_dimension_and_scalar():
 def test_projector_is_idempotent():
     ps = young_projector()
     proj = list(ps.projector)
-    square = [_apply_columns(proj, col) for col in proj]
+    square = [apply_columns(proj, col) for col in proj]
     for got, want in zip(square, proj):
         assert {i: c for i, c in got.items() if c} == want
 
