@@ -8,25 +8,13 @@ way one scans for patterns across k.  Pairs with no table are marked.
 """
 
 import argparse
-from math import gcd
 
-from hodgemoments.families import Family
-from hodgemoments.hodge import (
-    dims_airy,
-    dims_kl,
-    hodge_airy_closed,
-    hodge_kl3_div3,
-    hodge_kl_closed,
-)
+from hodgemoments.families import Family, admissible
+from hodgemoments.hodge import dims_airy, dims_kl, hodge_airy_closed, hodge_kl_closed
 
 
 def kl_line(n, k):
-    if gcd(k, n + 1) == 1:
-        dm = hodge_kl_closed(n, k)
-    elif n == 2 and k % 3 == 0:
-        dm = hodge_kl3_div3(k)
-    else:
-        return f"k={k:2d}  (no pure table: gcd(k, n+1) > 1)"
+    dm = hodge_kl_closed(n, k)
     rep = dims_kl(n, k)
     tup = ", ".join(str(h) for h in dm.anti_diagonal())
     return (f"k={k:2d}  ({tup})  "
@@ -34,8 +22,6 @@ def kl_line(n, k):
 
 
 def airy_line(n, k):
-    if gcd(k, n) != 1:
-        return f"k={k:2d}  (no table: gcd(k, n) > 1)"
     dm = hodge_airy_closed(n, k)
     rep = dims_airy(n, k)
     cells = ", ".join(f"{p}:{h}" for (p, q), h in dm.sorted_entries())
@@ -52,8 +38,12 @@ def main():
     fam = Family.from_tag(args.family)
     print(f"family={fam.value} n={args.n}")
     for k in range(1, args.max_k + 1):
-        line = kl_line(args.n, k) if fam is Family.KL_Z else airy_line(args.n, k)
-        print(line)
+        if not admissible(fam, args.n, k):
+            print(f"k={k:2d}  (no table: outside the admissible range)")
+        elif fam is Family.KL_Z:
+            print(kl_line(args.n, k))
+        else:
+            print(airy_line(args.n, k))
 
 
 if __name__ == "__main__":

@@ -4,19 +4,18 @@ Everything runs over exact arithmetic (ints and Fractions); there is no
 floating point anywhere in the computational path.
 """
 
-from .chains import (BadFamilyParams, BasisSet, DegenerateReduction, GradedChain,
-                     build_chain, cohomology_basis, jordan_block_sizes,
-                     middle_cohomology_basis, shift_coker_dims)
+from .chains import (BasisSet, DegenerateReduction, GradedChain, build_chain,
+                     cohomology_basis, jordan_block_sizes, middle_cohomology_basis,
+                     shift_coker_dims)
 from .counting import (block_multiplicity, block_multiplicity_poly,
                        bottom_multiplicity, lattice_count, lattice_step,
                        solution_dim_at_infinity, solution_dim_at_zero)
 from .cyclo import (CycloInt, signed_orbit_count, vanishing_orbit_count,
                     vanishing_orbits, vanishing_tuple_count)
-from .families import Family
-from .hodge import (ConsistencyReport, CoprimalityRequired, DimReport,
-                    HodgeDiamond, NonIntegralDimension, dims_airy, dims_kl,
-                    hodge_airy_closed, hodge_airy_from_basis, hodge_kl3_div3,
-                    hodge_kl_closed, hodge_kl_from_basis, hodge_v21,
+from .families import BadFamilyParams, Family
+from .hodge import (ConsistencyReport, DimReport, HodgeDiamond, NonIntegralDimension,
+                    dims_airy, dims_kl, hodge_airy_closed, hodge_airy_from_basis,
+                    hodge_kl3_div3, hodge_kl_closed, hodge_kl_from_basis, hodge_v21,
                     mixed_hodge_kl3, mixed_hodge_tilde_kl3, verify, verify_sweep)
 from .weyl import v21_chain, v21_jordan_blocks, young_projector
 
@@ -26,7 +25,6 @@ __all__ = [
     "BadFamilyParams",
     "BasisSet",
     "ConsistencyReport",
-    "CoprimalityRequired",
     "CycloInt",
     "DegenerateReduction",
     "DimReport",

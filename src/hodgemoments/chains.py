@@ -26,15 +26,11 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .cyclo import CycloInt
-from .families import Family
+from .families import BadFamilyParams, Family, has_tower, require_admissible
 from .linalg import SparseEchelon, apply_columns, jordan_type, matrix_rank
 from .multiindex import MultiIndex, weak_compositions, weight
 
 Mono = tuple[int, int]  # (z_power, basis index into the graded space V)
-
-
-class BadFamilyParams(ValueError):
-    """The (family, n, k) combination does not define this construction."""
 
 
 class DegenerateReduction(ArithmeticError):
@@ -141,18 +137,6 @@ class GradedChain:
         return {(a + r, j): c for (a, j), c in self.tower.items()}
 
 
-def _coprimality_ok(family: Family, n: int, k: int) -> bool:
-    if family is Family.AIRY_Z:
-        return gcd(k, n) == 1
-    if family in (Family.KL_Z, Family.KL_TILDE_T):
-        return gcd(k, n + 1) == 1 or (n == 2 and k % 3 == 0)
-    return True
-
-
-def _has_tower(family: Family, n: int, k: int) -> bool:
-    return family in (Family.KL_Z, Family.KL_TILDE_T) and n == 2 and k % 3 == 0
-
-
 def eigenvector_product(n: int, k: int, index: MultiIndex) -> dict:
     """Product of twisted eigenvectors f_i = sum_j zeta^{i(n-j)} t^{n-j} v_j.
 
@@ -231,7 +215,7 @@ def build_chain(family: Family, n: int, k: int, max_degree: int | None = None) -
         zweight, ezshift, scale = n, 1, 1
     tower = None
     tower_degree = 0
-    if _has_tower(family, n, k):
+    if has_tower(family, n, k):
         raw = eta_power_vector(k)
         tower = {}
         for (a, jj), c in raw.items():
@@ -311,14 +295,14 @@ def _check_support_closed(chain: GradedChain, counts: dict[int, int], what: str)
     top = chain.max_degree
     if counts.get(top, 0):
         raise RuntimeError(
-            f"{what} basis still nonzero in degree {top}; raise max_degree "
-            f"(support should end by degree {chain.n * chain.k + 1})")
+            f"{what} basis still nonzero in degree {top}, past the top degree "
+            f"{chain.n * chain.k + 1}: the input is outside the range where the "
+            f"basis route is valid, or there is an arithmetic bug")
 
 
 def cohomology_basis(chain: GradedChain) -> BasisSet:
     """Monomial representatives of coker(theta_bar) (+ tower quotient) per degree."""
-    if not _coprimality_ok(chain.family, chain.n, chain.k):
-        raise BadFamilyParams("cohomology basis needs coprimality or n=2 with 3|k")
+    require_admissible(chain.family, chain.n, chain.k)
     vectors = {}
     for d in range(chain.max_degree + 1):
         _, reps = _degree_quotient(chain, d)
@@ -349,9 +333,7 @@ def middle_cohomology_basis(chain: GradedChain) -> BasisSet:
     if chain.family is Family.AIRY_Z:
         raise BadFamilyParams("middle equals full cohomology for the Airy family;"
                               " use cohomology_basis")
-    if chain.family in (Family.KL_Z, Family.KL_TILDE_T):
-        if not _coprimality_ok(chain.family, chain.n, chain.k):
-            raise BadFamilyParams("middle basis needs coprimality or n=2 with 3|k")
+    require_admissible(chain.family, chain.n, chain.k)
     has_tower = chain.tower is not None
     vectors = {}
     for d in range(chain.max_degree + 1):

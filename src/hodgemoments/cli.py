@@ -13,17 +13,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import gcd
 
-from .chains import (BadFamilyParams, build_chain, cohomology_basis,
-                     middle_cohomology_basis)
+from .chains import build_chain, cohomology_basis, middle_cohomology_basis
 from .counting import block_multiplicity_poly, lattice_step
 from .cyclo import signed_orbit_count, vanishing_orbits, vanishing_tuple_count
-from .families import Family
-from .hodge import (CoprimalityRequired, NonIntegralDimension, dims_airy, dims_kl,
-                    hodge_airy_closed, hodge_airy_from_basis, hodge_kl3_div3,
-                    hodge_kl_closed, hodge_kl_from_basis, hodge_v21,
-                    mixed_hodge_tilde_kl3, verify, verify_sweep)
+from .families import BadFamilyParams, Family
+from .hodge import (NonIntegralDimension, dims_airy, dims_kl, hodge_airy_closed,
+                    hodge_airy_from_basis, hodge_kl_closed, hodge_kl_from_basis,
+                    hodge_v21, mixed_hodge_tilde_kl3, verify, verify_sweep)
 from .weyl import DimensionMismatch, v21_chain
 
 SCHEMA_VERSION = "1"
@@ -192,15 +189,6 @@ def _forbid_nk(args):
         raise CliError("--family v21 takes no --n or --k")
 
 
-def _closed_kl(n: int, k: int):
-    if gcd(k, n + 1) == 1:
-        return hodge_kl_closed(n, k)
-    if n == 2 and k % 3 == 0:
-        return hodge_kl3_div3(k)
-    raise CliError(f"no closed table for n={n}, k={k}: "
-                   f"needs gcd(k, n+1) = 1 or n = 2 with 3 | k")
-
-
 def _cmd_hodge(args) -> int:
     family = Family.from_tag(args.family)
     route = args.route
@@ -219,20 +207,15 @@ def _cmd_hodge(args) -> int:
             raise CliError("the mixed tilde table has a closed route only")
         route = "closed"
         pick = {"closed": mixed_hodge_tilde_kl3(args.k), "basis": None}
-    elif family is Family.AIRY_Z:
-        _need_nk(args)
-        if route is None:
-            route = "both"
-        closed = hodge_airy_closed(args.n, args.k) if route in ("closed", "both") else None
-        basis = (hodge_airy_from_basis(args.n, args.k, args.max_degree)
-                 if route in ("basis", "both") else None)
-        pick = {"closed": closed, "basis": basis}
     else:
         _need_nk(args)
         if route is None:
             route = "both"
-        closed = _closed_kl(args.n, args.k) if route in ("closed", "both") else None
-        basis = (hodge_kl_from_basis(args.n, args.k, args.max_degree)
+        closed_route, basis_route = ((hodge_airy_closed, hodge_airy_from_basis)
+                                     if family is Family.AIRY_Z else
+                                     (hodge_kl_closed, hodge_kl_from_basis))
+        closed = closed_route(args.n, args.k) if route in ("closed", "both") else None
+        basis = (basis_route(args.n, args.k, args.max_degree)
                  if route in ("basis", "both") else None)
         pick = {"closed": closed, "basis": basis}
 
@@ -418,8 +401,8 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (CoprimalityRequired, NonIntegralDimension, BadFamilyParams,
-            DimensionMismatch, ValueError) as err:
+    except (NonIntegralDimension, BadFamilyParams, DimensionMismatch,
+            ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as err:

@@ -1,6 +1,11 @@
-"""Family tags for the graded chains and their cohomology tables."""
+"""Family tags and the admissibility gate: which (family, n, k) have tables."""
 
 from enum import Enum
+from math import gcd
+
+
+class BadFamilyParams(ValueError):
+    """The (family, n, k) combination does not define this construction."""
 
 
 class Family(Enum):
@@ -15,3 +20,50 @@ class Family(Enum):
             if fam.value == tag:
                 return fam
         raise ValueError(f"unknown family tag {tag!r}")
+
+
+def has_tower(family: Family, n: int, k: int) -> bool:
+    """The eta-tower case of the Kloosterman chains: n = 2 with 3 | k."""
+    return family in (Family.KL_Z, Family.KL_TILDE_T) and n == 2 and k % 3 == 0
+
+
+def _vanishing_sum_exists(m: int, k: int) -> bool:
+    """Do some k m-th roots of unity sum to zero, i.e. is d_k != 0?
+
+    By Lam-Leung this holds exactly when k lies in N p_1 + ... + N p_r over
+    the primes p_i dividing m.  Every divisor d > 1 of m lies in some N p_i,
+    so the coin problem may run over all of them.  k and m + k % m get the
+    same answer (with two primes p q <= m, every k >= m is reached; with one,
+    only k mod p counts), so the table stays below 2m cells for any k.
+    """
+    k = min(k, m + k % m)
+    reach = [True] + [False] * k
+    for p in range(2, m + 1):
+        if m % p == 0:
+            for s in range(p, k + 1):
+                reach[s] = reach[s] or reach[s - p]
+    return reach[k]
+
+
+def admissible(family: Family, n: int, k: int) -> bool:
+    """Whether both routes give the table of (family, n, k).
+
+    kl, kl-tilde: the tower case, or d_k = 0 (for prime-power n+1 this is
+    gcd(k, n+1) = 1).  airy: n >= 2 and gcd(k, n) = 1.  v21: always.
+    """
+    if family is Family.V21:
+        return True
+    if n < 1 or k < 1:
+        return False
+    if family is Family.AIRY_Z:
+        return n >= 2 and gcd(k, n) == 1
+    return has_tower(family, n, k) or not _vanishing_sum_exists(n + 1, k)
+
+
+def require_admissible(family: Family, n: int, k: int) -> None:
+    """Raise BadFamilyParams unless (family, n, k) passes the gate."""
+    if not admissible(family, n, k):
+        need = ("n >= 2, gcd(k, n) = 1" if family is Family.AIRY_Z else
+                "d_k = 0 (no k of the (n+1)-th roots of unity sum to 0) or n = 2, 3 | k")
+        raise BadFamilyParams(f"{family.value} at n={n}, k={k} has no closed or basis "
+                              f"table: it needs n, k >= 1 with {need}")

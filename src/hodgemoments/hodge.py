@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .chains import (BadFamilyParams, DegenerateReduction, build_chain, cohomology_basis,
+from .chains import (DegenerateReduction, build_chain, cohomology_basis,
                      coker_slice_dims, eigenvector_product, jordan_block_sizes, kernel_slice_dims,
                      middle_cohomology_basis, shift_coker_dims)
 from .counting import (block_multiplicity, block_multiplicity_n2_closed,
@@ -17,7 +17,7 @@ from .counting import (block_multiplicity, block_multiplicity_n2_closed,
                        lattice_step_series, solution_dim_at_infinity,
                        solution_dim_at_zero)
 from .cyclo import CycloInt, vanishing_tuple_count
-from .families import Family
+from .families import Family, admissible, has_tower, require_admissible
 from .multiindex import weak_compositions
 from .series import expand_rational
 from .weyl import v21_chain
@@ -25,10 +25,6 @@ from .weyl import v21_chain
 
 class NonIntegralDimension(ArithmeticError):
     """A dimension formula produced a non-integer."""
-
-
-class CoprimalityRequired(ValueError):
-    """The requested closed formula needs the coprimality hypothesis."""
 
 
 def _level(x) -> "int | Fraction":
@@ -93,10 +89,7 @@ def dims_kl(n: int, k: int, family: Family = Family.KL_Z) -> DimReport:
 
 def dims_airy(n: int, k: int) -> DimReport:
     """Cohomology dimensions for the Airy family (middle equals full)."""
-    if n < 2:
-        raise ValueError("the Airy family needs n >= 2")
-    if gcd(k, n) != 1:
-        raise CoprimalityRequired(f"gcd({k}, {n}) != 1")
+    require_admissible(Family.AIRY_Z, n, k)
     num = comb(k + n - 1, n - 1)
     if num % n:
         raise NonIntegralDimension(f"binom({k + n - 1}, {n - 1}) not divisible by {n}")
@@ -114,9 +107,10 @@ def _pure_diamond(family: Family, n: int, k: int, weight: int, half) -> HodgeDia
 
 
 def hodge_kl_closed(n: int, k: int) -> HodgeDiamond:
-    """Closed-route Hodge numbers on weight n*k + 1, coprime case."""
-    if gcd(k, n + 1) != 1:
-        raise CoprimalityRequired(f"gcd({k}, {n + 1}) != 1")
+    """Closed-route Hodge numbers on weight n*k + 1 (the tower table if n = 2, 3 | k)."""
+    require_admissible(Family.KL_Z, n, k)
+    if has_tower(Family.KL_Z, n, k):
+        return hodge_kl3_div3(k)
     w = n * k + 1
     series = lattice_step_series(n, w + 1, k + 1)
 
@@ -141,19 +135,20 @@ def hodge_kl3_div3(k: int) -> HodgeDiamond:
 def hodge_kl_from_basis(n: int, k: int, max_degree: "int | None" = None) -> HodgeDiamond:
     """Basis-route Hodge numbers: degree-d middle classes land in h^{w-d, d}.
 
-    When gcd(k, n+1) = 1 the filtration jump at every degree is sharp and the
-    middle cardinalities are mirror-symmetric, so every degree contributes
+    Outside the tower case the filtration jump at every degree is sharp and
+    the middle cardinalities are mirror-symmetric, so every degree contributes
     directly.  When n = 2 and 3 | k the jump is only sharp for d <= k; the
     upper half of the diamond is then filled in by Hodge symmetry, and the
     total is checked against the basis (the low half must carry exactly half
     of the middle dimension).
     """
+    require_admissible(Family.KL_Z, n, k)
     chain = build_chain(Family.KL_Z, n, k, max_degree)
     mid = middle_cohomology_basis(chain)
     cards = mid.cardinalities()
     w = n * k + 1
     levels = {(p, w - p): 0 for p in range(w + 1)}
-    if gcd(k, n + 1) == 1:
+    if chain.tower is None:
         for d, count in cards.items():
             levels[(w - d, d)] += count
     else:
@@ -174,10 +169,7 @@ def _airy_support(n: int, k: int):
 
 def hodge_airy_closed(n: int, k: int) -> HodgeDiamond:
     """Closed-route Airy Hodge numbers; levels are (n+1)-th fractions."""
-    if n < 2:
-        raise ValueError("the Airy family needs n >= 2")
-    if gcd(k, n) != 1:
-        raise CoprimalityRequired(f"gcd({k}, {n}) != 1")
+    require_admissible(Family.AIRY_Z, n, k)
     top = n * k - n - k + 1
     series = expand_rational([1, -1], [(n, 0)] + [(i, 1) for i in range(n)],
                              max(top + 1, 1), k + 1)
@@ -190,6 +182,7 @@ def hodge_airy_closed(n: int, k: int) -> HodgeDiamond:
 
 def hodge_airy_from_basis(n: int, k: int, max_degree: "int | None" = None) -> HodgeDiamond:
     """Basis route: a degree-d class contributes at level (n*k + 1 - d)/(n + 1)."""
+    require_admissible(Family.AIRY_Z, n, k)
     chain = build_chain(Family.AIRY_Z, n, k, max_degree)
     basis = cohomology_basis(chain)
     levels = {(_level(p), _level(q)): 0 for p, q in _airy_support(n, k)}
@@ -316,7 +309,7 @@ def verify(n: int, k: int) -> ConsistencyReport:
 
     m = n + 1
     coprime = gcd(k, m) == 1
-    tower_case = n == 2 and k % 3 == 0
+    kl_ok = admissible(Family.KL_Z, n, k)
     w = n * k + 1
 
     # counting clauses; the step counts are supported on [0, nk-n] and mirror
@@ -332,7 +325,7 @@ def verify(n: int, k: int) -> ConsistencyReport:
                    == block_multiplicity(n, k, d) for d in range(w + 1))
         record("counting-clauses", zero_beyond and mirror and diff,
                f"zero_beyond={zero_beyond} mirror={mirror} diff={diff}")
-    if n >= 2 and gcd(k, n) == 1:
+    if admissible(Family.AIRY_Z, n, k):
         atop = n * k - n - k + 1
         zero_beyond = all(lattice_step(n - 1, k, d) == 0
                           for d in range(atop + 1, n * k + 2))
@@ -374,9 +367,9 @@ def verify(n: int, k: int) -> ConsistencyReport:
            f"got={got_coker} expected={expected_coker}")
 
     # chain routes
-    if coprime or tower_case:
+    if kl_ok:
         chain = build_chain(Family.KL_Z, n, k)
-        if coprime:
+        if chain.tower is None:
             dims = coker_slice_dims(chain)
             ok = all(dims[d] == lattice_step(n, k, d) for d in range(len(dims)))
             total_ok = sum(dims) == dims_kl(n, k).dim_h1
@@ -389,7 +382,7 @@ def verify(n: int, k: int) -> ConsistencyReport:
                full.total() == rep.dim_h1 and mid.total() == rep.dim_mid,
                f"full={full.total()} mid={mid.total()} report={rep}")
         cards = mid.cardinalities()
-        if coprime:
+        if chain.tower is None:
             mirror_ok = all(cards.get(d, 0) == cards.get(w - d, 0)
                             for d in range(w + 1))
             record("mid-degree-mirror", mirror_ok, f"mid={cards}")
@@ -399,12 +392,12 @@ def verify(n: int, k: int) -> ConsistencyReport:
             low = sum(c for d, c in cards.items() if d <= k)
             record("mid-low-half", 2 * low == mid.total(),
                    f"low={low} mid={cards}")
-        closed = hodge_kl3_div3(k) if tower_case else hodge_kl_closed(n, k)
+        closed = hodge_kl_closed(n, k)
         basis = hodge_kl_from_basis(n, k)
         record("route-kl", closed.levels == basis.levels,
                f"closed={closed.nonzero()} basis={basis.nonzero()}")
 
-    if n >= 2 and gcd(k, n) == 1:
+    if admissible(Family.AIRY_Z, n, k):
         closed = hodge_airy_closed(n, k)
         basis = hodge_airy_from_basis(n, k)
         record("route-airy", closed.levels == basis.levels,
@@ -413,29 +406,28 @@ def verify(n: int, k: int) -> ConsistencyReport:
                f"total={closed.total()}")
 
     # tilde chain
-    if coprime or tower_case:
+    if kl_ok or n <= 3:
         tchain = build_chain(Family.KL_TILDE_T, n, k)
+    if kl_ok:
         trep = dims_kl(n, k, Family.KL_TILDE_T)
         tfull = cohomology_basis(tchain)
         tmid = middle_cohomology_basis(tchain)
         record("basis-totals-tilde",
                tfull.total() == trep.dim_h1 and tmid.total() == trep.dim_mid,
                f"full={tfull.total()} mid={tmid.total()} report={trep}")
-        if n <= 3:
-            kdims = kernel_slice_dims(tchain)
-            dk = vanishing_tuple_count(m, k)
-            ok = all(kdims[d] == (dk if d >= n * k else 0) for d in range(len(kdims)))
-            record("tilde-kernel-dims", ok, f"kernel={kdims}")
-    elif n <= 3:
-        # outside the coprime and tower regimes the twisted eigenvectors still
-        # pin the kernel rank from degree nk on, but they need not generate a
-        # saturated module, so lower slices may already carry kernel
-        tchain = build_chain(Family.KL_TILDE_T, n, k)
+    if n <= 3:
         kdims = kernel_slice_dims(tchain)
         dk = vanishing_tuple_count(m, k)
-        tail = all(kdims[d] == dk for d in range(n * k, len(kdims)))
-        monotone = all(kdims[d] <= kdims[d + 1] <= dk for d in range(n * k))
-        record("tilde-kernel-tail", tail and monotone, f"kernel={kdims}")
+        if kl_ok:
+            ok = all(kdims[d] == (dk if d >= n * k else 0) for d in range(len(kdims)))
+            record("tilde-kernel-dims", ok, f"kernel={kdims}")
+        else:
+            # outside the gate the twisted eigenvectors still pin the kernel
+            # rank from degree nk on, but they need not generate a saturated
+            # module, so lower slices may already carry kernel
+            tail = all(kdims[d] == dk for d in range(n * k, len(kdims)))
+            monotone = all(kdims[d] <= kdims[d + 1] <= dk for d in range(n * k))
+            record("tilde-kernel-tail", tail and monotone, f"kernel={kdims}")
 
     if n <= 3 and k <= 6:
         ok = True
@@ -452,7 +444,7 @@ def verify(n: int, k: int) -> ConsistencyReport:
         record("tilde-eigen-relation", ok, f"first failure at {bad}")
 
     # dimension relations
-    if coprime or tower_case:
+    if kl_ok:
         zrep = dims_kl(n, k)
         trep = dims_kl(n, k, Family.KL_TILDE_T)
         record("dims-consistent",

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven exact criteria, one visible pass/fail line each.
+"""Acceptance gate: twelve exact criteria, one visible pass/fail line each.
 
 Every comparison is integer or exact-rational equality.  Each criterion
 prints its verdict on the real stdout so the line survives pytest's capture;
@@ -12,6 +12,8 @@ import time
 from fractions import Fraction
 from math import comb, gcd
 
+import pytest
+
 from hodgemoments.chains import (
     build_chain,
     cohomology_basis,
@@ -23,7 +25,7 @@ from hodgemoments.chains import (
 )
 from hodgemoments.counting import block_multiplicity, lattice_step
 from hodgemoments.cyclo import CycloInt, vanishing_tuple_count
-from hodgemoments.families import Family
+from hodgemoments.families import BadFamilyParams, Family
 from hodgemoments.hodge import (
     _dict_eq,
     _scale_shift_labelled,
@@ -38,6 +40,7 @@ from hodgemoments.hodge import (
     hodge_v21,
     mixed_hodge_kl3,
     mixed_hodge_tilde_kl3,
+    verify,
 )
 from hodgemoments.multiindex import weak_compositions
 from hodgemoments.weyl import v21_jordan_blocks, young_projector
@@ -48,6 +51,10 @@ KL_SWEEP = [(n, k) for n in (1, 2, 3, 4) for k in range(1, 13)
             if gcd(k, n + 1) == 1]
 AIRY_SWEEP = [(n, k) for n in (2, 3, 4) for k in range(1, 13) if gcd(k, n) == 1]
 TOWER_KS = (3, 6, 9, 12)
+# n + 1 with two prime factors: d_k(n+1, k) > 0 although gcd(k, n+1) = 1,
+# and pairs where d_k = 0
+COMPOSITE_REJECTED = [(5, 5), (5, 7), (9, 7), (11, 5), (14, 8)]
+COMPOSITE_ADMITTED = [(5, 1), (9, 3), (14, 2)]
 
 
 def announce(num, name, ok):
@@ -235,3 +242,20 @@ def test_criterion_11_cli():
     assert bad.returncode == 2
     worse = run("hodge", "--family", "unknown", "--n", "2", "--k", "3")
     assert worse.returncode == 2
+
+
+@criterion(12, "composite n+1: d_k > 0 rejected, d_k = 0 admitted")
+def test_criterion_12_composite_gate():
+    for n, k in COMPOSITE_REJECTED:
+        for route in (hodge_kl_closed, hodge_kl_from_basis):
+            with pytest.raises(BadFamilyParams):
+                route(n, k)
+    for n, k in COMPOSITE_REJECTED[:2]:
+        for family in (Family.KL_Z, Family.KL_TILDE_T):
+            with pytest.raises(BadFamilyParams):
+                cohomology_basis(build_chain(family, n, k))
+    for n, k in COMPOSITE_ADMITTED:
+        closed = hodge_kl_closed(n, k)
+        assert closed.levels == hodge_kl_from_basis(n, k).levels
+        assert closed.total() == dims_kl(n, k).dim_mid
+        assert verify(n, k).all_pass

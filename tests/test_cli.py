@@ -90,10 +90,12 @@ def test_tilde_needs_n2(capsys):
 
 
 def test_no_closed_table_reports_usage_error(capsys):
-    code, _, err = run_main(capsys, "hodge", "--family", "kl", "--n", "3", "--k", "4",
-                            "--route", "closed")
-    assert code == 2
-    assert "closed" in err
+    # (5, 5): gcd(k, n+1) = 1, but five 6th roots of unity can sum to 0 (2 + 3)
+    for n, k in [(3, 4), (5, 5)]:
+        code, _, err = run_main(capsys, "hodge", "--family", "kl", "--n", str(n),
+                                "--k", str(k), "--route", "closed")
+        assert code == 2
+        assert "closed" in err
 
 
 def test_non_coprime_airy_dims_exit_2(capsys):
@@ -139,16 +141,17 @@ def test_smallest_max_degree_keeps_the_full_basis(capsys):
 
 
 def test_failed_internal_check_is_one_line_exit_1():
-    # n + 1 = 6 is not a prime power: the basis route's support check fails
+    # d_k(6, 5) != 0, which the airy gate does not see: the support check fails
     proc = subprocess.run(
-        [sys.executable, "-m", "hodgemoments", "hodge", "--family", "kl",
-         "--n", "5", "--k", "5"],
+        [sys.executable, "-m", "hodgemoments", "hodge", "--family", "airy",
+         "--n", "6", "--k", "5"],
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    assert "raise max_degree" not in proc.stderr
 
 
 def test_degenerate_reduction_exits_1(capsys, monkeypatch):

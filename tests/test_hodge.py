@@ -5,9 +5,8 @@ from math import comb, gcd
 
 import pytest
 
-from hodgemoments.families import Family
+from hodgemoments.families import BadFamilyParams, Family
 from hodgemoments.hodge import (
-    CoprimalityRequired,
     dims_airy,
     dims_kl,
     hodge_airy_closed,
@@ -33,8 +32,10 @@ class TestKloostermanPure:
         assert hodge_kl_from_basis(2, 10).anti_diagonal() == GOLDEN_2_10
 
     def test_closed_rejects_non_coprime(self):
-        with pytest.raises(CoprimalityRequired):
-            hodge_kl_closed(2, 6)
+        assert hodge_kl_closed(2, 6) == hodge_kl3_div3(6)
+        for n, k in [(3, 4), (5, 5)]:
+            with pytest.raises(BadFamilyParams):
+                hodge_kl_closed(n, k)
 
     @pytest.mark.parametrize("n,k", [(1, 3), (1, 5), (2, 4), (2, 7), (3, 3), (4, 3)])
     def test_routes_agree_coprime(self, n, k):
@@ -87,7 +88,7 @@ class TestDims:
     def test_airy_examples(self):
         assert dims_airy(3, 2).dim_h1 == 2
         assert dims_airy(2, 5).dim_h1 == 3
-        with pytest.raises(CoprimalityRequired):
+        with pytest.raises(BadFamilyParams):
             dims_airy(2, 4)
 
     def test_golden_dims(self):
