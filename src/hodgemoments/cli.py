@@ -17,7 +17,7 @@ from fractions import Fraction
 from .chains import build_chain, cohomology_basis, middle_cohomology_basis
 from .counting import block_multiplicity_poly, lattice_step
 from .cyclo import signed_orbit_count, vanishing_orbits, vanishing_tuple_count
-from .families import BadFamilyParams, Family
+from .families import BadFamilyParams, Family, require_admissible
 from .hodge import (NonIntegralDimension, dims_airy, dims_kl, hodge_airy_closed,
                     hodge_airy_from_basis, hodge_kl_closed, hodge_kl_from_basis,
                     hodge_v21, mixed_hodge_tilde_kl3, verify, verify_sweep)
@@ -286,6 +286,7 @@ def _cmd_basis(args) -> int:
         chain = v21_chain() if args.max_degree is None else v21_chain(args.max_degree)
     else:
         _need_nk(args)
+        require_admissible(family, args.n, args.k)
         chain = build_chain(family, args.n, args.k, args.max_degree)
     basis = middle_cohomology_basis(chain) if args.mid else cohomology_basis(chain)
     cards = basis.cardinalities()

@@ -140,6 +140,18 @@ def test_smallest_max_degree_keeps_the_full_basis(capsys):
     assert json.loads(out)["payload"]["total"] == 7
 
 
+@pytest.mark.parametrize("family", ["kl", "kl-tilde"])
+def test_basis_gate_runs_before_the_chain(capsys, monkeypatch, family):
+    def no_chain(*args):
+        raise AssertionError("the chain was built for an input the gate rejects")
+
+    monkeypatch.setattr(cli, "build_chain", no_chain)
+    code, out, err = run_main(capsys, "basis", "--family", family, "--n", "5", "--k", "18")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "no closed or basis table" in err
+
+
 def test_failed_internal_check_is_one_line_exit_1():
     # d_k(6, 5) != 0, which the airy gate does not see: the support check fails
     proc = subprocess.run(

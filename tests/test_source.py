@@ -20,3 +20,9 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_one_elimination_loop():
+    # the exact, tagged and mod-p eliminations share one loop in linalg
+    pops = sum(path.read_text().count("heapq.heappop") for path in SOURCES)
+    assert pops == 1
