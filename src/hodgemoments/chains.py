@@ -27,7 +27,7 @@ from math import comb, gcd
 
 from .cyclo import CycloInt
 from .families import BadFamilyParams, Family, has_tower, require_admissible
-from .linalg import SparseEchelon, apply_columns, certified_pivots, jordan_type, matrix_rank
+from .linalg import SparseEchelon, apply_columns, jordan_type, matrix_rank
 from .multiindex import MultiIndex, weak_compositions, weight
 
 Mono = tuple[int, int]  # (z_power, basis index into the graded space V)
@@ -242,8 +242,11 @@ def build_chain(family: Family, n: int, k: int, max_degree: int | None = None) -
 
 def coker_slice_dims(chain: GradedChain) -> list[int]:
     """dim coker(theta_bar: slice d-1 -> slice d) for d = 0..max_degree."""
-    return [len(chain.slice_monomials(d)) - len(_pivots(chain.theta_bar_rows(d - 1)))
-            for d in range(chain.max_degree + 1)]
+    out = []
+    for d in range(chain.max_degree + 1):
+        rank = matrix_rank(chain.theta_bar_rows(d - 1)) if d else 0
+        out.append(len(chain.slice_monomials(d)) - rank)
+    return out
 
 
 def kernel_slice_dims(chain: GradedChain) -> list[int]:
@@ -278,37 +281,19 @@ class BasisSet:
         return sum(len(v) for v in self.vectors.values())
 
 
-def _quotient_rows(chain: GradedChain, d: int) -> list[dict]:
-    """Rows spanning im(theta_bar) + tower in the degree-d slice, as index vectors."""
-    rows = chain.theta_bar_rows(d - 1)
+def _degree_quotient(chain: GradedChain, d: int):
+    """Echelon of im(theta_bar) + tower at degree d, and the leftover monos."""
+    ech = SparseEchelon()
+    for row in (chain.theta_bar_rows(d - 1) if d else []):
+        ech.add_row(row)
     tow = chain.tower_slice(d)
     if tow is not None:
         idx = chain.slice_index(d)
-        rows.append({idx[mono]: c for mono, c in tow.items()})
-    return rows
-
-
-def _echelon(rows) -> SparseEchelon:
-    ech = SparseEchelon()
-    for row in rows:
-        ech.add_row(row)
-    return ech
-
-
-def _pivots(rows):
-    """Pivot columns of the echelon of rows over Q: certified mod p, else exact."""
-    piv = certified_pivots(rows)
-    return _echelon(rows).pivot_cols if piv is None else piv
-
-
-def _non_pivot_monos(chain: GradedChain, d: int, piv) -> list[Mono]:
-    return [mono for i, mono in enumerate(chain.slice_monomials(d)) if i not in piv]
-
-
-def _degree_quotient(chain: GradedChain, d: int):
-    """Exact echelon of im(theta_bar) + tower at degree d, and the leftover monos."""
-    ech = _echelon(_quotient_rows(chain, d))
-    return ech, _non_pivot_monos(chain, d, ech.pivot_cols)
+        ech.add_row({idx[mono]: c for mono, c in tow.items()})
+    monos = chain.slice_monomials(d)
+    piv = ech.pivot_cols
+    reps = [monos[i] for i in range(len(monos)) if i not in piv]
+    return ech, reps
 
 
 def _check_support_closed(chain: GradedChain, counts: dict[int, int], what: str):
@@ -325,7 +310,7 @@ def cohomology_basis(chain: GradedChain) -> BasisSet:
     require_admissible(chain.family, chain.n, chain.k)
     vectors = {}
     for d in range(chain.max_degree + 1):
-        reps = _non_pivot_monos(chain, d, _pivots(_quotient_rows(chain, d)))
+        _, reps = _degree_quotient(chain, d)
         vectors[d] = tuple({mono: 1} for mono in reps)
     out = BasisSet(chain.family, chain.n, chain.k, "full", vectors)
     _check_support_closed(chain, out.cardinalities(), "full")
@@ -354,31 +339,28 @@ def middle_cohomology_basis(chain: GradedChain) -> BasisSet:
         raise BadFamilyParams("middle equals full cohomology for the Airy family;"
                               " use cohomology_basis")
     require_admissible(chain.family, chain.n, chain.k)
-    line_mono = None
-    if chain.tower is not None:
-        a_line = chain.k // chain.zweight if chain.family is Family.KL_Z else chain.k
-        j_line = chain.labels.index((chain.k,) + (0,) * (len(chain.labels[0]) - 1))
-        line_mono = (a_line, j_line)
+    has_tower = chain.tower is not None
     vectors = {}
     for d in range(chain.max_degree + 1):
+        ech, reps = _degree_quotient(chain, d)
         idx = chain.slice_index(d)
-        shift_piv = _echelon(chain.nmat[j] for j in chain._by_weight.get(d - 1, ())).pivot_cols
-        extra = [{idx[(0, j)]: 1} for j in chain._by_weight.get(d, ()) if j not in shift_piv]
-        line = line_mono if d == chain.k else None
-        if line is not None:
-            extra.append({idx[line]: 1})
-        if extra:
-            ech, reps = _degree_quotient(chain, d)
-            for row in extra:
-                ech.add_row(row)
-            reps = [mono for mono in reps if ech.add_row({idx[mono]: 1})]
-        else:
-            # nothing joins the quotient, so every non-pivot monomial stays
-            # independent of it: only the pivot set is needed
-            reps = _non_pivot_monos(chain, d, _pivots(_quotient_rows(chain, d)))
-        solver = None
+        shift = SparseEchelon()
+        for j in chain._by_weight.get(d - 1, ()):
+            shift.add_row(chain.nmat[j])
+        for j in chain._by_weight.get(d, ()):
+            if j not in shift.pivot_cols:
+                ech.add_row({idx[(0, j)]: 1})
+        line_mono = None
+        if has_tower and d == chain.k:
+            a_line = chain.k // chain.zweight if chain.family is Family.KL_Z else chain.k
+            j_line = chain.labels.index((chain.k,) + (0,) * (len(chain.labels[0]) - 1))
+            line_mono = (a_line, j_line)
+            ech.add_row({idx[line_mono]: 1})
+        solver = None  # the tagged echelon, built only for a z^0 representative
         chosen = []
         for mono in reps:
+            if not ech.add_row({idx[mono]: 1}):
+                continue
             a, j = mono
             if a > 0:
                 vec = {mono: Fraction(1)}
@@ -389,8 +371,8 @@ def middle_cohomology_basis(chain: GradedChain) -> BasisSet:
                 _check_reduction(chain, j, residual, combo)
                 vec = {(chain.ezshift, i): -chain.scale * c
                        for i, c in apply_columns(chain.emat, combo).items()}
-            if line is not None and line in vec:
-                del vec[line]
+            if line_mono is not None and line_mono in vec:
+                del vec[line_mono]
             chosen.append(_primitive(vec))
         vectors[d] = tuple(chosen)
     out = BasisSet(chain.family, chain.n, chain.k, "mid", vectors)

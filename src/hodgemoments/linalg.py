@@ -11,10 +11,6 @@ Rows added with a tag are reduced over Q and remember how they combine the
 tagged inputs, so reduce() can write a vector as a residual plus an explicit
 combination of inputs.
 
-With a modulus the same loop runs over Z/p, rows normalized to lead 1.
-certified_pivots() uses one such elimination to find the pivot columns of an
-integer matrix over Q, and proves them with a row-count bound (or declines).
-
 There is no back-substitution: stored rows keep their pivot as the smallest
 column of their support, which is all that rank, pivot-set and membership
 questions require.
@@ -23,8 +19,6 @@ questions require.
 import heapq
 from fractions import Fraction
 from math import gcd
-
-MODULUS = 2**31 - 1  # a prime; residues and their products stay below 2**62
 
 
 def _strip_int_row(vec, pivot):
@@ -44,12 +38,10 @@ def _strip_int_row(vec, pivot):
 class SparseEchelon:
     """Incremental echelon of sparse rows; tracks rank and pivot columns.
 
-    reduce() needs every row to have been added with a tag.  With a prime
-    modulus, rows are untagged integer rows reduced mod that prime.
+    reduce() needs every row to have been added with a tag.
     """
 
-    def __init__(self, modulus=None):
-        self.modulus = modulus
+    def __init__(self):
         self.rows = {}    # pivot column -> row dict
         self.combos = {}  # pivot column -> {tag: Fraction}, tagged rows only
 
@@ -66,32 +58,21 @@ class SparseEchelon:
 
         With a combo dict, vec must hold Fractions; combo then collects the
         tagged inputs subtracted, so vec_in == vec_out + sum combo[t] * input[t].
-        With a modulus, vec_out is congruent to vec_in minus a combination of
-        rows, with every entry reduced.
         """
-        p = self.modulus
         heap = list(vec)
         heapq.heapify(heap)
         seen = set()
         while heap:
             c = heapq.heappop(heap)
-            if c in seen or c not in vec:
+            if c in seen or c not in vec or not vec[c]:
                 continue
-            if p:
-                # entries are reduced lazily: once popped, a column never changes
-                vec[c] %= p
-                if not vec[c]:
-                    del vec[c]
-                    continue
             seen.add(c)
             row = self.rows.get(c)
             if row is None:
                 continue
             a = vec[c]
             b = row[c]
-            if p:
-                sv, sr = 1, -a
-            elif isinstance(a, int) and isinstance(b, int):
+            if isinstance(a, int) and isinstance(b, int):
                 g = gcd(a, b)
                 sv, sr = b // g, -(a // g)
             else:
@@ -131,11 +112,7 @@ class SparseEchelon:
         With a tag the row is reduced over Q and its combination of the
         tagged inputs is kept in combos under its pivot.
         """
-        p = self.modulus
-        if p:
-            vec = {c: v % p for c, v in vec.items() if v % p}
-            self._eliminate(vec)
-        elif tag is None:
+        if tag is None:
             vec = {c: v for c, v in vec.items() if v}
             self._eliminate(vec)
         else:
@@ -144,11 +121,7 @@ class SparseEchelon:
             return False
         pivot = min(vec)
         lead = vec[pivot]
-        if p:
-            inv = pow(lead, -1, p)
-            for c in vec:
-                vec[c] = vec[c] * inv % p
-        elif tag is None and all(isinstance(v, int) for v in vec.values()):
+        if tag is None and all(isinstance(v, int) for v in vec.values()):
             _strip_int_row(vec, pivot)
         else:
             for c in list(vec):
@@ -172,43 +145,6 @@ def apply_columns(cols, vec) -> dict:
             elif i in out:
                 del out[i]
     return out
-
-
-def certified_pivots(rows, modulus=MODULUS):
-    """Pivot columns over Q of the echelon of these integer rows, or None.
-
-    One elimination mod the prime gives pivots P_p.  Write r(c) for the rank
-    of the submatrix of columns <= c; over any field, r(c) pivots are <= c.
-    A nonzero minor mod p is a nonzero integer, so r_p(c) <= r_Q(c); only rows
-    whose smallest column is <= c reach those columns, so r_Q(c) <= rho(c),
-    the count of such rows.  If rho(c) == r_p(c) at every column c of the
-    support outside P_p, then r_Q(c) <= rho(c) == r_p(c) == r_p(c-1) <= r_Q(c-1)
-    there: c is no pivot over Q either.  As r_Q >= r_p overall, the two pivot
-    sets are then equal.  None when a row holds a non-int entry or the count
-    fails; nothing is accepted on probability.
-    """
-    ech = SparseEchelon(modulus)
-    leads = []
-    support = set()
-    for row in rows:
-        if not all(isinstance(v, int) for v in row.values()):
-            return None
-        cols = [c for c, v in row.items() if v]
-        if cols:
-            leads.append(min(cols))
-            support.update(cols)
-        ech.add_row(row)
-    pivots = set(ech.pivot_cols)
-    leads.sort()
-    rho = rank = 0
-    for c in sorted(support):
-        while rho < len(leads) and leads[rho] <= c:
-            rho += 1
-        if c in pivots:
-            rank += 1
-        elif rho != rank:
-            return None
-    return pivots
 
 
 def matrix_rank(vectors) -> int:

@@ -5,8 +5,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from hodgemoments.linalg import (SparseEchelon, apply_columns, certified_pivots, jordan_type,
-                                 matrix_rank)
+from hodgemoments.linalg import SparseEchelon, apply_columns, jordan_type, matrix_rank
 
 
 def sparse_rows(nrows=5, ncols=5, lo=-6, hi=6):
@@ -81,31 +80,6 @@ def test_tracked_reduce_reconstructs(rows):
     assert not set(residual) & set(ech.pivot_cols)
 
 
-@settings(max_examples=300)
-@given(sparse_rows(nrows=6, ncols=5), st.sampled_from([2, 3, 5]))
-def test_certified_pivots_are_exact_or_none(rows, prime):
-    # tiny primes make the mod-p echelon wrong often; the certificate must
-    # then refuse rather than return a pivot set that differs over Q
-    vectors = to_sparse(rows)
-    got = certified_pivots(vectors, prime)
-    if got is not None:
-        ech = SparseEchelon()
-        for v in vectors:
-            ech.add_row(v)
-        assert got == set(ech.pivot_cols)
-
-
-def test_certified_pivots_refuses_a_lead_lost_mod_p():
-    # mod 3 the row is e1, so its pivot moves from column 0 to column 1
-    assert certified_pivots([{0: 3, 1: 1}], 3) is None
-    assert certified_pivots([{0: 3, 1: 1}]) == {0}
-
-
-def test_certified_pivots_leaves_fractions_to_the_exact_path():
-    assert certified_pivots([{0: Fraction(1, 2), 1: 1}]) is None
-    assert certified_pivots([{0: 2, 1: 1}, {1: Fraction(3)}]) is None
-
-
 def test_coker_complement_picks_unreached_columns():
     # span of e0 + e1 and e2 inside Q^4: complement is columns 1 and 3
     vectors = [{0: 1, 1: 1}, {2: 5}]
@@ -164,10 +138,3 @@ class TestSparseEchelon:
         assert not ech.add_row({0: 4, 1: 6}, "b")
         assert ech.rows == {0: {0: 1, 1: Fraction(3, 2)}}
         assert ech.combos == {0: {"a": Fraction(1, 2)}}
-
-    def test_modular_rows_lead_with_one(self):
-        ech = SparseEchelon(7)
-        assert ech.add_row({0: 3, 2: 1})
-        assert not ech.add_row({0: 10, 2: 1})  # equal to the first row mod 7
-        assert ech.add_row({0: 2, 1: 5})
-        assert ech.rows == {0: {0: 1, 2: 5}, 1: {1: 1, 2: 5}}

@@ -23,6 +23,6 @@ def test_no_assert_statements():
 
 
 def test_one_elimination_loop():
-    # the exact, tagged and mod-p eliminations share one loop in linalg
+    # plain and tagged rows share one elimination loop in linalg
     pops = sum(path.read_text().count("heapq.heappop") for path in SOURCES)
     assert pops == 1
