@@ -281,6 +281,9 @@ def _cmd_counts(args) -> int:
 
 def _cmd_basis(args) -> int:
     family = Family.from_tag(args.family)
+    if family is Family.AIRY_Z and args.mid:
+        raise CliError("--mid does not apply to airy: its middle part is the full "
+                       "cohomology; drop --mid")
     if family is Family.V21:
         _forbid_nk(args)
         chain = v21_chain() if args.max_degree is None else v21_chain(args.max_degree)

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from .cyclo import signed_orbit_count, vanishing_orbit_count, vanishing_tuple_count
 from .families import Family
-from .poly import RemainderNonzero, one_minus, poly_div_exact, poly_mul
-from .series import BiSeries, NonIntegerCoefficient, expand_rational
+from .poly import binomial_quotient
+from .series import BiSeries, expand_rational
 
 
 @lru_cache(maxsize=None)
@@ -28,19 +28,7 @@ def block_multiplicity_poly(n: int, k: int) -> tuple[int, ...]:
     """Coefficients of Q(t); antisymmetric around degree (n*k + 1) / 2."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    num = [1]
-    for i in range(1, k + 1):
-        num = poly_mul(num, one_minus(n + i))
-    den = [1]
-    for i in range(2, k + 1):
-        den = poly_mul(den, one_minus(i))
-    q = poly_div_exact(num, den)
-    if len(q) != n * k + 2:
-        raise RemainderNonzero(f"block multiplicity quotient has degree {len(q) - 1},"
-                               f" expected {n * k + 1}")
-    if any(c.denominator != 1 for c in q):
-        raise NonIntegerCoefficient("block multiplicity polynomial is not integral")
-    return tuple(int(c) for c in q)
+    return binomial_quotient(range(n + 1, n + k + 1), range(2, k + 1))
 
 
 def block_multiplicity(n: int, k: int, d: int) -> int:

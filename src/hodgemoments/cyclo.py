@@ -4,14 +4,23 @@ Everything here happens in Z[x] / Phi_m(x) with Phi_m the m-th cyclotomic
 polynomial, computed once by exact division.  The counts below classify
 exponent tuples I (weak compositions of k into m parts) by the vanishing of
 sum_j I_j zeta^j and by how the cyclic shift acts on them.
+
+For a prime power m = p^a the counts have closed forms.  Phi_m(x) =
+Phi_p(x^(m/p)) has degree (m/p)(p - 1), so 1, zeta, ..., zeta^(m/p - 1) are a
+basis of Q(zeta) over Q(w), w = zeta^(m/p) a primitive p-th root of unity.
+Hence sum_j I_j zeta^j = 0 iff every coset sum sum_r I_{s + r m/p} w^r is 0,
+i.e. (Phi_p has degree p - 1) iff I is constant on each coset s + (m/p)Z.  The
+vanishing tuples are the p-fold repeats J * p of the weak compositions J of
+k/p into m/p parts: whole regular p-gons, as in Lam-Leung.  Other m are
+enumerated.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, isqrt
 
 from .multiindex import MultiIndex, canonical_rotation, rotate, weak_compositions
-from .poly import normalize, poly_div_exact, one_minus
-from .series import NonIntegerCoefficient
+from .poly import div_exact_monic
 
 
 @lru_cache(maxsize=None)
@@ -20,14 +29,21 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     if m < 1:
         raise ValueError("m must be positive")
     # x^m - 1 = prod over divisors d of m of Phi_d
-    num = [-c for c in one_minus(m)]  # x^m - 1
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num = poly_div_exact(num, list(cyclotomic_poly(d)))
-    out = normalize(num)
-    if any(c.denominator != 1 for c in out):
-        raise NonIntegerCoefficient(f"Phi_{m} is not integral")
-    return tuple(int(c) for c in out)
+            num = div_exact_monic(num, cyclotomic_poly(d))
+    return tuple(num)
+
+
+def _prime_power_base(m: int) -> "int | None":
+    """p if m = p^a for a prime p and a >= 1, else None."""
+    if m < 2:
+        return None
+    p = next((d for d in range(2, isqrt(m) + 1) if m % d == 0), m)
+    while m % p == 0:
+        m //= p
+    return p if m == 1 else None
 
 
 def _reduce_mod_cyclotomic(coeffs: list[int], m: int) -> tuple[int, ...]:
@@ -131,15 +147,22 @@ class OrbitSet:
 
 def vanishing_tuple_count(m: int, k: int) -> int:
     """Number of weak compositions I of k with sum_j I_j zeta^j = 0."""
+    p = _prime_power_base(m)
+    if p is not None:
+        return comb(k // p + m // p - 1, m // p - 1) if k % p == 0 else 0
     return sum(1 for index in weak_compositions(k, m) if tuple_vanishes(m, index))
 
 
 @lru_cache(maxsize=None)
 def vanishing_orbits(m: int, k: int) -> OrbitSet:
-    reps = set()
-    for index in weak_compositions(k, m):
-        if tuple_vanishes(m, index):
-            reps.add(canonical_rotation(index))
+    p = _prime_power_base(m)
+    if p is not None:
+        # rotating and comparing J * p is doing so on J
+        blocks = weak_compositions(k // p, m // p) if k % p == 0 else ()
+        reps = {canonical_rotation(block) * p for block in blocks}
+    else:
+        reps = {canonical_rotation(index) for index in weak_compositions(k, m)
+                if tuple_vanishes(m, index)}
     return OrbitSet(m, k, tuple(sorted(reps)))
 
 

@@ -1,87 +1,50 @@
-"""Dense univariate polynomial arithmetic over exact rationals.
+"""Exact integer polynomial division.
 
-A polynomial is a list of Fraction coefficients, constant term first, with no
-trailing zeros.  The zero polynomial is the empty list.
+A polynomial is a list of int coefficients, constant term first.  Only two
+quotients are needed, and both are checked to be exact: products of
+binomials 1 - t^a over others (the block multiplicity polynomial), and
+division by a monic polynomial (the cyclotomic polynomials).
 """
-
-from fractions import Fraction
 
 
 class RemainderNonzero(ArithmeticError):
     """Exact polynomial division left a nonzero remainder."""
 
 
-def normalize(coeffs) -> list[Fraction]:
-    out = [Fraction(c) for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return out
+def binomial_quotient(ups, downs) -> tuple[int, ...]:
+    """prod_{a in ups} (1 - t^a) / prod_{b in downs} (1 - t^b), all a, b >= 1.
+
+    The numerator is multiplied out in place from the top down.  Dividing by
+    1 - t^b is a prefix sum with stride b, which gives the power series of the
+    quotient through the numerator's degree; the division is exact iff that
+    series stops at degree sum(ups) - sum(downs).
+    """
+    f = [1] + [0] * sum(ups)
+    top = 0
+    for a in ups:
+        top += a
+        for i in range(top, a - 1, -1):
+            f[i] -= f[i - a]
+    deg = top
+    for b in downs:
+        deg -= b
+        for i in range(b, len(f)):
+            f[i] += f[i - b]
+    if deg < 0 or any(f[deg + 1:]):
+        raise RemainderNonzero("binomial quotient left a nonzero remainder")
+    return tuple(f[:deg + 1])
 
 
-def degree(f) -> int:
-    """Degree with the convention deg 0 = -1."""
-    return len(f) - 1
-
-
-def one_minus(a: int) -> list[Fraction]:
-    """The polynomial 1 - t^a for a >= 1."""
-    if a < 1:
-        raise ValueError("exponent must be positive")
-    return [Fraction(1)] + [Fraction(0)] * (a - 1) + [Fraction(-1)]
-
-
-def poly_add(f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(a + b)
-    return normalize(out)
-
-
-def poly_sub(f, g):
-    return poly_add(f, [-c for c in g])
-
-
-def poly_mul(f, g):
-    if not f or not g:
-        return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not a:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] += a * b
-    return normalize(out)
-
-
-def poly_div_exact(f, g):
-    """Quotient f / g, raising RemainderNonzero unless g divides f exactly."""
-    g = normalize(g)
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = normalize(f)
-    if not rem:
-        return []
-    dq = len(rem) - len(g)
-    if dq < 0:
-        raise RemainderNonzero(f"degree {degree(rem)} < divisor degree {degree(g)}")
-    quot = [Fraction(0)] * (dq + 1)
-    lead = g[-1]
-    for i in range(dq, -1, -1):
-        c = rem[i + len(g) - 1] / lead
-        quot[i] = c
+def div_exact_monic(f, g) -> list[int]:
+    """Quotient f / g for monic g, raising RemainderNonzero unless exact."""
+    rem = list(f)
+    dg = len(g) - 1
+    quot = [0] * (len(rem) - dg)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + dg]
         if c:
             for j, b in enumerate(g):
                 rem[i + j] -= c * b
     if any(rem):
         raise RemainderNonzero("division left a nonzero remainder")
-    return normalize(quot)
-
-
-def coeff(f, d: int) -> Fraction:
-    if 0 <= d < len(f):
-        return f[d]
-    return Fraction(0)
+    return quot

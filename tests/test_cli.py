@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import hodgemoments.cli as cli
+from hodgemoments import cyclo
 from hodgemoments.chains import DegenerateReduction
 from hodgemoments.cli import main
 from hodgemoments.families import Family
@@ -150,6 +151,30 @@ def test_basis_gate_runs_before_the_chain(capsys, monkeypatch, family):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "no closed or basis table" in err
+
+
+def test_airy_mid_is_rejected_before_the_chain(capsys, monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("the chain was built for a --mid request on airy")
+
+    monkeypatch.setattr(cli, "build_chain", no_chain)
+    code, out, err = run_main(capsys, "basis", "--family", "airy", "--n", "5", "--k", "13",
+                              "--mid")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: --mid does not apply to airy: its middle part is the full "
+                   "cohomology; drop --mid\n")
+
+
+def test_counts_d_on_a_prime_power_enumerates_nothing(capsys, monkeypatch):
+    # C(52, 12) exponent tuples: the enumeration ran past 20 s here
+    def no_enumeration(m, index):
+        raise AssertionError("tuple_vanishes ran for a prime power")
+
+    monkeypatch.setattr(cyclo, "tuple_vanishes", no_enumeration)
+    code, out, _ = run_main(capsys, "counts", "--what", "d", "--n", "12", "--k", "40")
+    assert code == 0
+    assert json.loads(out)["payload"]["count"] == 0
 
 
 def test_failed_internal_check_is_one_line_exit_1():

@@ -8,6 +8,7 @@ routes share nothing but the answer.
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from hodgemoments.counting import (
@@ -71,6 +72,17 @@ def test_block_poly_antisymmetric(n, k):
     assert len(q) == top + 1
     for d in range(top + 1):
         assert q[d] == -q[top - d]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_block_poly_matches_sympy_division(n, k):
+    t = sympy.symbols("t")
+    num = sympy.prod([1 - t ** (n + i) for i in range(1, k + 1)])
+    den = sympy.prod([1 - t ** i for i in range(2, k + 1)])
+    quot, rem = sympy.div(sympy.Poly(num, t), sympy.Poly(den, t))
+    assert rem.is_zero
+    assert block_multiplicity_poly(n, k) == tuple(reversed(quot.all_coeffs()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,11 +1,13 @@
 """Cyclotomic arithmetic against sympy and against numeric evaluation."""
 
 import cmath
+from math import comb
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from hodgemoments import cyclo
 from hodgemoments.cyclo import (
     CycloInt,
     cyclotomic_poly,
@@ -16,7 +18,7 @@ from hodgemoments.cyclo import (
     vanishing_orbits,
     vanishing_tuple_count,
 )
-from hodgemoments.multiindex import orbit, rotate, weak_compositions
+from hodgemoments.multiindex import canonical_rotation, orbit, rotate, weak_compositions
 
 x = sympy.symbols("x")
 
@@ -128,3 +130,53 @@ def test_rational_detection():
     assert s.is_rational()
     assert s.rational_part() == -1
     assert not z.is_rational()
+
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+# every prime power m <= 16 and k <= 24 with at most 20000 exponent tuples
+CLOSED_FORM_PAIRS = [(m, k) for m in PRIME_POWERS for k in range(25)
+                     if comb(k + m - 1, m - 1) <= 20000]
+
+
+def brute_vanishing(m, k):
+    """The vanishing tuples by enumeration, with no closed form involved."""
+    return [ix for ix in weak_compositions(k, m) if tuple_vanishes(m, ix)]
+
+
+@pytest.mark.parametrize("m,k", CLOSED_FORM_PAIRS, ids=lambda v: str(v))
+def test_prime_power_closed_forms_match_enumeration(m, k):
+    tuples = brute_vanishing(m, k)
+    reps = tuple(sorted({canonical_rotation(ix) for ix in tuples}))
+    assert vanishing_tuple_count(m, k) == len(tuples)
+    assert vanishing_orbits(m, k).reps == reps
+    assert signed_orbit_count(m, k) == sum(1 for rep in reps if signed_shift_sum(rep))
+
+
+def test_closed_form_pairs_cover_the_grid():
+    assert len(CLOSED_FORM_PAIRS) == 153
+    assert any(vanishing_tuple_count(m, k) for m, k in CLOSED_FORM_PAIRS if m == 16)
+
+
+def test_prime_powers_skip_the_enumeration(monkeypatch):
+    def no_enumeration(m, index):
+        raise AssertionError(f"tuple_vanishes ran for the prime power m={m}")
+
+    monkeypatch.setattr(cyclo, "tuple_vanishes", no_enumeration)
+    vanishing_orbits.cache_clear()
+    for m in PRIME_POWERS + (25, 27, 32, 49):
+        for k in range(40):
+            vanishing_tuple_count(m, k)
+    assert vanishing_tuple_count(32, 40) == comb(20 + 16 - 1, 16 - 1)
+    # billions of exponent tuples and more, none of them enumerated
+    for m, k in [(16, 20), (25, 25), (49, 49), (13, 39)]:
+        assert signed_orbit_count(m, k) <= len(vanishing_orbits(m, k))
+
+
+def test_other_m_still_enumerate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cyclo, "tuple_vanishes",
+                        lambda m, ix: calls.append(ix) or not CycloInt.from_exponents(m, ix))
+    vanishing_orbits.cache_clear()
+    assert vanishing_tuple_count(6, 5) == 6
+    assert len(vanishing_orbits(6, 5)) == 1
+    assert len(calls) == 2 * comb(5 + 5, 5)

@@ -1,79 +1,69 @@
-"""Dense rational polynomial arithmetic, checked against sympy."""
-
-from fractions import Fraction
+"""Exact integer polynomial division, checked against sympy."""
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from hodgemoments.poly import (
-    RemainderNonzero,
-    coeff,
-    degree,
-    normalize,
-    one_minus,
-    poly_add,
-    poly_div_exact,
-    poly_mul,
-    poly_sub,
-)
+from hodgemoments.poly import RemainderNonzero, binomial_quotient, div_exact_monic
 
 t = sympy.symbols("t")
 
-small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=7)
+small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=7)
+exponents = st.lists(st.integers(1, 6), max_size=5)
 
 
 def to_sympy(f):
-    return sympy.Poly(list(reversed([sympy.Rational(c) for c in f])) or [0], t)
+    return sympy.Poly(list(reversed(f)), t)
 
 
-def test_normalize_strips_trailing_zeros():
-    assert normalize([1, 2, 0, 0]) == [Fraction(1), Fraction(2)]
-    assert normalize([0, 0]) == []
-    assert normalize([]) == []
-
-
-def test_degree_of_zero_is_minus_one():
-    assert degree([]) == -1
-    assert degree(normalize([0, 0])) == -1
-    assert degree([0, 0, 5]) == 2
+def times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
 
 
 def test_one_minus():
-    assert one_minus(3) == [1, 0, 0, -1]
-    assert coeff(one_minus(1), 0) == 1
-    assert coeff(one_minus(1), 1) == -1
+    # a single factor and no divisor: 1 - t^a itself
+    assert binomial_quotient([3], []) == (1, 0, 0, -1)
+    assert binomial_quotient([1], []) == (1, -1)
+    assert binomial_quotient([], []) == (1,)
 
 
-def test_coeff_out_of_range_is_zero():
-    assert coeff([1, 2], 5) == 0
-    assert coeff([], 0) == 0
+@given(exponents)
+def test_mul_matches_sympy(ups):
+    want = sympy.prod([1 - t ** a for a in ups])
+    assert to_sympy(list(binomial_quotient(ups, []))) == sympy.Poly(want, t)
 
 
-@given(small_polys, small_polys)
-def test_mul_matches_sympy(f, g):
-    got = to_sympy(poly_mul(f, g))
-    assert got == to_sympy(f) * to_sympy(g)
+@given(exponents, exponents)
+def test_binomial_quotient_recovers_factor(ups, downs):
+    # (prod over ups and downs) / (prod over downs) is the product over ups
+    assert binomial_quotient(ups + downs, downs) == binomial_quotient(ups, [])
 
 
-@given(small_polys, small_polys)
-def test_add_sub_roundtrip(f, g):
-    assert normalize(poly_sub(poly_add(f, g), g)) == normalize(f)
+def test_binomial_quotient_gaussian_binomial():
+    # prod_{i<=k} (1 - t^{n+i}) / (1 - t^i) is the Gaussian binomial [n+k, k]_t
+    n, k = 3, 4
+    got = binomial_quotient(range(n + 1, n + k + 1), range(1, k + 1))
+    assert sum(got) == 35 and got == tuple(reversed(got)) and len(got) == n * k + 1
+
+
+@pytest.mark.parametrize("ups,downs", [([3], [2]), ([2], [3]), ([4, 1], [3]), ([], [1])])
+def test_binomial_quotient_rejects_remainder(ups, downs):
+    with pytest.raises(RemainderNonzero):
+        binomial_quotient(ups, downs)
 
 
 @given(small_polys, small_polys)
 def test_div_exact_recovers_factor(f, g):
-    if not normalize(g):
-        return
-    prod = poly_mul(f, g)
-    assert poly_div_exact(prod, g) == normalize(f)
+    g = g + [1]  # monic
+    assert div_exact_monic(times(f, g), g) == f
 
 
 def test_div_exact_rejects_remainder():
     with pytest.raises(RemainderNonzero):
-        poly_div_exact([1, 1, 1], [1, 1])  # (t^2 + t + 1) / (t + 1)
-
-
-def test_div_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        poly_div_exact([1], [])
+        div_exact_monic([1, 1, 1], [1, 1])  # (t^2 + t + 1) / (t + 1)
+    with pytest.raises(RemainderNonzero):
+        div_exact_monic([1], [1, 1])  # lower degree than the divisor

@@ -26,3 +26,15 @@ def test_one_elimination_loop():
     # plain and tagged rows share one elimination loop in linalg
     pops = sum(path.read_text().count("heapq.heappop") for path in SOURCES)
     assert pops == 1
+
+
+def test_integer_counting_layers_import_no_fractions():
+    # Q(t), Phi_m and the vanishing counts are integer work
+    for name in ("counting.py", "cyclo.py", "poly.py"):
+        path = next(p for p in SOURCES if p.name == name)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert "fractions" not in imported, name
