@@ -22,12 +22,11 @@ the z^{k/3} v_0^k line in degree k.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .cyclo import CycloInt
 from .families import BadFamilyParams, Family, has_tower, require_admissible
-from .linalg import SparseEchelon, apply_columns, jordan_type, matrix_rank
+from .linalg import SparseEchelon, jordan_type, matrix_rank
 from .multiindex import MultiIndex, weak_compositions, weight
 
 Mono = tuple[int, int]  # (z_power, basis index into the graded space V)
@@ -78,6 +77,7 @@ class GradedChain:
     tower_degree: int = 0
     _slices: dict = field(default_factory=dict, repr=False)
     _by_weight: dict = field(default_factory=dict, repr=False)
+    _kappa: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if self.max_degree < self.n * self.k + 2:
@@ -88,6 +88,11 @@ class GradedChain:
         for j, w in enumerate(self.weights):
             by_w.setdefault(w, []).append(j)
         self._by_weight = by_w
+        # column key of every monomial (a, j): the position of j in V sorted by
+        # (weight descending, j ascending), which is slice order in every slice
+        self._kappa = [0] * len(self.weights)
+        for key, j in enumerate(j for w in sorted(by_w, reverse=True) for j in by_w[w]):
+            self._kappa[j] = key
 
     def slice_monomials(self, d: int) -> list[Mono]:
         """Basis (z_power, j) of the degree-d slice, z_power ascending."""
@@ -102,9 +107,6 @@ class GradedChain:
             self._slices[d] = monos
         return self._slices[d]
 
-    def slice_index(self, d: int) -> dict[Mono, int]:
-        return {mono: i for i, mono in enumerate(self.slice_monomials(d))}
-
     def theta_bar_mono(self, mono: Mono) -> dict[Mono, int]:
         """theta_bar of a chain monomial, as chain monomials (degree +1)."""
         a, j = mono
@@ -116,20 +118,6 @@ class GradedChain:
             key = (a + self.ezshift, i)
             out[key] = out.get(key, 0) + self.scale * c
         return out
-
-    def theta_bar_rows(self, d: int):
-        """Images of the degree-d slice, as index vectors in the d+1 slice.
-
-        The top z-power comes first: echelons of these rows then fill in far
-        less than in slice order, and their ranks and pivot sets do not
-        depend on the order.
-        """
-        tgt = self.slice_index(d + 1)
-        rows = []
-        for mono in reversed(self.slice_monomials(d)):
-            img = self.theta_bar_mono(mono)
-            rows.append({tgt[t]: c for t, c in img.items() if c})
-        return rows
 
     def tower_slice(self, d: int) -> dict[Mono, int] | None:
         """The tower element of degree d, if the family carries one."""
@@ -240,21 +228,45 @@ def build_chain(family: Family, n: int, k: int, max_degree: int | None = None) -
     return chain
 
 
+def _image_echelons(chain: GradedChain):
+    """Yield (d, echelon of im theta_bar in degree d) for d = 0..max_degree.
+
+    Columns are the keys chain._kappa, under which the theta_bar row of a
+    source j is the same in every degree.  Since theta_bar is C[z]-linear,
+    the image in degree d + zweight is z times the image in degree d plus the
+    rows of the weight d + zweight - 1 layer, so one echelon per residue class
+    of d mod zweight serves the whole class and each source of V is offered
+    once.  Layers go in ascending weight with j descending inside a layer:
+    the top z-power first, which keeps fill-in low.  Degrees come one class
+    at a time; callers must not add rows to the yielded echelon.
+    """
+    kappa = chain._kappa
+    for r in range(chain.zweight):
+        ech = SparseEchelon()
+        for d in range(r, chain.max_degree + 1, chain.zweight):
+            for j in reversed(chain._by_weight.get(d - 1, ())):
+                # N and E land in different weights, so their keys never collide
+                row = {kappa[i]: chain.scale * c for i, c in chain.nmat[j].items()}
+                for i, c in chain.emat[j].items():
+                    row[kappa[i]] = chain.scale * c
+                ech.add_row(row)
+            yield d, ech
+
+
 def coker_slice_dims(chain: GradedChain) -> list[int]:
     """dim coker(theta_bar: slice d-1 -> slice d) for d = 0..max_degree."""
-    out = []
-    for d in range(chain.max_degree + 1):
-        rank = matrix_rank(chain.theta_bar_rows(d - 1)) if d else 0
-        out.append(len(chain.slice_monomials(d)) - rank)
+    out = [0] * (chain.max_degree + 1)
+    for d, image in _image_echelons(chain):
+        out[d] = len(chain.slice_monomials(d)) - image.rank
     return out
 
 
 def kernel_slice_dims(chain: GradedChain) -> list[int]:
     """dim ker(theta_bar restricted to slice d) for d = 0..max_degree-1."""
-    out = []
-    for d in range(chain.max_degree):
-        rows = chain.theta_bar_rows(d)
-        out.append(len(rows) - matrix_rank(rows))
+    out = [0] * chain.max_degree
+    for d, image in _image_echelons(chain):
+        if d:
+            out[d - 1] = len(chain.slice_monomials(d - 1)) - image.rank
     return out
 
 
@@ -281,18 +293,18 @@ class BasisSet:
         return sum(len(v) for v in self.vectors.values())
 
 
-def _degree_quotient(chain: GradedChain, d: int):
-    """Echelon of im(theta_bar) + tower at degree d, and the leftover monos."""
+def _degree_quotient(chain: GradedChain, d: int, image: SparseEchelon):
+    """Echelon of im(theta_bar) + tower at degree d, and the leftover monos.
+
+    The echelon is a fresh one over a shallow copy of the image rows: add_row
+    never changes a stored row, so the image echelon stays as it was.
+    """
     ech = SparseEchelon()
-    for row in (chain.theta_bar_rows(d - 1) if d else []):
-        ech.add_row(row)
+    ech.rows = dict(image.rows)
     tow = chain.tower_slice(d)
     if tow is not None:
-        idx = chain.slice_index(d)
-        ech.add_row({idx[mono]: c for mono, c in tow.items()})
-    monos = chain.slice_monomials(d)
-    piv = ech.pivot_cols
-    reps = [monos[i] for i in range(len(monos)) if i not in piv]
+        ech.add_row({chain._kappa[j]: c for (_, j), c in tow.items()})
+    reps = [mono for mono in chain.slice_monomials(d) if chain._kappa[mono[1]] not in ech.rows]
     return ech, reps
 
 
@@ -309,20 +321,12 @@ def cohomology_basis(chain: GradedChain) -> BasisSet:
     """Monomial representatives of coker(theta_bar) (+ tower quotient) per degree."""
     require_admissible(chain.family, chain.n, chain.k)
     vectors = {}
-    for d in range(chain.max_degree + 1):
-        _, reps = _degree_quotient(chain, d)
+    for d, image in _image_echelons(chain):
+        _, reps = _degree_quotient(chain, d, image)
         vectors[d] = tuple({mono: 1} for mono in reps)
-    out = BasisSet(chain.family, chain.n, chain.k, "full", vectors)
+    out = BasisSet(chain.family, chain.n, chain.k, "full", dict(sorted(vectors.items())))
     _check_support_closed(chain, out.cardinalities(), "full")
     return out
-
-
-def _shift_solver(chain: GradedChain, d: int):
-    """Tagged echelon of N applied to the weight d-1 layer of V."""
-    solver = SparseEchelon()
-    for j in chain._by_weight.get(d - 1, ()):
-        solver.add_row(chain.nmat[j], j)
-    return solver
 
 
 def middle_cohomology_basis(chain: GradedChain) -> BasisSet:
@@ -332,81 +336,41 @@ def middle_cohomology_basis(chain: GradedChain) -> BasisSet:
     Per degree d the modulus starts from the full-basis quotient (image of
     theta_bar plus tower), then adds the z^0 embeddings of the shift-cokernel
     complement (weight-d monomials of V left over by N), and when 3 | k the
-    z^{k/3} v_0^k line in degree k.  Selected representatives are rewritten
-    to have zero z^0 component by pushing their z^0 part through N.
+    z^{k/3} v_0^k line in degree k.  The z^0 columns come first and only z^0
+    sources reach them, so the image's pivots there are N's pivots from
+    weight d-1: the complement is the image's z^0 non-pivots, and every z^0
+    monomial is in the modulus before a representative is chosen.  The
+    chosen representatives are therefore monomials off the z^0 layer.
     """
     if chain.family is Family.AIRY_Z:
         raise BadFamilyParams("middle equals full cohomology for the Airy family;"
                               " use cohomology_basis")
     require_admissible(chain.family, chain.n, chain.k)
-    has_tower = chain.tower is not None
+    kappa = chain._kappa
+    line = None
+    if chain.tower is not None:
+        line = kappa[chain.labels.index((chain.k,) + (0,) * (len(chain.labels[0]) - 1))]
     vectors = {}
-    for d in range(chain.max_degree + 1):
-        ech, reps = _degree_quotient(chain, d)
-        idx = chain.slice_index(d)
-        shift = SparseEchelon()
-        for j in chain._by_weight.get(d - 1, ()):
-            shift.add_row(chain.nmat[j])
+    for d, image in _image_echelons(chain):
+        ech, reps = _degree_quotient(chain, d, image)
         for j in chain._by_weight.get(d, ()):
-            if j not in shift.pivot_cols:
-                ech.add_row({idx[(0, j)]: 1})
-        line_mono = None
-        if has_tower and d == chain.k:
-            a_line = chain.k // chain.zweight if chain.family is Family.KL_Z else chain.k
-            j_line = chain.labels.index((chain.k,) + (0,) * (len(chain.labels[0]) - 1))
-            line_mono = (a_line, j_line)
-            ech.add_row({idx[line_mono]: 1})
-        solver = None  # the tagged echelon, built only for a z^0 representative
+            if kappa[j] not in image.rows:
+                ech.add_row({kappa[j]: 1})
+        if line is not None and d == chain.k:
+            ech.add_row({line: 1})
         chosen = []
-        for mono in reps:
-            if not ech.add_row({idx[mono]: 1}):
+        for a, j in reps:
+            if not ech.add_row({kappa[j]: 1}):
                 continue
-            a, j = mono
-            if a > 0:
-                vec = {mono: Fraction(1)}
-            else:
-                if solver is None:
-                    solver = _shift_solver(chain, d)
-                residual, combo = solver.reduce({j: 1})
-                _check_reduction(chain, j, residual, combo)
-                vec = {(chain.ezshift, i): -chain.scale * c
-                       for i, c in apply_columns(chain.emat, combo).items()}
-            if line_mono is not None and line_mono in vec:
-                del vec[line_mono]
-            chosen.append(_primitive(vec))
+            if not a:
+                raise DegenerateReduction(
+                    f"z^0 monomial {chain.labels[j]} chosen in degree {d}, outside the "
+                    f"shift-cokernel complement")
+            chosen.append({(a, j): 1})
         vectors[d] = tuple(chosen)
-    out = BasisSet(chain.family, chain.n, chain.k, "mid", vectors)
+    out = BasisSet(chain.family, chain.n, chain.k, "mid", dict(sorted(vectors.items())))
     _check_support_closed(chain, out.cardinalities(), "mid")
     return out
-
-
-def _check_reduction(chain: GradedChain, j: int, residual, combo):
-    """Verify v_j == residual + N(sum combo) exactly."""
-    recon = apply_columns(chain.nmat, combo)
-    for i, v in residual.items():
-        recon[i] = recon.get(i, 0) + v
-    if {i: v for i, v in recon.items() if v} != {j: 1}:
-        raise DegenerateReduction(
-            f"z^0 reduction of basis vector {chain.labels[j]} failed to reconstruct")
-
-
-def _primitive(vec: dict) -> dict:
-    """Clear denominators, strip the gcd, sign by the smallest monomial."""
-    if not vec:
-        return {}
-    denom = 1
-    for v in vec.values():
-        f = Fraction(v)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = {mono: int(Fraction(v) * denom) for mono, v in vec.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {mono: v // g for mono, v in ints.items()}
-    if ints[min(ints)] < 0:
-        ints = {mono: -v for mono, v in ints.items()}
-    return ints
 
 
 def _shift_layer(n: int, k: int):

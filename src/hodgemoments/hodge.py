@@ -144,7 +144,12 @@ def hodge_kl_from_basis(n: int, k: int, max_degree: "int | None" = None) -> Hodg
     """
     require_admissible(Family.KL_Z, n, k)
     chain = build_chain(Family.KL_Z, n, k, max_degree)
-    mid = middle_cohomology_basis(chain)
+    return _kl_diamond(chain, middle_cohomology_basis(chain))
+
+
+def _kl_diamond(chain, mid) -> HodgeDiamond:
+    """The levels of hodge_kl_from_basis, from a KL_Z chain and its middle basis."""
+    n, k = chain.n, chain.k
     cards = mid.cardinalities()
     w = n * k + 1
     levels = {(p, w - p): 0 for p in range(w + 1)}
@@ -393,7 +398,7 @@ def verify(n: int, k: int) -> ConsistencyReport:
             record("mid-low-half", 2 * low == mid.total(),
                    f"low={low} mid={cards}")
         closed = hodge_kl_closed(n, k)
-        basis = hodge_kl_from_basis(n, k)
+        basis = _kl_diamond(chain, mid)
         record("route-kl", closed.levels == basis.levels,
                f"closed={closed.nonzero()} basis={basis.nonzero()}")
 

@@ -24,7 +24,9 @@ from hodgemoments.counting import (
 from hodgemoments.cyclo import CycloInt, vanishing_tuple_count
 from hodgemoments.families import Family
 from hodgemoments.hodge import dims_kl
+from hodgemoments.linalg import SparseEchelon, matrix_rank
 from hodgemoments.multiindex import weak_compositions, weight
+from hodgemoments.weyl import v21_chain
 
 
 def test_shift_action_leibniz_hand_cases():
@@ -58,7 +60,7 @@ class TestChainConstruction:
     def test_theta_bar_raises_degree_by_one(self):
         chain = build_chain(Family.KL_Z, 2, 3)
         for d in range(5):
-            tgt = set(chain.slice_index(d + 1))
+            tgt = set(chain.slice_monomials(d + 1))
             for mono in chain.slice_monomials(d):
                 img = chain.theta_bar_mono(mono)
                 assert set(img) <= tgt, (d, mono)
@@ -208,3 +210,121 @@ class TestShiftOperator:
         got = shift_coker_dims(n, k)
         assert got == [bottom_multiplicity(n, k, d) for d in range(n * k + 1)]
         assert sum(got) == sum(jordan_block_sizes(n, k).values())
+
+
+# The per-slice construction: theta_bar rows in slice coordinates and one
+# fresh echelon per degree.  The library keeps one echelon per residue class
+# of the degree mod zweight instead; both must give the same dims and bases.
+
+def _slice_index(chain, d):
+    return {mono: i for i, mono in enumerate(chain.slice_monomials(d))}
+
+
+def _slice_rows(chain, d):
+    """theta_bar of slice d as index vectors of slice d+1, top z-power first."""
+    tgt = _slice_index(chain, d + 1)
+    return [{tgt[t]: c for t, c in chain.theta_bar_mono(mono).items() if c}
+            for mono in reversed(chain.slice_monomials(d))]
+
+
+def _layer(chain, w):
+    return [j for j, wj in enumerate(chain.weights) if wj == w]
+
+
+def _slice_quotient(chain, d):
+    ech = SparseEchelon()
+    for row in (_slice_rows(chain, d - 1) if d else []):
+        ech.add_row(row)
+    idx = _slice_index(chain, d)
+    tow = chain.tower_slice(d)
+    if tow is not None:
+        ech.add_row({idx[mono]: c for mono, c in tow.items()})
+    return ech, idx, [mono for mono, i in idx.items() if i not in ech.pivot_cols]
+
+
+def _slice_full(chain):
+    return {d: tuple({mono: 1} for mono in _slice_quotient(chain, d)[2])
+            for d in range(chain.max_degree + 1)}
+
+
+def _slice_middle(chain):
+    line = None
+    if chain.tower is not None:
+        a = chain.k // chain.zweight
+        line = (a, chain.labels.index((chain.k,) + (0,) * (len(chain.labels[0]) - 1)))
+    vectors = {}
+    for d in range(chain.max_degree + 1):
+        ech, idx, reps = _slice_quotient(chain, d)
+        shift = SparseEchelon()
+        for j in _layer(chain, d - 1):
+            shift.add_row(chain.nmat[j])
+        for j in _layer(chain, d):
+            if j not in shift.pivot_cols:
+                ech.add_row({idx[(0, j)]: 1})
+        if line is not None and d == chain.k:
+            ech.add_row({idx[line]: 1})
+        chosen = []
+        for mono in reps:
+            if ech.add_row({idx[mono]: 1}):
+                # a z^0 choice would need rewriting through N; none is ever made
+                assert mono[0] > 0, (d, mono)
+                chosen.append({mono: 1})
+        vectors[d] = tuple(chosen)
+    return vectors
+
+
+SLICE_CASES = [
+    (Family.KL_Z, 1, 5), (Family.KL_Z, 2, 3), (Family.KL_Z, 2, 4), (Family.KL_Z, 2, 6),
+    (Family.KL_Z, 2, 9), (Family.KL_Z, 3, 5), (Family.KL_Z, 4, 3),
+    (Family.KL_TILDE_T, 2, 3), (Family.KL_TILDE_T, 2, 5), (Family.KL_TILDE_T, 2, 6),
+    (Family.KL_TILDE_T, 2, 9), (Family.KL_TILDE_T, 3, 3),
+    (Family.AIRY_Z, 3, 5), (Family.AIRY_Z, 4, 3), (Family.AIRY_Z, 5, 4),
+    (Family.V21, 2, 4),
+]
+
+
+def _chain(family, n, k):
+    return v21_chain() if family is Family.V21 else build_chain(family, n, k)
+
+
+@pytest.mark.parametrize("family,n,k", SLICE_CASES,
+                         ids=[f"{f.value}-{n}-{k}" for f, n, k in SLICE_CASES])
+def test_residue_class_echelons_match_per_slice(family, n, k):
+    chain = _chain(family, n, k)
+    top = chain.max_degree
+    assert coker_slice_dims(chain) == [
+        len(chain.slice_monomials(d)) - (matrix_rank(_slice_rows(chain, d - 1)) if d else 0)
+        for d in range(top + 1)]
+    assert kernel_slice_dims(chain) == [
+        len(chain.slice_monomials(d)) - matrix_rank(_slice_rows(chain, d)) for d in range(top)]
+    full = cohomology_basis(chain).vectors
+    assert full == _slice_full(chain)
+    assert list(full) == list(range(top + 1))
+    if family is not Family.AIRY_Z:
+        mid = middle_cohomology_basis(chain).vectors
+        assert mid == _slice_middle(chain)
+        assert list(mid) == list(range(top + 1))
+
+
+OFFER_CASES = [(Family.KL_Z, 3, 5), (Family.KL_Z, 2, 6), (Family.KL_TILDE_T, 2, 6),
+               (Family.AIRY_Z, 3, 5), (Family.V21, 2, 4)]
+
+
+@pytest.mark.parametrize("family,n,k", OFFER_CASES,
+                         ids=[f"{f.value}-{n}-{k}" for f, n, k in OFFER_CASES])
+def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
+    chain = _chain(family, n, k)
+    calls = []
+    add_row = SparseEchelon.add_row
+
+    def counted(self, vec, tag=None):
+        calls.append(vec)
+        return add_row(self, vec, tag)
+
+    monkeypatch.setattr(SparseEchelon, "add_row", counted)
+    cohomology_basis(chain)
+    towers = sum(chain.tower_slice(d) is not None for d in range(chain.max_degree + 1))
+    assert len(calls) == len(chain.weights) + towers
+    calls.clear()
+    coker_slice_dims(chain)
+    assert len(calls) == len(chain.weights)

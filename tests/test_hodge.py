@@ -37,7 +37,8 @@ class TestKloostermanPure:
             with pytest.raises(BadFamilyParams):
                 hodge_kl_closed(n, k)
 
-    @pytest.mark.parametrize("n,k", [(1, 3), (1, 5), (2, 4), (2, 7), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("n,k", [(1, 3), (1, 5), (2, 4), (2, 7), (3, 3), (4, 3),
+                                     (4, 13), (3, 25), (6, 8)])
     def test_routes_agree_coprime(self, n, k):
         closed = hodge_kl_closed(n, k)
         basis = hodge_kl_from_basis(n, k)
@@ -107,7 +108,7 @@ class TestAiry:
         }
         assert dm.total() == dims_airy(3, 2).dim_h1
 
-    @pytest.mark.parametrize("n,k", [(2, 3), (2, 5), (3, 2), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("n,k", [(2, 3), (2, 5), (3, 2), (3, 4), (4, 3), (5, 13)])
     def test_routes_agree(self, n, k):
         assert hodge_airy_closed(n, k).levels == hodge_airy_from_basis(n, k).levels
 
@@ -178,6 +179,19 @@ class TestVerify:
         assert {(r.n, r.k) for r in reports} == {(n, k) for n in (1, 2)
                                                  for k in (1, 2, 3, 4)}
         assert all(r.all_pass for r in reports)
+
+    def test_one_middle_basis_per_chain(self, monkeypatch):
+        import hodgemoments.hodge as hodge
+        seen = []
+        middle = hodge.middle_cohomology_basis
+
+        def counted(chain):
+            seen.append(chain.family)
+            return middle(chain)
+
+        monkeypatch.setattr(hodge, "middle_cohomology_basis", counted)
+        assert verify(3, 5).all_pass
+        assert seen == [Family.KL_Z, Family.KL_TILDE_T]
 
     def test_check_names_stable(self):
         names = {c.name for c in verify(2, 4).checks}
