@@ -17,7 +17,7 @@ from .hodge import (ConsistencyReport, DimReport, HodgeDiamond, NonIntegralDimen
                     dims_airy, dims_kl, hodge_airy_closed, hodge_airy_from_basis,
                     hodge_kl3_div3, hodge_kl_closed, hodge_kl_from_basis, hodge_v21,
                     mixed_hodge_kl3, mixed_hodge_tilde_kl3, verify, verify_sweep)
-from .weyl import v21_chain, v21_jordan_blocks, young_projector
+from .weyl import v21_chain, young_projector
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "solution_dim_at_infinity",
     "solution_dim_at_zero",
     "v21_chain",
-    "v21_jordan_blocks",
     "vanishing_orbit_count",
     "vanishing_orbits",
     "vanishing_tuple_count",

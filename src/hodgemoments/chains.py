@@ -65,7 +65,6 @@ class GradedChain:
     family: Family
     n: int
     k: int
-    max_degree: int
     zweight: int
     ezshift: int
     scale: int
@@ -79,11 +78,12 @@ class GradedChain:
     _by_weight: dict = field(default_factory=dict, repr=False)
     _kappa: list = field(default_factory=list, repr=False)
 
+    @property
+    def max_degree(self) -> int:
+        """n*k + 2: one degree past the top of cohomology, where the basis must vanish."""
+        return self.n * self.k + 2
+
     def __post_init__(self):
-        if self.max_degree < self.n * self.k + 2:
-            raise BadFamilyParams(
-                f"max_degree {self.max_degree} would truncate the basis; it must be "
-                f"at least n*k + 2 = {self.n * self.k + 2}")
         by_w = {}
         for j, w in enumerate(self.weights):
             by_w.setdefault(w, []).append(j)
@@ -174,13 +174,8 @@ def eta_power_vector(k: int) -> dict:
     return out
 
 
-def build_chain(family: Family, n: int, k: int, max_degree: int | None = None) -> GradedChain:
-    """Assemble the chain for a symmetric-power family.
-
-    max_degree defaults to n*k + 2, one degree past the top of cohomology,
-    so downstream basis extraction can verify the support closes off; a
-    smaller max_degree would truncate the basis and is rejected.
-    """
+def build_chain(family: Family, n: int, k: int) -> GradedChain:
+    """Assemble the chain for a symmetric-power family."""
     if family is Family.V21:
         raise BadFamilyParams("the V21 chain is built by weyl.v21_chain")
     if family not in (Family.KL_Z, Family.KL_TILDE_T, Family.AIRY_Z):
@@ -190,8 +185,6 @@ def build_chain(family: Family, n: int, k: int, max_degree: int | None = None) -
     if family is Family.AIRY_Z and n < 2:
         raise BadFamilyParams("the Airy family needs n >= 2")
     m = n + 1 if family in (Family.KL_Z, Family.KL_TILDE_T) else n
-    if max_degree is None:
-        max_degree = n * k + 2
     labels = sorted(weak_compositions(k, m))
     weights = [weight(ix) for ix in labels]
     pos = {ix: j for j, ix in enumerate(labels)}
@@ -219,11 +212,11 @@ def build_chain(family: Family, n: int, k: int, max_degree: int | None = None) -
             else:
                 tower[(a, pos[jj])] = c
         tower_degree = 2 * k
-    chain = GradedChain(family, n, k, max_degree, zweight, ezshift, scale,
+    chain = GradedChain(family, n, k, zweight, ezshift, scale,
                         labels, weights, nmat, emat, tower, tower_degree)
     if family is Family.KL_TILDE_T:
         stable = comb(n + k, n)
-        if len(chain.slice_monomials(max_degree)) != stable:
+        if len(chain.slice_monomials(chain.max_degree)) != stable:
             raise RuntimeError("tilde slices failed to stabilize; bad construction")
     return chain
 
@@ -245,11 +238,9 @@ def _image_echelons(chain: GradedChain):
         ech = SparseEchelon()
         for d in range(r, chain.max_degree + 1, chain.zweight):
             for j in reversed(chain._by_weight.get(d - 1, ())):
-                # N and E land in different weights, so their keys never collide
-                row = {kappa[i]: chain.scale * c for i, c in chain.nmat[j].items()}
-                for i, c in chain.emat[j].items():
-                    row[kappa[i]] = chain.scale * c
-                ech.add_row(row)
+                # N and E land in different weights, so dropping the z-power
+                # keeps their keys apart
+                ech.add_row({kappa[i]: c for (_, i), c in chain.theta_bar_mono((0, j)).items()})
             yield d, ech
 
 
@@ -373,24 +364,13 @@ def middle_cohomology_basis(chain: GradedChain) -> BasisSet:
     return out
 
 
-def _shift_layer(n: int, k: int):
-    """Labels of the |I| = k layer in n+1 slots and the shift columns over them."""
-    labels = sorted(weak_compositions(k, n + 1))
-    pos = {ix: j for j, ix in enumerate(labels)}
-    return labels, [{pos[t]: c for t, c in shift_action(ix).items()} for ix in labels]
+def jordan_block_sizes(chain: GradedChain) -> dict[int, int]:
+    """Jordan type of the shift N on the chain's space V: size -> count."""
+    return jordan_type(chain.nmat, len(chain.weights))
 
 
-def jordan_block_sizes(n: int, k: int) -> dict[int, int]:
-    """Jordan type of the shift derivation on the |I| = k layer: size -> count."""
-    labels, cols = _shift_layer(n, k)
-    return jordan_type(cols, len(labels))
-
-
-def shift_coker_dims(n: int, k: int) -> list[int]:
-    """Graded dims of coker(N) on the |I| = k layer, weights 0..n*k."""
-    labels, cols = _shift_layer(n, k)
-    by_w = {}
-    for j, ix in enumerate(labels):
-        by_w.setdefault(weight(ix), []).append(j)
-    return [len(by_w.get(w, ())) - matrix_rank(cols[j] for j in by_w.get(w - 1, ()))
-            for w in range(n * k + 1)]
+def shift_coker_dims(chain: GradedChain) -> list[int]:
+    """Graded dims of coker(N) on V, weights 0..n*k."""
+    by_w = chain._by_weight
+    return [len(by_w.get(w, ())) - matrix_rank(chain.nmat[j] for j in by_w.get(w - 1, ()))
+            for w in range(chain.n * chain.k + 1)]

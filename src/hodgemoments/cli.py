@@ -6,7 +6,7 @@ stable bytes), csv (flat rows), or md (human tables).  Exit codes:
     0  success
     1  a both-routes comparison or a verify run finds a mismatch, or an
        internal check fails (one `error:` line on stderr, no traceback)
-    2  invalid input, a bad --max-degree included (one `error:` line)
+    2  invalid input (one `error:` line)
 """
 
 import argparse
@@ -17,7 +17,7 @@ from fractions import Fraction
 from .chains import build_chain, cohomology_basis, middle_cohomology_basis
 from .counting import block_multiplicity_poly, lattice_step
 from .cyclo import signed_orbit_count, vanishing_orbits, vanishing_tuple_count
-from .families import BadFamilyParams, Family, require_admissible
+from .families import Family, require_admissible
 from .hodge import (NonIntegralDimension, dims_airy, dims_kl, hodge_airy_closed,
                     hodge_airy_from_basis, hodge_kl_closed, hodge_kl_from_basis,
                     hodge_v21, mixed_hodge_tilde_kl3, verify, verify_sweep)
@@ -215,8 +215,7 @@ def _cmd_hodge(args) -> int:
                                      if family is Family.AIRY_Z else
                                      (hodge_kl_closed, hodge_kl_from_basis))
         closed = closed_route(args.n, args.k) if route in ("closed", "both") else None
-        basis = (basis_route(args.n, args.k, args.max_degree)
-                 if route in ("basis", "both") else None)
+        basis = basis_route(args.n, args.k) if route in ("basis", "both") else None
         pick = {"closed": closed, "basis": basis}
 
     if route == "both":
@@ -286,11 +285,11 @@ def _cmd_basis(args) -> int:
                        "cohomology; drop --mid")
     if family is Family.V21:
         _forbid_nk(args)
-        chain = v21_chain() if args.max_degree is None else v21_chain(args.max_degree)
+        chain = v21_chain()
     else:
         _need_nk(args)
         require_admissible(family, args.n, args.k)
-        chain = build_chain(family, args.n, args.k, args.max_degree)
+        chain = build_chain(family, args.n, args.k)
     basis = middle_cohomology_basis(chain) if args.mid else cohomology_basis(chain)
     cards = basis.cardinalities()
     payload = {
@@ -312,6 +311,10 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, value in (("--n", args.n), ("--k", args.k), ("--max-n", args.max_n),
+                        ("--max-k", args.max_k)):
+        if value is not None and value < 1:
+            raise CliError(f"{flag} must be positive")
     if args.sweep:
         if args.n is not None or args.k is not None:
             raise CliError("--sweep is exclusive with --n/--k")
@@ -334,7 +337,7 @@ def _cmd_verify(args) -> int:
 def _document(command: str, args, payload) -> dict:
     request = {}
     for key in ("family", "n", "k", "route", "what", "d", "mid", "vectors",
-                "sweep", "max_n", "max_k", "max_degree"):
+                "sweep", "max_n", "max_k"):
         if hasattr(args, key) and getattr(args, key) not in (None, False):
             request[key] = getattr(args, key)
     return {
@@ -361,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--route", choices=("closed", "basis", "both"), default=None)
-    p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=_cmd_hodge)
 
     p = sub.add_parser("dims", parents=[common], help="cohomology dimension report")
@@ -384,7 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--mid", action="store_true", help="middle part instead of full")
     p.add_argument("--vectors", action="store_true", help="include representative vectors")
-    p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("verify", parents=[common], help="cross-route consistency checks")
@@ -402,11 +403,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (NonIntegralDimension, BadFamilyParams, DimensionMismatch,
-            ValueError) as err:
+    except (CliError, ValueError, NonIntegralDimension, DimensionMismatch) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as err:

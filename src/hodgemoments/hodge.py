@@ -18,6 +18,7 @@ from .counting import (block_multiplicity, block_multiplicity_n2_closed,
                        solution_dim_at_zero)
 from .cyclo import CycloInt, vanishing_tuple_count
 from .families import Family, admissible, has_tower, require_admissible
+from .linalg import apply_columns
 from .multiindex import weak_compositions
 from .series import expand_rational
 from .weyl import v21_chain
@@ -132,7 +133,7 @@ def hodge_kl3_div3(k: int) -> HodgeDiamond:
     return _pure_diamond(Family.KL_Z, 2, k, 2 * k + 1, half)
 
 
-def hodge_kl_from_basis(n: int, k: int, max_degree: "int | None" = None) -> HodgeDiamond:
+def hodge_kl_from_basis(n: int, k: int) -> HodgeDiamond:
     """Basis-route Hodge numbers: degree-d middle classes land in h^{w-d, d}.
 
     Outside the tower case the filtration jump at every degree is sharp and
@@ -143,7 +144,7 @@ def hodge_kl_from_basis(n: int, k: int, max_degree: "int | None" = None) -> Hodg
     of the middle dimension).
     """
     require_admissible(Family.KL_Z, n, k)
-    chain = build_chain(Family.KL_Z, n, k, max_degree)
+    chain = build_chain(Family.KL_Z, n, k)
     return _kl_diamond(chain, middle_cohomology_basis(chain))
 
 
@@ -185,10 +186,10 @@ def hodge_airy_closed(n: int, k: int) -> HodgeDiamond:
     return HodgeDiamond(Family.AIRY_Z, n, k, k + 1, "pure", levels)
 
 
-def hodge_airy_from_basis(n: int, k: int, max_degree: "int | None" = None) -> HodgeDiamond:
+def hodge_airy_from_basis(n: int, k: int) -> HodgeDiamond:
     """Basis route: a degree-d class contributes at level (n*k + 1 - d)/(n + 1)."""
     require_admissible(Family.AIRY_Z, n, k)
-    chain = build_chain(Family.AIRY_Z, n, k, max_degree)
+    chain = build_chain(Family.AIRY_Z, n, k)
     basis = cohomology_basis(chain)
     levels = {(_level(p), _level(q)): 0 for p, q in _airy_support(n, k)}
     for d, count in basis.cardinalities().items():
@@ -274,32 +275,6 @@ class ConsistencyReport:
         return all(c.passed for c in self.checks)
 
 
-def _theta_bar_tilde_labelled(n: int, vec: dict) -> dict:
-    """theta_bar of the tilde chain on {(t_power, J): coeff} dictionaries.
-
-    Coefficients may live in any commutative ring (CycloInt included).
-    """
-    from .chains import corner_action, shift_action
-    out = {}
-
-    def bump(key, c):
-        if key in out:
-            out[key] = out[key] + c
-        else:
-            out[key] = c
-
-    for (a, jj), c in vec.items():
-        for tgt, e in shift_action(jj).items():
-            bump((a, tgt), c * ((n + 1) * e))
-        for tgt, e in corner_action(jj).items():
-            bump((a + n + 1, tgt), c * ((n + 1) * e))
-    return {key: c for key, c in out.items() if c}
-
-
-def _scale_shift_labelled(vec: dict, scalar, t_shift: int) -> dict:
-    return {(a + t_shift, jj): scalar * c for (a, jj), c in vec.items()}
-
-
 def _dict_eq(x: dict, y: dict) -> bool:
     return {k: v for k, v in x.items() if v} == {k: v for k, v in y.items() if v}
 
@@ -316,6 +291,7 @@ def verify(n: int, k: int) -> ConsistencyReport:
     coprime = gcd(k, m) == 1
     kl_ok = admissible(Family.KL_Z, n, k)
     w = n * k + 1
+    chain = build_chain(Family.KL_Z, n, k)
 
     # counting clauses; the step counts are supported on [0, nk-n] and mirror
     # around nk-n (forced by the functional equation of the step series), and
@@ -362,18 +338,17 @@ def verify(n: int, k: int) -> ConsistencyReport:
         q = block_multiplicity(n, k, d)
         if q:
             expected_blocks[n * k - 2 * d + 1] = expected_blocks.get(n * k - 2 * d + 1, 0) + q
-    got_blocks = jordan_block_sizes(n, k)
+    got_blocks = jordan_block_sizes(chain)
     record("jordan-blocks", got_blocks == expected_blocks,
            f"got={got_blocks} expected={expected_blocks}")
 
-    got_coker = shift_coker_dims(n, k)
+    got_coker = shift_coker_dims(chain)
     expected_coker = [bottom_multiplicity(n, k, d) for d in range(n * k + 1)]
     record("shift-coker", got_coker == expected_coker,
            f"got={got_coker} expected={expected_coker}")
 
     # chain routes
     if kl_ok:
-        chain = build_chain(Family.KL_Z, n, k)
         if chain.tower is None:
             dims = coker_slice_dims(chain)
             ok = all(dims[d] == lattice_step(n, k, d) for d in range(len(dims)))
@@ -435,18 +410,17 @@ def verify(n: int, k: int) -> ConsistencyReport:
             record("tilde-kernel-tail", tail and monotone, f"kernel={kdims}")
 
     if n <= 3 and k <= 6:
-        ok = True
+        # theta_bar f_I = m c_I t f_I for the twisted eigenvectors f_I
+        pos = {ix: j for j, ix in enumerate(tchain.labels)}
         bad = None
         for index in weak_compositions(k, m):
-            fvec = eigenvector_product(n, k, index)
-            lhs = _theta_bar_tilde_labelled(n, fvec)
-            c_index = CycloInt.from_exponents(m, index)
-            rhs = _scale_shift_labelled(fvec, (m * c_index), 1)
-            if not _dict_eq(lhs, rhs):
-                ok = False
+            fvec = {(a, pos[jj]): c for (a, jj), c in eigenvector_product(n, k, index).items()}
+            lhs = apply_columns({mono: tchain.theta_bar_mono(mono) for mono in fvec}, fvec)
+            scalar = m * CycloInt.from_exponents(m, index)
+            if not _dict_eq(lhs, {(a + 1, j): scalar * c for (a, j), c in fvec.items()}):
                 bad = index
                 break
-        record("tilde-eigen-relation", ok, f"first failure at {bad}")
+        record("tilde-eigen-relation", bad is None, f"first failure at {bad}")
 
     # dimension relations
     if kl_ok:

@@ -135,11 +135,16 @@ class SparseEchelon:
 
 
 def apply_columns(cols, vec) -> dict:
-    """The matrix with these sparse columns applied to vec: sum vec[j] * cols[j]."""
+    """The matrix with these sparse columns applied to vec: sum vec[j] * cols[j].
+
+    The entries of vec may lie in any commutative ring that multiplies by
+    the column entries (CycloInt included).
+    """
     out = {}
     for j, c in vec.items():
         for i, e in cols[j].items():
-            nv = out.get(i, 0) + c * e
+            x = c * e
+            nv = out[i] + x if i in out else x
             if nv:
                 out[i] = nv
             elif i in out:

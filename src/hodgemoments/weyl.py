@@ -16,7 +16,7 @@ from itertools import permutations, product
 
 from .families import Family
 from .chains import GradedChain
-from .linalg import SparseEchelon, apply_columns, jordan_type
+from .linalg import SparseEchelon, apply_columns
 
 EXPECTED_DIM = 15
 
@@ -170,20 +170,13 @@ def young_projector() -> ProjectedSpace:
     )
 
 
-def v21_jordan_blocks() -> dict[int, int]:
-    """Jordan type of the induced shift on the projected space: size -> count."""
-    ps = young_projector()
-    return jordan_type(ps.nmat, ps.dim)
-
-
-def v21_chain(max_degree: int = 11) -> GradedChain:
+def v21_chain() -> GradedChain:
     """The graded chain over the projected 15-dimensional space."""
     ps = young_projector()
     return GradedChain(
         family=Family.V21,
         n=2,
         k=4,
-        max_degree=max_degree,
         zweight=3,
         ezshift=1,
         scale=1,

@@ -28,8 +28,6 @@ from hodgemoments.cyclo import CycloInt, vanishing_tuple_count
 from hodgemoments.families import BadFamilyParams, Family
 from hodgemoments.hodge import (
     _dict_eq,
-    _scale_shift_labelled,
-    _theta_bar_tilde_labelled,
     dims_airy,
     dims_kl,
     hodge_airy_closed,
@@ -42,8 +40,9 @@ from hodgemoments.hodge import (
     mixed_hodge_tilde_kl3,
     verify,
 )
+from hodgemoments.linalg import apply_columns
 from hodgemoments.multiindex import weak_compositions
-from hodgemoments.weyl import v21_jordan_blocks, young_projector
+from hodgemoments.weyl import v21_chain, young_projector
 
 GOLDEN_2_10 = (0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0)
 
@@ -153,8 +152,8 @@ def test_criterion_06_jordan():
                 if q:
                     size = n * k - 2 * d + 1
                     expected[size] = expected.get(size, 0) + q
-            assert jordan_block_sizes(n, k) == expected, (n, k)
-    assert v21_jordan_blocks() == {7: 1, 5: 1, 3: 1}
+            assert jordan_block_sizes(build_chain(Family.KL_Z, n, k)) == expected, (n, k)
+    assert jordan_block_sizes(v21_chain()) == {7: 1, 5: 1, 3: 1}
 
 
 @criterion(7, "tilde eigenvectors and kernel layers")
@@ -167,13 +166,15 @@ def test_criterion_07_tilde_eigenstructure():
     for n in (1, 2, 3):
         m = n + 1
         for k in range(1, 7):
-            for index in weak_compositions(k, m):
-                fvec = eigenvector_product(n, k, index)
-                lhs = _theta_bar_tilde_labelled(n, fvec)
-                c_index = CycloInt.from_exponents(m, index)
-                rhs = _scale_shift_labelled(fvec, m * c_index, 1)
-                assert _dict_eq(lhs, rhs), (n, k, index)
             chain = build_chain(Family.KL_TILDE_T, n, k)
+            pos = {ix: j for j, ix in enumerate(chain.labels)}
+            for index in weak_compositions(k, m):
+                fvec = {(a, pos[jj]): c
+                        for (a, jj), c in eigenvector_product(n, k, index).items()}
+                lhs = apply_columns({mono: chain.theta_bar_mono(mono) for mono in fvec}, fvec)
+                c_index = CycloInt.from_exponents(m, index)
+                rhs = {(a + 1, j): m * c_index * c for (a, j), c in fvec.items()}
+                assert _dict_eq(lhs, rhs), (n, k, index)
             dk = vanishing_tuple_count(m, k)
             kdims = kernel_slice_dims(chain)
             assert all(kdims[d] == dk for d in range(n * k, len(kdims))), (n, k)
@@ -202,7 +203,6 @@ def test_criterion_08_mixed_tables():
 def test_criterion_09_v21():
     ps = young_projector()
     assert ps.dim == 15
-    from hodgemoments.weyl import v21_chain
     chain = v21_chain()
     full = cohomology_basis(chain)
     assert full.cardinalities() == {d: 1 for d in (1, 2, 3, 4, 5)}

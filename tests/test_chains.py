@@ -203,13 +203,14 @@ class TestShiftOperator:
             q = block_multiplicity(n, k, d)
             if q:
                 expected[n * k - 2 * d + 1] = expected.get(n * k - 2 * d + 1, 0) + q
-        assert jordan_block_sizes(n, k) == expected
+        assert jordan_block_sizes(build_chain(Family.KL_Z, n, k)) == expected
 
     @pytest.mark.parametrize("n,k", [(1, 5), (2, 4), (3, 2)])
     def test_coker_of_shift_counts_bottoms(self, n, k):
-        got = shift_coker_dims(n, k)
+        chain = build_chain(Family.KL_Z, n, k)
+        got = shift_coker_dims(chain)
         assert got == [bottom_multiplicity(n, k, d) for d in range(n * k + 1)]
-        assert sum(got) == sum(jordan_block_sizes(n, k).values())
+        assert sum(got) == sum(jordan_block_sizes(chain).values())
 
 
 # The per-slice construction: theta_bar rows in slice coordinates and one
@@ -292,6 +293,7 @@ def _chain(family, n, k):
 def test_residue_class_echelons_match_per_slice(family, n, k):
     chain = _chain(family, n, k)
     top = chain.max_degree
+    assert top == chain.n * chain.k + 2
     assert coker_slice_dims(chain) == [
         len(chain.slice_monomials(d)) - (matrix_rank(_slice_rows(chain, d - 1)) if d else 0)
         for d in range(top + 1)]

@@ -120,27 +120,6 @@ def test_route_mismatch_exits_1(capsys, monkeypatch):
     assert json.loads(out)["payload"]["equal"] is False
 
 
-@pytest.mark.parametrize("argv", [
-    ("basis", "--family", "kl", "--n", "2", "--k", "5", "--max-degree", "7"),
-    ("basis", "--family", "kl", "--n", "2", "--k", "5", "--max-degree", "1"),
-    ("hodge", "--family", "kl", "--n", "2", "--k", "5", "--max-degree", "-3",
-     "--route", "basis"),
-    ("basis", "--family", "v21", "--max-degree", "9"),
-])
-def test_truncating_max_degree_exits_2(capsys, argv):
-    code, out, err = run_main(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "n*k + 2" in err
-
-
-def test_smallest_max_degree_keeps_the_full_basis(capsys):
-    code, out, _ = run_main(capsys, "basis", "--family", "kl", "--n", "2", "--k", "5",
-                            "--max-degree", "12")
-    assert code == 0
-    assert json.loads(out)["payload"]["total"] == 7
-
-
 @pytest.mark.parametrize("family", ["kl", "kl-tilde"])
 def test_basis_gate_runs_before_the_chain(capsys, monkeypatch, family):
     def no_chain(*args):
@@ -192,7 +171,7 @@ def test_failed_internal_check_is_one_line_exit_1():
 
 
 def test_degenerate_reduction_exits_1(capsys, monkeypatch):
-    def broken(n, k, max_degree=None):
+    def broken(n, k):
         raise DegenerateReduction("reduction failed to reconstruct")
 
     monkeypatch.setattr(cli, "hodge_kl_from_basis", broken)
@@ -270,6 +249,28 @@ def test_verify_single_pair(capsys):
 def test_verify_sweep_excludes_nk(capsys):
     code, _, err = run_main(capsys, "verify", "--sweep", "--n", "2", "--k", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("--n", "-1", "--k", "2"), "--n"),
+    (("--n", "2", "--k", "0"), "--k"),
+    (("--sweep", "--max-n", "0"), "--max-n"),
+    (("--sweep", "--max-n", "-2"), "--max-n"),
+    (("--sweep", "--max-k", "0"), "--max-k"),
+])
+def test_verify_rejects_non_positive_sizes(capsys, argv, flag):
+    code, out, err = run_main(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be positive\n"
+
+
+def test_removed_max_degree_option_is_a_usage_error(capsys):
+    for argv in (("basis", "--family", "v21"), ("hodge", "--family", "kl", "--n", "2",
+                                                 "--k", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--max-degree", "12"])
+        assert exc.value.code == 2
 
 
 def test_bad_choice_is_usage_error():

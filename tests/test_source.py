@@ -28,6 +28,21 @@ def test_one_elimination_loop():
     assert pops == 1
 
 
+def test_chain_operators_built_in_one_place():
+    # N and E come from shift_action / corner_action in build_chain only;
+    # everything else reads them off the GradedChain
+    calls = {"shift_action": [], "corner_action": []}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in calls):
+                    calls[node.func.id].append(f"{path.name}:{getattr(top, 'name', '')}")
+    assert calls == {"shift_action": ["chains.py:build_chain"],
+                     "corner_action": ["chains.py:build_chain"]}
+
+
 def test_integer_counting_layers_import_no_fractions():
     # Q(t), Phi_m and the vanishing counts are integer work
     for name in ("counting.py", "cyclo.py", "poly.py"):

@@ -3,9 +3,9 @@
 from collections import Counter
 from fractions import Fraction
 
-from hodgemoments.chains import cohomology_basis, middle_cohomology_basis
+from hodgemoments.chains import cohomology_basis, jordan_block_sizes, middle_cohomology_basis
 from hodgemoments.linalg import apply_columns
-from hodgemoments.weyl import v21_chain, v21_jordan_blocks, young_projector
+from hodgemoments.weyl import v21_chain, young_projector
 
 
 def test_projector_dimension_and_scalar():
@@ -51,7 +51,7 @@ def test_induced_corner_drops_weight_by_two():
 
 
 def test_jordan_blocks():
-    assert v21_jordan_blocks() == {7: 1, 5: 1, 3: 1}
+    assert jordan_block_sizes(v21_chain()) == {7: 1, 5: 1, 3: 1}
 
 
 def test_chain_cohomology_cards():
