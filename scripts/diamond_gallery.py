@@ -35,7 +35,7 @@ def main():
     ap.add_argument("--max-k", type=int, default=12)
     args = ap.parse_args()
 
-    fam = Family.from_tag(args.family)
+    fam = Family(args.family)
     print(f"family={fam.value} n={args.n}")
     for k in range(1, args.max_k + 1):
         if not admissible(fam, args.n, k):

@@ -6,7 +6,7 @@
 
 import argparse
 
-from hodgemoments.chains import build_chain, cohomology_basis, middle_cohomology_basis
+from hodgemoments.chains import build_chain, cohomology_bases
 from hodgemoments.families import Family
 from hodgemoments.weyl import v21_chain
 
@@ -51,7 +51,7 @@ def main():
     ap.add_argument("--mid", action="store_true")
     args = ap.parse_args()
 
-    fam = Family.from_tag(args.family)
+    fam = Family(args.family)
     if fam is Family.V21:
         chain = v21_chain()
         var = "z"
@@ -60,7 +60,8 @@ def main():
             ap.error("--n and --k are required for this family")
         chain = build_chain(fam, args.n, args.k)
         var = "t" if fam is Family.KL_TILDE_T else "z"
-    basis = middle_cohomology_basis(chain) if args.mid else cohomology_basis(chain)
+    full, mid = cohomology_bases(chain)
+    basis = mid if args.mid else full
 
     print(f"family={fam.value} n={chain.n} k={chain.k} kind={basis.kind} "
           f"total={basis.total()}")

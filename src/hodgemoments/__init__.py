@@ -5,8 +5,7 @@ floating point anywhere in the computational path.
 """
 
 from .chains import (BasisSet, DegenerateReduction, GradedChain, build_chain,
-                     cohomology_basis, jordan_block_sizes, middle_cohomology_basis,
-                     shift_coker_dims)
+                     cohomology_bases, jordan_block_sizes, shift_coker_dims)
 from .counting import (block_multiplicity, block_multiplicity_poly,
                        bottom_multiplicity, lattice_count, lattice_step,
                        solution_dim_at_infinity, solution_dim_at_zero)
@@ -36,7 +35,7 @@ __all__ = [
     "block_multiplicity_poly",
     "bottom_multiplicity",
     "build_chain",
-    "cohomology_basis",
+    "cohomology_bases",
     "dims_airy",
     "dims_kl",
     "hodge_airy_closed",
@@ -48,7 +47,6 @@ __all__ = [
     "jordan_block_sizes",
     "lattice_count",
     "lattice_step",
-    "middle_cohomology_basis",
     "mixed_hodge_kl3",
     "mixed_hodge_tilde_kl3",
     "shift_coker_dims",

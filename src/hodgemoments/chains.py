@@ -18,7 +18,8 @@ Cohomology in each degree d is the cokernel of theta_bar from the degree
 d-1 slice, further divided by the power tower z^* eta when n = 2 and 3 | k.
 The "middle" basis removes the directions that extend to solutions at 0
 (complement of the shift image in the z^0 layer) and, in the tower case,
-the z^{k/3} v_0^k line in degree k.
+the z^{k/3} v_0^k line in degree k.  One walk of the image echelons gives
+both bases (cohomology_bases).
 """
 
 from dataclasses import dataclass, field
@@ -284,66 +285,40 @@ class BasisSet:
         return sum(len(v) for v in self.vectors.values())
 
 
-def _degree_quotient(chain: GradedChain, d: int, image: SparseEchelon):
-    """Echelon of im(theta_bar) + tower at degree d, and the leftover monos.
+def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
+    """The full and the middle basis per degree, from one walk of the class echelons.
 
-    The echelon is a fresh one over a shallow copy of the image rows: add_row
-    never changes a stored row, so the image echelon stays as it was.
-    """
-    ech = SparseEchelon()
-    ech.rows = dict(image.rows)
-    tow = chain.tower_slice(d)
-    if tow is not None:
-        ech.add_row({chain._kappa[j]: c for (_, j), c in tow.items()})
-    reps = [mono for mono in chain.slice_monomials(d) if chain._kappa[mono[1]] not in ech.rows]
-    return ech, reps
-
-
-def _check_support_closed(chain: GradedChain, counts: dict[int, int], what: str):
-    top = chain.max_degree
-    if counts.get(top, 0):
-        raise RuntimeError(
-            f"{what} basis still nonzero in degree {top}, past the top degree "
-            f"{chain.n * chain.k + 1}: the input is outside the range where the "
-            f"basis route is valid, or there is an arithmetic bug")
-
-
-def cohomology_basis(chain: GradedChain) -> BasisSet:
-    """Monomial representatives of coker(theta_bar) (+ tower quotient) per degree."""
-    require_admissible(chain.family, chain.n, chain.k)
-    vectors = {}
-    for d, image in _image_echelons(chain):
-        _, reps = _degree_quotient(chain, d, image)
-        vectors[d] = tuple({mono: 1} for mono in reps)
-    out = BasisSet(chain.family, chain.n, chain.k, "full", dict(sorted(vectors.items())))
-    _check_support_closed(chain, out.cardinalities(), "full")
-    return out
-
-
-def middle_cohomology_basis(chain: GradedChain) -> BasisSet:
-    """The mid-part basis: as the full basis, minus the directions that carry
-    local solutions.
-
-    Per degree d the modulus starts from the full-basis quotient (image of
-    theta_bar plus tower), then adds the z^0 embeddings of the shift-cokernel
-    complement (weight-d monomials of V left over by N), and when 3 | k the
-    z^{k/3} v_0^k line in degree k.  The z^0 columns come first and only z^0
+    Full: the monomials left over by the image of theta_bar plus the tower.
+    Middle: the same modulus, plus the z^0 embeddings of the shift-cokernel
+    complement (weight-d monomials of V left over by N) and, when 3 | k, the
+    z^{k/3} v_0^k line in degree k; the middle representatives are the full
+    ones still independent of it.  The z^0 columns come first and only z^0
     sources reach them, so the image's pivots there are N's pivots from
     weight d-1: the complement is the image's z^0 non-pivots, and every z^0
     monomial is in the modulus before a representative is chosen.  The
-    chosen representatives are therefore monomials off the z^0 layer.
+    middle representatives are therefore monomials off the z^0 layer, and a
+    subset of the full ones.  For airy the middle part is the full
+    cohomology, so both carry the full representatives.
     """
-    if chain.family is Family.AIRY_Z:
-        raise BadFamilyParams("middle equals full cohomology for the Airy family;"
-                              " use cohomology_basis")
     require_admissible(chain.family, chain.n, chain.k)
     kappa = chain._kappa
+    with_mid = chain.family is not Family.AIRY_Z
     line = None
     if chain.tower is not None:
         line = kappa[chain.labels.index((chain.k,) + (0,) * (len(chain.labels[0]) - 1))]
-    vectors = {}
+    full, mid = {}, {}
     for d, image in _image_echelons(chain):
-        ech, reps = _degree_quotient(chain, d, image)
+        # a fresh echelon over a shallow copy of the image rows: add_row never
+        # changes a stored row, so the image echelon stays as it was
+        ech = SparseEchelon()
+        ech.rows = dict(image.rows)
+        tow = chain.tower_slice(d)
+        if tow is not None:
+            ech.add_row({kappa[j]: c for (_, j), c in tow.items()})
+        reps = [mono for mono in chain.slice_monomials(d) if kappa[mono[1]] not in ech.rows]
+        full[d] = tuple({mono: 1} for mono in reps)
+        if not with_mid:
+            continue
         for j in chain._by_weight.get(d, ()):
             if kappa[j] not in image.rows:
                 ech.add_row({kappa[j]: 1})
@@ -358,10 +333,16 @@ def middle_cohomology_basis(chain: GradedChain) -> BasisSet:
                     f"z^0 monomial {chain.labels[j]} chosen in degree {d}, outside the "
                     f"shift-cokernel complement")
             chosen.append({(a, j): 1})
-        vectors[d] = tuple(chosen)
-    out = BasisSet(chain.family, chain.n, chain.k, "mid", dict(sorted(vectors.items())))
-    _check_support_closed(chain, out.cardinalities(), "mid")
-    return out
+        mid[d] = tuple(chosen)
+    # the middle representatives are among the full ones, so one check covers both
+    top = chain.max_degree
+    if full[top]:
+        raise RuntimeError(
+            f"full basis still nonzero in degree {top}, past the top degree "
+            f"{chain.n * chain.k + 1}: the input is outside the range where the "
+            f"basis route is valid, or there is an arithmetic bug")
+    return tuple(BasisSet(chain.family, chain.n, chain.k, kind, dict(sorted(vecs.items())))
+                 for kind, vecs in (("full", full), ("mid", mid if with_mid else full)))
 
 
 def jordan_block_sizes(chain: GradedChain) -> dict[int, int]:

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .chains import build_chain, cohomology_basis, middle_cohomology_basis
+from .chains import build_chain, cohomology_bases
 from .counting import block_multiplicity_poly, lattice_step
 from .cyclo import signed_orbit_count, vanishing_orbits, vanishing_tuple_count
 from .families import Family, require_admissible
@@ -190,7 +190,7 @@ def _forbid_nk(args):
 
 
 def _cmd_hodge(args) -> int:
-    family = Family.from_tag(args.family)
+    family = Family(args.family)
     route = args.route
     if family is Family.V21:
         _forbid_nk(args)
@@ -234,7 +234,7 @@ def _cmd_hodge(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    family = Family.from_tag(args.family)
+    family = Family(args.family)
     _need_nk(args)
     if family is Family.AIRY_Z:
         rep = dims_airy(args.n, args.k)
@@ -279,7 +279,7 @@ def _cmd_counts(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    family = Family.from_tag(args.family)
+    family = Family(args.family)
     if family is Family.AIRY_Z and args.mid:
         raise CliError("--mid does not apply to airy: its middle part is the full "
                        "cohomology; drop --mid")
@@ -290,7 +290,8 @@ def _cmd_basis(args) -> int:
         _need_nk(args)
         require_admissible(family, args.n, args.k)
         chain = build_chain(family, args.n, args.k)
-    basis = middle_cohomology_basis(chain) if args.mid else cohomology_basis(chain)
+    full, mid = cohomology_bases(chain)
+    basis = mid if args.mid else full
     cards = basis.cardinalities()
     payload = {
         "family": family.value,

@@ -14,13 +14,6 @@ class Family(Enum):
     AIRY_Z = "airy"
     V21 = "v21"
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "Family":
-        for fam in cls:
-            if fam.value == tag:
-                return fam
-        raise ValueError(f"unknown family tag {tag!r}")
-
 
 def has_tower(family: Family, n: int, k: int) -> bool:
     """The eta-tower case of the Kloosterman chains: n = 2 with 3 | k."""

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .chains import (DegenerateReduction, build_chain, cohomology_basis,
-                     coker_slice_dims, eigenvector_product, jordan_block_sizes, kernel_slice_dims,
-                     middle_cohomology_basis, shift_coker_dims)
+from .chains import (DegenerateReduction, build_chain, cohomology_bases, coker_slice_dims,
+                     eigenvector_product, jordan_block_sizes, kernel_slice_dims,
+                     shift_coker_dims)
 from .counting import (block_multiplicity, block_multiplicity_n2_closed,
                        bottom_multiplicity, lattice_step, lattice_step_n2_closed,
                        lattice_step_series, solution_dim_at_infinity,
@@ -145,7 +145,7 @@ def hodge_kl_from_basis(n: int, k: int) -> HodgeDiamond:
     """
     require_admissible(Family.KL_Z, n, k)
     chain = build_chain(Family.KL_Z, n, k)
-    return _kl_diamond(chain, middle_cohomology_basis(chain))
+    return _kl_diamond(chain, cohomology_bases(chain)[1])
 
 
 def _kl_diamond(chain, mid) -> HodgeDiamond:
@@ -190,7 +190,7 @@ def hodge_airy_from_basis(n: int, k: int) -> HodgeDiamond:
     """Basis route: a degree-d class contributes at level (n*k + 1 - d)/(n + 1)."""
     require_admissible(Family.AIRY_Z, n, k)
     chain = build_chain(Family.AIRY_Z, n, k)
-    basis = cohomology_basis(chain)
+    basis, _ = cohomology_bases(chain)
     levels = {(_level(p), _level(q)): 0 for p, q in _airy_support(n, k)}
     for d, count in basis.cardinalities().items():
         key = (_level(Fraction(n * k + 1 - d, n + 1)), _level(Fraction(d + n + k, n + 1)))
@@ -208,7 +208,7 @@ def hodge_v21(route: str = "basis") -> HodgeDiamond:
         levels[(4, 5)] = 1
         levels[(5, 4)] = 1
     elif route == "basis":
-        mid = middle_cohomology_basis(v21_chain())
+        _, mid = cohomology_bases(v21_chain())
         for d, count in mid.cardinalities().items():
             levels[(V21_WEIGHT - d, d)] += count
     else:
@@ -355,8 +355,7 @@ def verify(n: int, k: int) -> ConsistencyReport:
             total_ok = sum(dims) == dims_kl(n, k).dim_h1
             record("coker-matches-steps", ok and total_ok,
                    f"dims={dims}")
-        full = cohomology_basis(chain)
-        mid = middle_cohomology_basis(chain)
+        full, mid = cohomology_bases(chain)
         rep = dims_kl(n, k)
         record("basis-totals-kl",
                full.total() == rep.dim_h1 and mid.total() == rep.dim_mid,
@@ -390,8 +389,7 @@ def verify(n: int, k: int) -> ConsistencyReport:
         tchain = build_chain(Family.KL_TILDE_T, n, k)
     if kl_ok:
         trep = dims_kl(n, k, Family.KL_TILDE_T)
-        tfull = cohomology_basis(tchain)
-        tmid = middle_cohomology_basis(tchain)
+        tfull, tmid = cohomology_bases(tchain)
         record("basis-totals-tilde",
                tfull.total() == trep.dim_h1 and tmid.total() == trep.dim_mid,
                f"full={tfull.total()} mid={tmid.total()} report={trep}")

@@ -49,10 +49,6 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    @property
-    def pivot_cols(self):
-        return self.rows.keys()
-
     def _eliminate(self, vec, combo=None):
         """Remove every pivot column from vec's support, in ascending order.
 
@@ -167,8 +163,12 @@ def jordan_type(cols, dim: int) -> dict[int, int]:
     ranks = [dim]
     cur = cols
     while ranks[-1]:
-        ranks.append(matrix_rank(cur))
-        cur = [apply_columns(cols, col) for col in cur]
+        # the echelon rows span im M^s, so M applied to them spans im M^{s+1}
+        ech = SparseEchelon()
+        for v in cur:
+            ech.add_row(v)
+        ranks.append(ech.rank)
+        cur = [apply_columns(cols, row) for row in ech.rows.values()]
     ranks.append(0)
     blocks = {}
     for s in range(1, len(ranks) - 1):

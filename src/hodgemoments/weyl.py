@@ -170,6 +170,13 @@ def young_projector() -> ProjectedSpace:
     )
 
 
+def _integral(cols) -> list[dict]:
+    """The induced columns with int entries, so the chain's echelons stay on integers."""
+    if any(c.denominator != 1 for col in cols for c in col.values()):
+        raise DimensionMismatch("an induced derivation has a non-integral entry")
+    return [{i: int(c) for i, c in col.items()} for col in cols]
+
+
 def v21_chain() -> GradedChain:
     """The graded chain over the projected 15-dimensional space."""
     ps = young_projector()
@@ -182,7 +189,7 @@ def v21_chain() -> GradedChain:
         scale=1,
         labels=list(range(ps.dim)),
         weights=list(ps.weights),
-        nmat=[dict(c) for c in ps.nmat],
-        emat=[dict(c) for c in ps.emat],
+        nmat=_integral(ps.nmat),
+        emat=_integral(ps.emat),
         tower=None,
     )

@@ -16,12 +16,11 @@ import pytest
 
 from hodgemoments.chains import (
     build_chain,
-    cohomology_basis,
+    cohomology_bases,
     coker_slice_dims,
     eigenvector_product,
     jordan_block_sizes,
     kernel_slice_dims,
-    middle_cohomology_basis,
 )
 from hodgemoments.counting import block_multiplicity, lattice_step
 from hodgemoments.cyclo import CycloInt, vanishing_tuple_count
@@ -204,9 +203,8 @@ def test_criterion_09_v21():
     ps = young_projector()
     assert ps.dim == 15
     chain = v21_chain()
-    full = cohomology_basis(chain)
+    full, mid = cohomology_bases(chain)
     assert full.cardinalities() == {d: 1 for d in (1, 2, 3, 4, 5)}
-    mid = middle_cohomology_basis(chain)
     assert mid.cardinalities() == {4: 1, 5: 1}
     assert hodge_v21("basis").nonzero() == {(4, 5): 1, (5, 4): 1}
     assert hodge_v21("closed").levels == hodge_v21("basis").levels
@@ -253,7 +251,7 @@ def test_criterion_12_composite_gate():
     for n, k in COMPOSITE_REJECTED[:2]:
         for family in (Family.KL_Z, Family.KL_TILDE_T):
             with pytest.raises(BadFamilyParams):
-                cohomology_basis(build_chain(family, n, k))
+                cohomology_bases(build_chain(family, n, k))
     for n, k in COMPOSITE_ADMITTED:
         closed = hodge_kl_closed(n, k)
         assert closed.levels == hodge_kl_from_basis(n, k).levels

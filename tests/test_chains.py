@@ -4,15 +4,15 @@ import pytest
 
 from hodgemoments.chains import (
     BadFamilyParams,
+    GradedChain,
     build_chain,
-    cohomology_basis,
+    cohomology_bases,
     coker_slice_dims,
     corner_action,
     eigenvector_product,
     eta_power_vector,
     jordan_block_sizes,
     kernel_slice_dims,
-    middle_cohomology_basis,
     shift_action,
     shift_coker_dims,
 )
@@ -140,21 +140,21 @@ def test_kernel_dims_tilde_coprime_all_zero():
 class TestBases:
     def test_full_basis_coprime_matches_steps(self):
         chain = build_chain(Family.KL_Z, 2, 4)
-        full = cohomology_basis(chain)
+        full, _ = cohomology_bases(chain)
         assert full.cardinalities() == {d: lattice_step(2, 4, d)
                                         for d in range(7) if lattice_step(2, 4, d)}
         assert full.total() == dims_kl(2, 4).dim_h1
 
     def test_full_basis_tower_case(self):
         chain = build_chain(Family.KL_Z, 2, 6)
-        full = cohomology_basis(chain)
+        full, _ = cohomology_bases(chain)
         assert full.cardinalities() == {0: 1, 2: 1, 3: 1, 4: 1, 5: 1,
                                         6: 2, 8: 1, 9: 1}
 
     def test_middle_basis_drops_local_solutions(self):
         chain = build_chain(Family.KL_Z, 2, 4)
         rep = dims_kl(2, 4)
-        mid = middle_cohomology_basis(chain)
+        _, mid = cohomology_bases(chain)
         assert mid.total() == rep.dim_mid
         w = 2 * 4 + 1
         cards = mid.cardinalities()
@@ -162,7 +162,7 @@ class TestBases:
 
     def test_middle_basis_tower_case_low_half(self):
         chain = build_chain(Family.KL_Z, 2, 6)
-        mid = middle_cohomology_basis(chain)
+        _, mid = cohomology_bases(chain)
         cards = mid.cardinalities()
         assert cards == {3: 1, 5: 1, 8: 1, 9: 1}
         low = sum(c for d, c in cards.items() if d <= 6)
@@ -173,7 +173,7 @@ class TestBases:
         # every middle representative carries its nominal degree and avoids
         # the z^0 layer, where the local solutions at 0 live
         chain = build_chain(Family.KL_Z, n, k)
-        mid = middle_cohomology_basis(chain)
+        _, mid = cohomology_bases(chain)
         seen = 0
         for d, vecs in mid.vectors.items():
             for vec in vecs:
@@ -187,8 +187,7 @@ class TestBases:
     def test_tilde_basis_totals(self):
         chain = build_chain(Family.KL_TILDE_T, 2, 3)
         rep = dims_kl(2, 3, Family.KL_TILDE_T)
-        full = cohomology_basis(chain)
-        mid = middle_cohomology_basis(chain)
+        full, mid = cohomology_bases(chain)
         assert full.total() == rep.dim_h1 == 9
         assert mid.total() == rep.dim_mid == 6
         assert full.cardinalities() == {0: 1, 1: 1, 2: 2, 3: 2, 4: 2, 5: 1}
@@ -240,7 +239,7 @@ def _slice_quotient(chain, d):
     tow = chain.tower_slice(d)
     if tow is not None:
         ech.add_row({idx[mono]: c for mono, c in tow.items()})
-    return ech, idx, [mono for mono, i in idx.items() if i not in ech.pivot_cols]
+    return ech, idx, [mono for mono, i in idx.items() if i not in ech.rows]
 
 
 def _slice_full(chain):
@@ -260,7 +259,7 @@ def _slice_middle(chain):
         for j in _layer(chain, d - 1):
             shift.add_row(chain.nmat[j])
         for j in _layer(chain, d):
-            if j not in shift.pivot_cols:
+            if j not in shift.rows:
                 ech.add_row({idx[(0, j)]: 1})
         if line is not None and d == chain.k:
             ech.add_row({idx[line]: 1})
@@ -299,13 +298,12 @@ def test_residue_class_echelons_match_per_slice(family, n, k):
         for d in range(top + 1)]
     assert kernel_slice_dims(chain) == [
         len(chain.slice_monomials(d)) - matrix_rank(_slice_rows(chain, d)) for d in range(top)]
-    full = cohomology_basis(chain).vectors
+    full, mid = (basis.vectors for basis in cohomology_bases(chain))
     assert full == _slice_full(chain)
     assert list(full) == list(range(top + 1))
-    if family is not Family.AIRY_Z:
-        mid = middle_cohomology_basis(chain).vectors
-        assert mid == _slice_middle(chain)
-        assert list(mid) == list(range(top + 1))
+    # airy's middle part is its full cohomology
+    assert mid == (full if family is Family.AIRY_Z else _slice_middle(chain))
+    assert list(mid) == list(range(top + 1))
 
 
 OFFER_CASES = [(Family.KL_Z, 3, 5), (Family.KL_Z, 2, 6), (Family.KL_TILDE_T, 2, 6),
@@ -315,18 +313,26 @@ OFFER_CASES = [(Family.KL_Z, 3, 5), (Family.KL_Z, 2, 6), (Family.KL_TILDE_T, 2, 
 @pytest.mark.parametrize("family,n,k", OFFER_CASES,
                          ids=[f"{f.value}-{n}-{k}" for f, n, k in OFFER_CASES])
 def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
+    # the theta_bar row of each source (0, j) of V goes to the class echelons
+    # once per walk; the tower and middle-modulus rows are not theta_bar rows
     chain = _chain(family, n, k)
+    sources = []
+    theta_bar_mono = GradedChain.theta_bar_mono
+
+    def counted_theta_bar(self, mono):
+        sources.append(mono)
+        return theta_bar_mono(self, mono)
+
+    monkeypatch.setattr(GradedChain, "theta_bar_mono", counted_theta_bar)
+    cohomology_bases(chain)
+    assert sorted(sources) == [(0, j) for j in range(len(chain.weights))]
     calls = []
     add_row = SparseEchelon.add_row
 
-    def counted(self, vec, tag=None):
+    def counted_add_row(self, vec, tag=None):
         calls.append(vec)
         return add_row(self, vec, tag)
 
-    monkeypatch.setattr(SparseEchelon, "add_row", counted)
-    cohomology_basis(chain)
-    towers = sum(chain.tower_slice(d) is not None for d in range(chain.max_degree + 1))
-    assert len(calls) == len(chain.weights) + towers
-    calls.clear()
+    monkeypatch.setattr(SparseEchelon, "add_row", counted_add_row)
     coker_slice_dims(chain)
     assert len(calls) == len(chain.weights)

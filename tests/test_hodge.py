@@ -1,5 +1,6 @@
 """Hodge tables: closed formulas against the basis route, plus fixed values."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
@@ -180,18 +181,19 @@ class TestVerify:
                                                  for k in (1, 2, 3, 4)}
         assert all(r.all_pass for r in reports)
 
-    def test_one_middle_basis_per_chain(self, monkeypatch):
-        import hodgemoments.hodge as hodge
+    def test_one_basis_walk_per_chain(self, monkeypatch):
+        # kl: coker dims and both bases; kl-tilde: both bases and kernel dims
+        import hodgemoments.chains as chains
         seen = []
-        middle = hodge.middle_cohomology_basis
+        walk = chains._image_echelons
 
         def counted(chain):
             seen.append(chain.family)
-            return middle(chain)
+            return walk(chain)
 
-        monkeypatch.setattr(hodge, "middle_cohomology_basis", counted)
+        monkeypatch.setattr(chains, "_image_echelons", counted)
         assert verify(3, 5).all_pass
-        assert seen == [Family.KL_Z, Family.KL_TILDE_T]
+        assert Counter(seen) == {Family.KL_Z: 2, Family.KL_TILDE_T: 2, Family.AIRY_Z: 1}
 
     def test_check_names_stable(self):
         names = {c.name for c in verify(2, 4).checks}

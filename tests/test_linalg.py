@@ -23,7 +23,7 @@ def coker_columns(vectors, ncols):
     ech = SparseEchelon()
     for v in vectors:
         ech.add_row(v)
-    return [c for c in range(ncols) if c not in ech.pivot_cols]
+    return [c for c in range(ncols) if c not in ech.rows]
 
 
 @settings(max_examples=150)
@@ -77,7 +77,7 @@ def test_tracked_reduce_reconstructs(rows):
     acc = {j: v for j, v in acc.items() if v}
     assert acc == {j: v for j, v in probe.items() if v}
     # residual avoids every pivot column
-    assert not set(residual) & set(ech.pivot_cols)
+    assert not set(residual) & set(ech.rows)
 
 
 def test_coker_complement_picks_unreached_columns():

@@ -53,3 +53,17 @@ def test_integer_counting_layers_import_no_fractions():
         imported |= {node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module}
         assert "fractions" not in imported, name
+
+
+def test_class_echelons_walked_in_three_places():
+    # the two rank-only walks and the one walk that gives both bases
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_image_echelons"):
+                    callers.append(f"{path.name}:{getattr(top, 'name', '')}")
+    assert sorted(callers) == ["chains.py:cohomology_bases", "chains.py:coker_slice_dims",
+                               "chains.py:kernel_slice_dims"]

@@ -3,7 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 
-from hodgemoments.chains import cohomology_basis, jordan_block_sizes, middle_cohomology_basis
+from hodgemoments.chains import cohomology_bases, jordan_block_sizes
 from hodgemoments.linalg import apply_columns
 from hodgemoments.weyl import v21_chain, young_projector
 
@@ -50,21 +50,28 @@ def test_induced_corner_drops_weight_by_two():
     assert any_nonzero
 
 
+def test_chain_operators_are_integral():
+    # the projector's Fraction(c, 1) entries would send every echelon row of
+    # the chain down the Fraction path
+    chain = v21_chain()
+    for cols in (chain.nmat, chain.emat):
+        assert all(type(c) is int for col in cols for c in col.values())
+
+
 def test_jordan_blocks():
     assert jordan_block_sizes(v21_chain()) == {7: 1, 5: 1, 3: 1}
 
 
 def test_chain_cohomology_cards():
     chain = v21_chain()
-    full = cohomology_basis(chain)
-    mid = middle_cohomology_basis(chain)
+    full, mid = cohomology_bases(chain)
     assert full.cardinalities() == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
     assert mid.cardinalities() == {4: 1, 5: 1}
 
 
 def test_basis_vectors_live_in_projected_coordinates():
     chain = v21_chain()
-    mid = middle_cohomology_basis(chain)
+    _, mid = cohomology_bases(chain)
     for vecs in mid.vectors.values():
         for vec in vecs:
             for (a, j), c in vec.items():
