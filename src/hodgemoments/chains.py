@@ -24,6 +24,7 @@ both bases (cohomology_bases).
 
 from dataclasses import dataclass, field
 from math import comb
+from operator import add
 
 from .cyclo import CycloInt
 from .families import BadFamilyParams, Family, has_tower, require_admissible
@@ -131,6 +132,49 @@ class GradedChain:
         return {(a + r, j): c for (a, j), c in self.tower.items()}
 
 
+def _times_eigenvector(prod: dict, n: int, i: int) -> dict:
+    """prod * f_i in the group ring Z[C_m] = Z[x]/(x^m - 1), m = n + 1.
+
+    prod maps J to a length-m coefficient tuple (the coefficient of x^e at
+    position e); the t-power of v^J is n|J| - wt(J) and stays implicit.
+    zeta^e acts as the rotation by e, so nothing is reduced modulo Phi_m.
+    """
+    m = n + 1
+    out = {}
+    for jj, vec in prod.items():
+        for slot in range(m):
+            e = i * (n - slot) % m
+            rot = vec[-e:] + vec[:-e] if e else vec
+            tgt = jj[:slot] + (jj[slot] + 1,) + jj[slot + 1:]
+            acc = out.get(tgt)
+            out[tgt] = rot if acc is None else tuple(map(add, acc, rot))
+    return out
+
+
+def group_ring_eigenvector_products(n: int, k: int):
+    """Yield (I, f_I in Z[C_m]) for the weak compositions I of k, in lexicographic order.
+
+    Each f_I is the product of its parent (I minus one unit in its last
+    nonzero slot) and one f_i, so the products share their prefixes; the walk
+    is depth first and holds one product per slot.  The values are
+    {J: coefficient tuple} as in _times_eigenvector; mapping x to zeta_m is a
+    ring homomorphism onto Z[zeta_m], so reducing them with
+    CycloInt.from_exponents gives eigenvector_product.
+    """
+    def walk(prefix, prod, slot, left):
+        if slot == n:
+            for _ in range(left):
+                prod = _times_eigenvector(prod, n, n)
+            yield prefix + (left,), prod
+            return
+        for e in range(left + 1):
+            if e:
+                prod = _times_eigenvector(prod, n, slot)
+            yield from walk(prefix + (e,), prod, slot + 1, left - e)
+
+    yield from walk((), {(0,) * (n + 1): (1,) + (0,) * n}, 0, k)
+
+
 def eigenvector_product(n: int, k: int, index: MultiIndex) -> dict:
     """Product of twisted eigenvectors f_i = sum_j zeta^{i(n-j)} t^{n-j} v_j.
 
@@ -142,19 +186,16 @@ def eigenvector_product(n: int, k: int, index: MultiIndex) -> dict:
         raise ValueError(f"expected {m} slots")
     if sum(index) != k:
         raise ValueError("index does not sum to k")
-    acc = {(0, (0,) * m): CycloInt.one(m)}
+    prod = {(0,) * m: (1,) + (0,) * n}
     for i in range(m):
         for _ in range(index[i]):
-            nxt = {}
-            for (a, jj), c in acc.items():
-                for slot in range(m):
-                    tgt = list(jj)
-                    tgt[slot] += 1
-                    key = (a + n - slot, tuple(tgt))
-                    add = c * CycloInt.zeta_power(m, i * (n - slot))
-                    nxt[key] = nxt[key] + add if key in nxt else add
-            acc = nxt
-    return {key: c for key, c in acc.items() if c}
+            prod = _times_eigenvector(prod, n, i)
+    out = {}
+    for jj, vec in prod.items():
+        c = CycloInt.from_exponents(m, vec)
+        if c:
+            out[(n * k - weight(jj), jj)] = c
+    return out
 
 
 def eta_power_vector(k: int) -> dict:

@@ -12,7 +12,7 @@ Hence sum_j I_j zeta^j = 0 iff every coset sum sum_r I_{s + r m/p} w^r is 0,
 i.e. (Phi_p has degree p - 1) iff I is constant on each coset s + (m/p)Z.  The
 vanishing tuples are the p-fold repeats J * p of the weak compositions J of
 k/p into m/p parts: whole regular p-gons, as in Lam-Leung.  Other m are
-enumerated.
+enumerated, up to ENUMERATION_BUDGET exponent tuples.
 """
 
 from dataclasses import dataclass
@@ -21,6 +21,14 @@ from math import comb, isqrt
 
 from .multiindex import MultiIndex, canonical_rotation, rotate, weak_compositions
 from .poly import div_exact_monic
+
+# most exponent tuples one count may enumerate when m is not a prime power;
+# at 6 to 15 microseconds a tuple (m = 6 to 15), up to about 8 s
+ENUMERATION_BUDGET = 500_000
+
+
+class EnumerationTooLarge(ValueError):
+    """A vanishing count for a non-prime-power m needs too many exponent tuples."""
 
 
 @lru_cache(maxsize=None)
@@ -77,11 +85,6 @@ class CycloInt:
     @classmethod
     def one(cls, m: int) -> "CycloInt":
         return cls(m, _reduce_mod_cyclotomic([1], m))
-
-    @classmethod
-    def zeta_power(cls, m: int, e: int) -> "CycloInt":
-        e %= m
-        return cls(m, _reduce_mod_cyclotomic([0] * e + [1], m))
 
     @classmethod
     def from_exponents(cls, m: int, index: MultiIndex) -> "CycloInt":
@@ -145,12 +148,23 @@ class OrbitSet:
         return len(self.reps)
 
 
+def _enumerated_tuples(m: int, k: int):
+    """The weak compositions of k into m parts, for an m with no closed form."""
+    size = comb(k + m - 1, m - 1)
+    if size > ENUMERATION_BUDGET:
+        raise EnumerationTooLarge(
+            f"m={m} is not a prime power, so the vanishing sums for k={k} are found by "
+            f"enumeration, and its C({k + m - 1}, {m - 1}) = {size} exponent tuples "
+            f"exceed the budget of {ENUMERATION_BUDGET}")
+    return weak_compositions(k, m)
+
+
 def vanishing_tuple_count(m: int, k: int) -> int:
     """Number of weak compositions I of k with sum_j I_j zeta^j = 0."""
     p = _prime_power_base(m)
     if p is not None:
         return comb(k // p + m // p - 1, m // p - 1) if k % p == 0 else 0
-    return sum(1 for index in weak_compositions(k, m) if tuple_vanishes(m, index))
+    return sum(1 for index in _enumerated_tuples(m, k) if tuple_vanishes(m, index))
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +175,7 @@ def vanishing_orbits(m: int, k: int) -> OrbitSet:
         blocks = weak_compositions(k // p, m // p) if k % p == 0 else ()
         reps = {canonical_rotation(block) * p for block in blocks}
     else:
-        reps = {canonical_rotation(index) for index in weak_compositions(k, m)
+        reps = {canonical_rotation(index) for index in _enumerated_tuples(m, k)
                 if tuple_vanishes(m, index)}
     return OrbitSet(m, k, tuple(sorted(reps)))
 

@@ -26,7 +26,6 @@ from hodgemoments.counting import block_multiplicity, lattice_step
 from hodgemoments.cyclo import CycloInt, vanishing_tuple_count
 from hodgemoments.families import BadFamilyParams, Family
 from hodgemoments.hodge import (
-    _dict_eq,
     dims_airy,
     dims_kl,
     hodge_airy_closed,
@@ -53,6 +52,10 @@ TOWER_KS = (3, 6, 9, 12)
 # and pairs where d_k = 0
 COMPOSITE_REJECTED = [(5, 5), (5, 7), (9, 7), (11, 5), (14, 8)]
 COMPOSITE_ADMITTED = [(5, 1), (9, 3), (14, 2)]
+
+
+def _dict_eq(x: dict, y: dict) -> bool:
+    return {k: v for k, v in x.items() if v} == {k: v for k, v in y.items() if v}
 
 
 def announce(num, name, ok):

@@ -11,6 +11,7 @@ from hodgemoments.chains import (
     corner_action,
     eigenvector_product,
     eta_power_vector,
+    group_ring_eigenvector_products,
     jordan_block_sizes,
     kernel_slice_dims,
     shift_action,
@@ -76,6 +77,30 @@ class TestChainConstruction:
         assert all(len(ix) == 3 for ix in chain.labels)
 
 
+def cycloint_eigenvector_product(n, index):
+    """prod_i f_i^{index[i]} expanded from scratch in Z[zeta_m], m = n + 1."""
+    m = n + 1
+
+    def zeta(e):
+        unit = [0] * m
+        unit[e % m] = 1
+        return CycloInt.from_exponents(m, tuple(unit))
+
+    acc = {(0, (0,) * m): zeta(0)}
+    for i in range(m):
+        for _ in range(index[i]):
+            nxt = {}
+            for (a, jj), c in acc.items():
+                for slot in range(m):
+                    tgt = list(jj)
+                    tgt[slot] += 1
+                    key = (a + n - slot, tuple(tgt))
+                    add = c * zeta(i * (n - slot))
+                    nxt[key] = nxt[key] + add if key in nxt else add
+            acc = nxt
+    return {key: c for key, c in acc.items() if c}
+
+
 class TestEigenvectors:
     def test_product_is_homogeneous(self):
         for index in weak_compositions(3, 3):
@@ -89,6 +114,21 @@ class TestEigenvectors:
         # f_0 with n = 1: v_0 zeta^0 t + v_1, all coefficients rational
         vec = eigenvector_product(1, 1, (1, 0))
         assert set(vec) == {(1, (1, 0)), (0, (0, 1))}
+
+    def test_products_match_cycloint_expansion(self):
+        # group-ring products, reduced once per key, against the expansion in
+        # Z[zeta_m] with one CycloInt multiply per term and slot
+        for n in (1, 2, 3):
+            m = n + 1
+            for k in range(1, 7):
+                shared = dict(group_ring_eigenvector_products(n, k))
+                assert list(shared) == list(weak_compositions(k, m))
+                for index in weak_compositions(k, m):
+                    want = cycloint_eigenvector_product(n, index)
+                    assert eigenvector_product(n, k, index) == want, (n, k, index)
+                    reduced = {(n * k - weight(jj), jj): CycloInt.from_exponents(m, vec)
+                               for jj, vec in shared[index].items()}
+                    assert {key: c for key, c in reduced.items() if c} == want, (n, k, index)
 
     def test_eta_power_is_integral(self):
         vec = eta_power_vector(3)

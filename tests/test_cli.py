@@ -105,6 +105,20 @@ def test_non_coprime_airy_dims_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [["dims", "--family", "kl"], ["counts", "--what", "a"]])
+def test_composite_enumeration_over_budget_exits_2(capsys, monkeypatch, argv):
+    # m = 12 is not a prime power: C(51, 11) exponent tuples, far over the budget
+    def no_enumeration(m, index):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(cyclo, "tuple_vanishes", no_enumeration)
+    code, out, err = run_main(capsys, *argv, "--n", "11", "--k", "40")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: m=12 is not a prime power")
+    assert f"budget of {cyclo.ENUMERATION_BUDGET}" in err
+
+
 def test_missing_nk_exit_2(capsys):
     code, _, err = run_main(capsys, "dims", "--family", "kl")
     assert code == 2

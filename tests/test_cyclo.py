@@ -45,11 +45,16 @@ def test_ring_axioms(triple):
     assert a + (-a) == CycloInt.zero(a.m)
 
 
+def zeta(m, e):
+    """zeta_m^e, from the unit exponent vector at e mod m."""
+    unit = [0] * m
+    unit[e % m] = 1
+    return CycloInt.from_exponents(m, tuple(unit))
+
+
 @given(st.integers(2, 12), st.integers(0, 30), st.integers(0, 30))
 def test_zeta_powers_multiply_by_exponent_addition(m, e1, e2):
-    z1 = CycloInt.zeta_power(m, e1)
-    z2 = CycloInt.zeta_power(m, e2)
-    assert z1 * z2 == CycloInt.zeta_power(m, e1 + e2)
+    assert zeta(m, e1) * zeta(m, e2) == zeta(m, e1 + e2)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -125,8 +130,8 @@ def test_signed_orbit_count_small_values():
 
 
 def test_rational_detection():
-    z = CycloInt.zeta_power(3, 1)
-    s = z + CycloInt.zeta_power(3, 2)  # zeta + zeta^2 = -1
+    z = zeta(3, 1)
+    s = z + zeta(3, 2)  # zeta + zeta^2 = -1
     assert s.is_rational()
     assert s.rational_part() == -1
     assert not z.is_rational()
@@ -180,3 +185,19 @@ def test_other_m_still_enumerate(monkeypatch):
     assert vanishing_tuple_count(6, 5) == 6
     assert len(vanishing_orbits(6, 5)) == 1
     assert len(calls) == 2 * comb(5 + 5, 5)
+
+
+def test_composite_enumeration_budget(monkeypatch):
+    # above every composite enumeration the tests and the golden requests run
+    # (at most 792 tuples) and above C(22, 14), criterion 12's (n, k) = (14, 8);
+    # enforced before any tuple is tested
+    assert cyclo.ENUMERATION_BUDGET >= comb(8 + 15 - 1, 15 - 1)
+    monkeypatch.setattr(cyclo, "ENUMERATION_BUDGET", comb(5 + 5, 5) - 1)
+    vanishing_orbits.cache_clear()
+    for count in (vanishing_tuple_count, vanishing_orbit_count, signed_orbit_count):
+        with pytest.raises(cyclo.EnumerationTooLarge):
+            count(6, 5)
+        assert count(6, 4) >= 0
+    # prime powers have closed forms and no budget
+    assert vanishing_tuple_count(16, 40) == comb(20 + 8 - 1, 8 - 1)
+    vanishing_orbits.cache_clear()

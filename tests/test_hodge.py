@@ -2,10 +2,13 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
 
+from hodgemoments import hodge
+from hodgemoments.chains import build_chain, eigenvector_product
+from hodgemoments.cyclo import CycloInt
 from hodgemoments.families import BadFamilyParams, Family
 from hodgemoments.hodge import (
     dims_airy,
@@ -21,6 +24,8 @@ from hodgemoments.hodge import (
     verify,
     verify_sweep,
 )
+from hodgemoments.linalg import apply_columns
+from hodgemoments.multiindex import weak_compositions
 
 GOLDEN_2_10 = (0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0)
 
@@ -167,6 +172,48 @@ class TestMixedTables:
             mixed_hodge_kl3(4)
 
 
+def cycloint_first_eigen_failure(chain, n, k):
+    """Criterion 07's relation check in Z[zeta_m]: the first I where it fails."""
+    m = n + 1
+    pos = {ix: j for j, ix in enumerate(chain.labels)}
+    for index in weak_compositions(k, m):
+        fvec = {(a, pos[jj]): c for (a, jj), c in eigenvector_product(n, k, index).items()}
+        lhs = apply_columns({mono: chain.theta_bar_mono(mono) for mono in fvec}, fvec)
+        c_index = CycloInt.from_exponents(m, index)
+        rhs = {(a + 1, j): m * c_index * c for (a, j), c in fvec.items()}
+        if {key: c for key, c in lhs.items() if c} != {key: c for key, c in rhs.items() if c}:
+            return index
+    return None
+
+
+def _bump_first_e(chain):
+    j = next(j for j, col in enumerate(chain.emat) if col)
+    chain.emat[j][min(chain.emat[j])] += 1
+
+
+def _bump_last_n(chain):
+    j = max(j for j, col in enumerate(chain.nmat) if col)
+    chain.nmat[j][min(chain.nmat[j])] += 1
+
+
+def _cancelling_n_pair(chain):
+    """Two new N entries into one target whose effects cancel in the first f_I.
+
+    The first index (0, ..., 0, k) gives f_n^k, whose coefficient at v^J is
+    the multinomial of J times a power of zeta fixed by wt(J); so entries
+    +mult(J2) from J1 and -mult(J1) from J2, wt(J1) = wt(J2), cancel there,
+    and the relation first fails at a later index.
+    """
+    def mult(jj):
+        return factorial(sum(jj)) // prod(factorial(e) for e in jj)
+
+    w = min(w for w in set(chain.weights) if chain.weights.count(w) > 1)
+    j1, j2 = [j for j, x in enumerate(chain.weights) if x == w][:2]
+    i = chain.weights.index(w + 1)
+    chain.nmat[j1][i] = chain.nmat[j1].get(i, 0) + mult(chain.labels[j2])
+    chain.nmat[j2][i] = chain.nmat[j2].get(i, 0) - mult(chain.labels[j1])
+
+
 class TestVerify:
     @pytest.mark.parametrize("n,k", [(1, 2), (2, 3), (2, 4), (2, 6), (3, 2)])
     def test_reports_all_pass(self, n, k):
@@ -194,6 +241,43 @@ class TestVerify:
         monkeypatch.setattr(chains, "_image_echelons", counted)
         assert verify(3, 5).all_pass
         assert Counter(seen) == {Family.KL_Z: 2, Family.KL_TILDE_T: 2, Family.AIRY_Z: 1}
+
+    # for n = 1 no two multi-indices share a weight, so no cancelling pair
+    @pytest.mark.parametrize("n,k,corrupt", [
+        (n, k, corrupt) for n, k in [(1, 3), (2, 4), (2, 6), (3, 5)]
+        for corrupt in (_bump_first_e, _bump_last_n, _cancelling_n_pair)
+        if n > 1 or corrupt is not _cancelling_n_pair])
+    def test_eigen_relation_fails_where_cycloint_oracle_fails(self, monkeypatch, n, k,
+                                                               corrupt):
+        def corrupted_build(family, n_, k_):
+            chain = build_chain(family, n_, k_)
+            if family is Family.KL_TILDE_T:
+                corrupt(chain)
+            return chain
+
+        want = cycloint_first_eigen_failure(corrupted_build(Family.KL_TILDE_T, n, k), n, k)
+        assert want is not None
+        if corrupt is _cancelling_n_pair:
+            assert want != (0,) * n + (k,)
+        monkeypatch.setattr(hodge, "build_chain", corrupted_build)
+        check = next(c for c in verify(n, k).checks if c.name == "tilde-eigen-relation")
+        assert not check.passed
+        assert check.detail == f"first failure at {want}"
+
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 5)])
+    def test_eigen_relation_is_decided_modulo_phi(self, monkeypatch, n, k):
+        # adding the norm element 1 + x + ... + x^n to every coefficient of
+        # f_I changes it in Z[C_m] but not in Z[zeta_m]: lhs - rhs is then
+        # nonzero before the reduction, and the relation must still hold
+        shared = hodge.group_ring_eigenvector_products
+
+        def padded(n_, k_):
+            for index, product in shared(n_, k_):
+                yield index, {jj: tuple(c + 1 for c in vec) for jj, vec in product.items()}
+
+        monkeypatch.setattr(hodge, "group_ring_eigenvector_products", padded)
+        check = next(c for c in verify(n, k).checks if c.name == "tilde-eigen-relation")
+        assert check.passed, check.detail
 
     def test_check_names_stable(self):
         names = {c.name for c in verify(2, 4).checks}

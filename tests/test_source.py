@@ -67,3 +67,31 @@ def test_class_echelons_walked_in_three_places():
                     callers.append(f"{path.name}:{getattr(top, 'name', '')}")
     assert sorted(callers) == ["chains.py:cohomology_bases", "chains.py:coker_slice_dims",
                                "chains.py:kernel_slice_dims"]
+
+
+def test_eigenvector_products_make_no_cycloint_multiply():
+    # the products multiply in the group ring Z[C_m]; the only CycloInt is the
+    # from_exponents reduction once per key, and it is never an operand
+    path = next(p for p in SOURCES if p.name == "chains.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def is_reduction(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "CycloInt" and node.func.attr == "from_exponents")
+
+    for name in ("_times_eigenvector", "group_ring_eigenvector_products",
+                 "eigenvector_product"):
+        nodes = list(ast.walk(funcs[name]))
+        uses = sum(1 for node in nodes if isinstance(node, ast.Name) and node.id == "CycloInt")
+        assert uses == sum(1 for node in nodes if is_reduction(node)), name
+        reduced = {target.id for node in nodes
+                   if isinstance(node, ast.Assign) and is_reduction(node.value)
+                   for target in node.targets if isinstance(target, ast.Name)}
+        for node in nodes:
+            operands = ([node.left, node.right] if isinstance(node, ast.BinOp) else
+                        [node.target, node.value] if isinstance(node, ast.AugAssign) else [])
+            for op in operands:
+                assert not is_reduction(op), (name, node.lineno)
+                assert not (isinstance(op, ast.Name) and op.id in reduced), (name, node.lineno)
