@@ -1,15 +1,14 @@
-"""Sparse exact linear algebra over Z and Q.
+"""Sparse exact linear algebra over Z.
 
-Vectors are dicts mapping column index to a nonzero value.  The workhorse is
-a forward echelon with fraction-free updates: integer rows are combined by
-cross-multiplication and stripped by their gcd, so no true division happens
-until a row is finally normalized.  Fraction entries are accepted too (the
-same elimination runs field-style); only a handful of small matrices need
-that path.
+Vectors are dicts mapping column index to a nonzero int.  The workhorse is a
+forward echelon with fraction-free updates: rows are combined by
+cross-multiplication and stripped by their gcd, so no division ever happens.
 
-Rows added with a tag are reduced over Q and remember how they combine the
-tagged inputs, so reduce() can write a vector as a residual plus an explicit
-combination of inputs.
+A solve runs on the same integer rows through tag columns.  Add each input
+b_t with a unit entry in its own tag column, past every data column, and
+eliminate the probe p plus a unit entry in a marker column that no row
+touches.  If p lies in the span, the residual keeps no data column and
+p == sum_t (-residual[tag_t] / residual[marker]) * b_t.
 
 There is no back-substitution: stored rows keep their pivot as the smallest
 column of their support, which is all that rank, pivot-set and membership
@@ -17,7 +16,6 @@ questions require.
 """
 
 import heapq
-from fractions import Fraction
 from math import gcd
 
 
@@ -36,25 +34,17 @@ def _strip_int_row(vec, pivot):
 
 
 class SparseEchelon:
-    """Incremental echelon of sparse rows; tracks rank and pivot columns.
-
-    reduce() needs every row to have been added with a tag.
-    """
+    """Incremental echelon of sparse integer rows; tracks rank and pivot columns."""
 
     def __init__(self):
-        self.rows = {}    # pivot column -> row dict
-        self.combos = {}  # pivot column -> {tag: Fraction}, tagged rows only
+        self.rows = {}  # pivot column -> row dict
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, vec, combo=None):
-        """Remove every pivot column from vec's support, in ascending order.
-
-        With a combo dict, vec must hold Fractions; combo then collects the
-        tagged inputs subtracted, so vec_in == vec_out + sum combo[t] * input[t].
-        """
+    def _eliminate(self, vec):
+        """Remove every pivot column from vec's support, in ascending order."""
         heap = list(vec)
         heapq.heapify(heap)
         seen = set()
@@ -68,11 +58,8 @@ class SparseEchelon:
                 continue
             a = vec[c]
             b = row[c]
-            if isinstance(a, int) and isinstance(b, int):
-                g = gcd(a, b)
-                sv, sr = b // g, -(a // g)
-            else:
-                sv, sr = 1, -Fraction(a) / Fraction(b)
+            g = gcd(a, b)
+            sv, sr = b // g, -(a // g)
             if sv != 1:
                 for cc in list(vec):
                     vec[cc] *= sv
@@ -84,48 +71,21 @@ class SparseEchelon:
                     vec[cc] = nv
                 elif cc in vec:
                     del vec[cc]
-            if combo is not None:
-                for t, v in self.combos[c].items():
-                    nv = combo.get(t, 0) - sr * v
-                    if nv:
-                        combo[t] = nv
-                    elif t in combo:
-                        del combo[t]
 
-    def reduce(self, vec):
-        """(residual, combo) with vec == residual + sum combo[tag] * input[tag].
+    def residual(self, vec) -> dict:
+        """A nonzero multiple of vec minus a combination of the rows, off every pivot."""
+        vec = {c: v for c, v in vec.items() if v}
+        self._eliminate(vec)
+        return vec
 
-        The residual is supported away from every pivot column.
-        """
-        residual = {c: Fraction(v) for c, v in vec.items() if v}
-        combo = {}
-        self._eliminate(residual, combo)
-        return residual, combo
-
-    def add_row(self, vec, tag=None) -> bool:
-        """Insert a copy of vec; True if it was independent of current rows.
-
-        With a tag the row is reduced over Q and its combination of the
-        tagged inputs is kept in combos under its pivot.
-        """
-        if tag is None:
-            vec = {c: v for c, v in vec.items() if v}
-            self._eliminate(vec)
-        else:
-            vec, combo = self.reduce(vec)
+    def add_row(self, vec) -> bool:
+        """Insert a copy of vec; True if it was independent of current rows."""
+        vec = {c: v for c, v in vec.items() if v}
+        self._eliminate(vec)
         if not vec:
             return False
         pivot = min(vec)
-        lead = vec[pivot]
-        if tag is None and all(isinstance(v, int) for v in vec.values()):
-            _strip_int_row(vec, pivot)
-        else:
-            for c in list(vec):
-                vec[c] = Fraction(vec[c]) / lead
-        if tag is not None:
-            combo = {t: -v / lead for t, v in combo.items()}
-            combo[tag] = 1 / lead
-            self.combos[pivot] = combo
+        _strip_int_row(vec, pivot)
         self.rows[pivot] = vec
         return True
 

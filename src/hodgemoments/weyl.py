@@ -80,9 +80,8 @@ class ProjectedSpace:
 
     dim: int
     weights: tuple[int, ...]
-    basis: tuple          # per basis vector: {tensor index: Fraction}
-    nmat: tuple           # induced shift columns over the projected basis
-    emat: tuple           # induced corner columns
+    nmat: tuple           # induced shift columns over the projected basis, int entries
+    emat: tuple           # induced corner columns, int entries
     projector: tuple      # 81 columns, {row: Fraction}
     idem_scalar: int      # S^2 = idem_scalar * S for the raw signed sum S
 
@@ -122,7 +121,11 @@ def young_projector() -> ProjectedSpace:
             if left != right:
                 raise DimensionMismatch(f"projector does not commute with the {name}")
 
-    # graded image basis: independent projector columns, weight by weight
+    # graded image basis: independent columns of S, weight by weight; each is
+    # scalar times a projector column, so the choice and coordinates agree.
+    # Basis vector t carries a unit tag in column dim + t, and a probe carries
+    # a unit marker in column -1, which no row touches: the residual of a
+    # probe in the span holds its coordinates as -residual[tag] / residual[-1]
     wt = [sum(t) for t in basis]
     chosen = []
     solvers = {}
@@ -130,20 +133,21 @@ def young_projector() -> ProjectedSpace:
         solver = SparseEchelon()
         solvers[w] = solver
         for j in range(dim):
-            if wt[j] != w or not proj[j]:
+            if wt[j] != w or not raw[j]:
                 continue
-            if any(wt[i] != w for i in proj[j]):
+            if any(wt[i] != w for i in raw[j]):
                 raise DimensionMismatch("projector failed to preserve the grading")
-            tag = len(chosen)
-            if solver.add_row(proj[j], tag):
-                chosen.append((w, dict(proj[j])))
+            row = {**raw[j], dim + len(chosen): 1}
+            if min(solver.residual(row)) < dim:
+                solver.add_row(row)
+                chosen.append((w, raw[j]))
     if len(chosen) != EXPECTED_DIM:
         raise DimensionMismatch(f"projected space has dimension {len(chosen)},"
                                 f" expected {EXPECTED_DIM}")
 
     def induced(cols, delta):
         out = []
-        for i, (w, vec) in enumerate(chosen):
+        for w, vec in chosen:
             img = apply_columns(cols, vec)
             if not img:
                 out.append({})
@@ -151,10 +155,17 @@ def young_projector() -> ProjectedSpace:
             target = solvers.get(w + delta)
             if target is None:
                 raise DimensionMismatch("derivation image leaves the graded range")
-            residual, combo = target.reduce(img)
-            if residual:
+            residual = target.residual({**img, -1: 1})
+            marker = residual.pop(-1)
+            if min(residual) < dim:
                 raise DimensionMismatch("derivation image leaves the projected space")
-            out.append({t: c for t, c in combo.items() if c})
+            col = {}
+            for t, c in residual.items():
+                q, r = divmod(-c, marker)
+                if r:
+                    raise DimensionMismatch("an induced derivation has a non-integral entry")
+                col[t - dim] = q
+            out.append(col)
         return out
 
     nmat = induced(shift_cols, +1)
@@ -162,19 +173,11 @@ def young_projector() -> ProjectedSpace:
     return ProjectedSpace(
         dim=EXPECTED_DIM,
         weights=tuple(w for w, _ in chosen),
-        basis=tuple({i: c for i, c in vec.items()} for _, vec in chosen),
         nmat=tuple(nmat),
         emat=tuple(emat),
         projector=tuple(proj),
         idem_scalar=scalar,
     )
-
-
-def _integral(cols) -> list[dict]:
-    """The induced columns with int entries, so the chain's echelons stay on integers."""
-    if any(c.denominator != 1 for col in cols for c in col.values()):
-        raise DimensionMismatch("an induced derivation has a non-integral entry")
-    return [{i: int(c) for i, c in col.items()} for col in cols]
 
 
 def v21_chain() -> GradedChain:
@@ -189,7 +192,7 @@ def v21_chain() -> GradedChain:
         scale=1,
         labels=list(range(ps.dim)),
         weights=list(ps.weights),
-        nmat=_integral(ps.nmat),
-        emat=_integral(ps.emat),
+        nmat=[dict(col) for col in ps.nmat],
+        emat=[dict(col) for col in ps.emat],
         tower=None,
     )

@@ -369,9 +369,9 @@ def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
     calls = []
     add_row = SparseEchelon.add_row
 
-    def counted_add_row(self, vec, tag=None):
+    def counted_add_row(self, vec):
         calls.append(vec)
-        return add_row(self, vec, tag)
+        return add_row(self, vec)
 
     monkeypatch.setattr(SparseEchelon, "add_row", counted_add_row)
     coker_slice_dims(chain)

@@ -38,46 +38,35 @@ def test_rank_matches_sympy(rows):
     assert got == expected
 
 
-@settings(max_examples=100)
-@given(sparse_rows(nrows=6, ncols=4))
-def test_kernel_combos_vanish(rows):
+@settings(max_examples=150)
+@given(sparse_rows(nrows=6, ncols=5), st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+       st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_tag_column_solve(rows, coeffs, extra):
+    # inputs b_t carry a unit tag in column 5 + t; the probe a unit marker in
+    # column -1.  Dependent inputs are added too: their rows are relations
+    # among the tagged inputs, so the reading stays a solution
     vectors = to_sparse(rows)
     ech = SparseEchelon()
-    kers = []
-    for i, v in enumerate(vectors):
-        if not ech.add_row(v, i):
-            residual, combo = ech.reduce(v)
-            assert not residual
-            kernel = {t: -c for t, c in combo.items()}
-            kernel[i] = Fraction(1)
-            kers.append(kernel)
-    for combo in kers:
-        acc = {}
-        for i, c in combo.items():
-            for j, v in vectors[i].items():
-                acc[j] = acc.get(j, 0) + c * v
-        assert all(val == 0 for val in acc.values())
-    # rank-nullity over the row span
-    assert len(kers) == len(vectors) - matrix_rank(vectors)
-
-
-@settings(max_examples=100)
-@given(sparse_rows(nrows=5, ncols=5))
-def test_tracked_reduce_reconstructs(rows):
-    vectors = to_sparse(rows)
-    ech = SparseEchelon()
-    for i, v in enumerate(vectors):
-        ech.add_row(v, i)
-    probe = {0: Fraction(3), 2: Fraction(-1), 4: Fraction(2)}
-    residual, combo = ech.reduce(probe)
-    acc = dict(residual)
-    for tag, c in combo.items():
-        for j, v in vectors[tag].items():
-            acc[j] = acc.get(j, 0) + c * v
-    acc = {j: v for j, v in acc.items() if v}
-    assert acc == {j: v for j, v in probe.items() if v}
-    # residual avoids every pivot column
+    for t, v in enumerate(vectors):
+        ech.add_row({**v, 5 + t: 1})
+    probe = {}
+    for t, v in enumerate(vectors):
+        for j, c in v.items():
+            probe[j] = probe.get(j, 0) + coeffs[t] * c
+    residual = ech.residual({**probe, -1: 1})
     assert not set(residual) & set(ech.rows)
+    marker = residual.pop(-1)
+    assert min(residual, default=5) >= 5
+    acc = {}
+    for tag, c in residual.items():
+        for j, v in vectors[tag - 5].items():
+            acc[j] = acc.get(j, 0) + Fraction(-c, marker) * v
+    assert {j: v for j, v in acc.items() if v} == {j: v for j, v in probe.items() if v}
+    # a probe outside the span leaves a data column in the residual
+    outside = {j: probe.get(j, 0) + c for j, c in enumerate(extra)}
+    left = any(c < 5 for c in ech.residual(outside))
+    span = sympy.Matrix(rows).rank() if rows else 0
+    assert left == (sympy.Matrix(rows + [extra]).rank() > span)
 
 
 def test_coker_complement_picks_unreached_columns():
@@ -131,10 +120,3 @@ class TestSparseEchelon:
         ech = SparseEchelon()
         assert not ech.add_row({})
         assert ech.rank == 0
-
-    def test_tagged_rows_are_pivot_normalized(self):
-        ech = SparseEchelon()
-        assert ech.add_row({0: 2, 1: 3}, "a")
-        assert not ech.add_row({0: 4, 1: 6}, "b")
-        assert ech.rows == {0: {0: 1, 1: Fraction(3, 2)}}
-        assert ech.combos == {0: {"a": Fraction(1, 2)}}

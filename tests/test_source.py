@@ -23,7 +23,7 @@ def test_no_assert_statements():
 
 
 def test_one_elimination_loop():
-    # plain and tagged rows share one elimination loop in linalg
+    # add_row and residual share one elimination loop in linalg
     pops = sum(path.read_text().count("heapq.heappop") for path in SOURCES)
     assert pops == 1
 
@@ -44,8 +44,8 @@ def test_chain_operators_built_in_one_place():
 
 
 def test_integer_counting_layers_import_no_fractions():
-    # Q(t), Phi_m and the vanishing counts are integer work
-    for name in ("counting.py", "cyclo.py", "poly.py"):
+    # Q(t), Phi_m, the vanishing counts and the echelon are integer work
+    for name in ("counting.py", "cyclo.py", "linalg.py", "poly.py"):
         path = next(p for p in SOURCES if p.name == name)
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)

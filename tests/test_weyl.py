@@ -51,11 +51,23 @@ def test_induced_corner_drops_weight_by_two():
 
 
 def test_chain_operators_are_integral():
-    # the projector's Fraction(c, 1) entries would send every echelon row of
-    # the chain down the Fraction path
+    # the echelon rows of the chain are built from these entries, and the
+    # echelon takes ints only
     chain = v21_chain()
     for cols in (chain.nmat, chain.emat):
         assert all(type(c) is int for col in cols for c in col.values())
+
+
+def test_induced_operators_in_the_chosen_basis():
+    # N b_t and E b_t written in the basis by the tag-column solve
+    ps = young_projector()
+    assert ps.nmat == (
+        {1: 1, 2: 2}, {3: 3, 4: -1}, {3: 1, 4: 1, 5: 1}, {6: 1, 7: 2, 8: -1}, {6: 1, 8: 1},
+        {7: 1, 8: 2}, {9: 2, 10: -1}, {9: 2, 11: 1}, {9: 1, 10: 1}, {12: 1, 13: 1}, {12: 1},
+        {13: 2}, {14: 1}, {14: 1}, {})
+    assert ps.emat == (
+        {}, {}, {}, {}, {0: 1}, {}, {1: 1}, {}, {2: 1}, {3: 1}, {4: 2}, {5: -1}, {6: 2},
+        {7: 1, 8: -2}, {9: 2, 10: -3})
 
 
 def test_jordan_blocks():
