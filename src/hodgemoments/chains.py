@@ -2,8 +2,9 @@
 
 A chain is the module C[z] (x) V for a weight-graded space V carrying two
 derivations: the shift N (weight +1) and the corner E (weight -(dim-1) on
-multi-indices).  The degree of z^a v is zweight * a + wt(v), and the
-degree-raising map is
+multi-indices).  A third, the lowering F (weight -1), only certifies the
+Jordan type of N: (N, F) spans an sl2 on V, so the weight counts give it.
+The degree of z^a v is zweight * a + wt(v), and the degree-raising map is
 
     theta_bar = scale * (N + z^{ezshift} E),
 
@@ -23,12 +24,13 @@ both bases (cohomology_bases).
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from operator import add
 
 from .cyclo import CycloInt
 from .families import BadFamilyParams, Family, has_tower, require_admissible
-from .linalg import SparseEchelon, jordan_type, matrix_rank
+from .linalg import SparseEchelon, apply_columns
 from .multiindex import MultiIndex, weak_compositions, weight
 
 Mono = tuple[int, int]  # (z_power, basis index into the graded space V)
@@ -38,28 +40,42 @@ class DegenerateReduction(ArithmeticError):
     """A basis reduction failed an exact consistency check; arithmetic bug."""
 
 
-def shift_action(index: MultiIndex) -> dict[MultiIndex, int]:
-    """Leibniz action of the shift v_i -> v_{i+1} on a monomial v^I."""
+class Sl2CertificateFailed(ArithmeticError):
+    """N, F and the weights of V fail to form an sl2 triple; arithmetic bug."""
+
+
+@lru_cache(maxsize=None)
+def _slot_moves(m: int) -> tuple[tuple, tuple, tuple]:
+    """Slot moves (i, t, c), v_i -> c * v_t, of the shift, corner and lowering on m slots."""
+    return (tuple((i, i + 1, 1) for i in range(m - 1)), ((m - 1, 0, 1),),
+            tuple((i, i - 1, i * (m - i)) for i in range(1, m)))
+
+
+def _leibniz(index: MultiIndex, moves: tuple) -> dict[MultiIndex, int]:
+    """The derivation with these slot moves on a monomial v^I."""
     out = {}
-    m = len(index)
-    for i in range(m - 1):
+    for i, t, c in moves:
         if index[i]:
             tgt = list(index)
             tgt[i] -= 1
-            tgt[i + 1] += 1
-            out[tuple(tgt)] = index[i]
+            tgt[t] += 1
+            out[tuple(tgt)] = index[i] * c
     return out
+
+
+def shift_action(index: MultiIndex) -> dict[MultiIndex, int]:
+    """Leibniz action of the shift v_i -> v_{i+1} on a monomial v^I."""
+    return _leibniz(index, _slot_moves(len(index))[0])
 
 
 def corner_action(index: MultiIndex) -> dict[MultiIndex, int]:
     """Leibniz action of the corner v_{m-1} -> v_0 on a monomial v^I."""
-    m = len(index)
-    if not index[m - 1]:
-        return {}
-    tgt = list(index)
-    tgt[m - 1] -= 1
-    tgt[0] += 1
-    return {tuple(tgt): index[m - 1]}
+    return _leibniz(index, _slot_moves(len(index))[1])
+
+
+def _lowering_action(index: MultiIndex) -> dict[MultiIndex, int]:
+    """Leibniz action of the lowering v_i -> i(m-i) v_{i-1}, so that NF - FN = 2wt - k(m-1)."""
+    return _leibniz(index, _slot_moves(len(index))[2])
 
 
 @dataclass
@@ -76,6 +92,7 @@ class GradedChain:
     emat: list[dict]        # column j -> {i: coeff}
     tower: dict | None      # {(z_power, j): int} for the eta power, else None
     tower_degree: int = 0
+    fmat: list | None = None  # lowering columns, weight -1; None: from the labels on first use
     _slices: dict = field(default_factory=dict, repr=False)
     _by_weight: dict = field(default_factory=dict, repr=False)
     _kappa: list = field(default_factory=list, repr=False)
@@ -286,14 +303,6 @@ def _image_echelons(chain: GradedChain):
             yield d, ech
 
 
-def coker_slice_dims(chain: GradedChain) -> list[int]:
-    """dim coker(theta_bar: slice d-1 -> slice d) for d = 0..max_degree."""
-    out = [0] * (chain.max_degree + 1)
-    for d, image in _image_echelons(chain):
-        out[d] = len(chain.slice_monomials(d)) - image.rank
-    return out
-
-
 def kernel_slice_dims(chain: GradedChain) -> list[int]:
     """dim ker(theta_bar restricted to slice d) for d = 0..max_degree-1."""
     out = [0] * chain.max_degree
@@ -386,13 +395,38 @@ def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
                  for kind, vecs in (("full", full), ("mid", mid if with_mid else full)))
 
 
+def _sl2_strings(chain: GradedChain) -> tuple[int, dict[int, int]]:
+    """(D, {w: number of N-strings from weight w to D - w, for w <= D/2}), certified exactly.
+
+    With D = min wt + max wt, check basis vector by basis vector that N
+    raises and F lowers the weight by one and that NF - FN = (2 wt - D) id.
+    Then V is a finite-dimensional sl2-module, hence a sum of strings, and
+    the strings starting at weight w <= D/2 number dim V_w - dim V_{w-1}.
+    """
+    if chain.fmat is None:
+        pos = {ix: j for j, ix in enumerate(chain.labels)}
+        chain.fmat = [{pos[t]: c for t, c in _lowering_action(ix).items()}
+                      for ix in chain.labels]
+    wts, nmat, fmat = chain.weights, chain.nmat, chain.fmat
+    top = min(wts) + max(wts)
+    for j, w in enumerate(wts):
+        if any(wts[i] != w + 1 for i in nmat[j]) or any(wts[i] != w - 1 for i in fmat[j]):
+            raise Sl2CertificateFailed(f"N or F does not move basis vector {j} by one weight")
+        bracket = apply_columns(fmat, nmat[j])
+        bracket[j] = bracket.get(j, 0) + 2 * w - top
+        if apply_columns(nmat, fmat[j]) != {i: c for i, c in bracket.items() if c}:
+            raise Sl2CertificateFailed(f"NF - FN is not 2 wt - {top} on basis vector {j}")
+    by_w = chain._by_weight
+    return top, {w: len(by_w.get(w, ())) - len(by_w.get(w - 1, ())) for w in range(top // 2 + 1)}
+
+
 def jordan_block_sizes(chain: GradedChain) -> dict[int, int]:
     """Jordan type of the shift N on the chain's space V: size -> count."""
-    return jordan_type(chain.nmat, len(chain.weights))
+    top, starts = _sl2_strings(chain)
+    return {top - 2 * w + 1: c for w, c in reversed(starts.items()) if c}
 
 
 def shift_coker_dims(chain: GradedChain) -> list[int]:
-    """Graded dims of coker(N) on V, weights 0..n*k."""
-    by_w = chain._by_weight
-    return [len(by_w.get(w, ())) - matrix_rank(chain.nmat[j] for j in by_w.get(w - 1, ()))
-            for w in range(chain.n * chain.k + 1)]
+    """Graded dims of coker(N) on V, weights 0..n*k: one per string, at its bottom."""
+    _, starts = _sl2_strings(chain)
+    return [starts.get(w, 0) for w in range(chain.n * chain.k + 1)]

@@ -5,8 +5,8 @@ symmetrize over the row group (all permutations of slots 0,1,2) and
 antisymmetrize over the column group (identity and the swap of slots 0,3).
 The raw sum S of signed permutation operators satisfies S^2 = c S for a
 scalar c; the projector is S / c.  Idempotency, the rank, and commutation
-with the shift and corner derivations are all checked exactly at build
-time, so a wrong normalization cannot slip through.
+with the shift, corner and lowering derivations are all checked exactly at
+build time, so a wrong normalization cannot slip through.
 """
 
 from dataclasses import dataclass
@@ -50,26 +50,15 @@ def _signed_group_elements():
             yield _compose(g, h), sign
 
 
-def _tensor_shift_columns(basis, pos):
+def _tensor_columns(basis, pos, moves):
+    """The derivation sending v_i to c * v_t in every factor, moves = {i: (t, c)}."""
     cols = []
     for t in basis:
         col = {}
-        for s in range(4):
-            if t[s] < 2:
-                u = t[:s] + (t[s] + 1,) + t[s + 1:]
-                col[pos[u]] = col.get(pos[u], 0) + 1
-        cols.append(col)
-    return cols
-
-
-def _tensor_corner_columns(basis, pos):
-    cols = []
-    for t in basis:
-        col = {}
-        for s in range(4):
-            if t[s] == 2:
-                u = t[:s] + (0,) + t[s + 1:]
-                col[pos[u]] = col.get(pos[u], 0) + 1
+        for s, i in enumerate(t):
+            if i in moves:
+                u = pos[t[:s] + (moves[i][0],) + t[s + 1:]]
+                col[u] = col.get(u, 0) + moves[i][1]
         cols.append(col)
     return cols
 
@@ -82,6 +71,7 @@ class ProjectedSpace:
     weights: tuple[int, ...]
     nmat: tuple           # induced shift columns over the projected basis, int entries
     emat: tuple           # induced corner columns, int entries
+    fmat: tuple           # induced lowering columns, int entries
     projector: tuple      # 81 columns, {row: Fraction}
     idem_scalar: int      # S^2 = idem_scalar * S for the raw signed sum S
 
@@ -112,9 +102,11 @@ def young_projector() -> ProjectedSpace:
     scalar = int(scalar)
     proj = [{i: Fraction(c, scalar) for i, c in col.items()} for col in raw]
 
-    shift_cols = _tensor_shift_columns(basis, pos)
-    corner_cols = _tensor_corner_columns(basis, pos)
-    for name, cols in (("shift", shift_cols), ("corner", corner_cols)):
+    shift_cols = _tensor_columns(basis, pos, {0: (1, 1), 1: (2, 1)})
+    corner_cols = _tensor_columns(basis, pos, {2: (0, 1)})
+    lower_cols = _tensor_columns(basis, pos, {1: (0, 2), 2: (1, 2)})
+    for name, cols in (("shift", shift_cols), ("corner", corner_cols),
+                       ("lowering", lower_cols)):
         for j in range(dim):
             left = apply_columns(cols, proj[j])
             right = apply_columns(proj, cols[j])
@@ -168,13 +160,12 @@ def young_projector() -> ProjectedSpace:
             out.append(col)
         return out
 
-    nmat = induced(shift_cols, +1)
-    emat = induced(corner_cols, -2)
     return ProjectedSpace(
         dim=EXPECTED_DIM,
         weights=tuple(w for w, _ in chosen),
-        nmat=tuple(nmat),
-        emat=tuple(emat),
+        nmat=tuple(induced(shift_cols, +1)),
+        emat=tuple(induced(corner_cols, -2)),
+        fmat=tuple(induced(lower_cols, -1)),
         projector=tuple(proj),
         idem_scalar=scalar,
     )
@@ -195,4 +186,5 @@ def v21_chain() -> GradedChain:
         nmat=[dict(col) for col in ps.nmat],
         emat=[dict(col) for col in ps.emat],
         tower=None,
+        fmat=[dict(col) for col in ps.fmat],
     )

@@ -17,7 +17,6 @@ import pytest
 from hodgemoments.chains import (
     build_chain,
     cohomology_bases,
-    coker_slice_dims,
     eigenvector_product,
     jordan_block_sizes,
     kernel_slice_dims,
@@ -41,6 +40,7 @@ from hodgemoments.hodge import (
 from hodgemoments.linalg import apply_columns
 from hodgemoments.multiindex import weak_compositions
 from hodgemoments.weyl import v21_chain, young_projector
+from test_chains import coker_slice_dims
 
 GOLDEN_2_10 = (0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0)
 

@@ -5,9 +5,11 @@ import pytest
 from hodgemoments.chains import (
     BadFamilyParams,
     GradedChain,
+    Sl2CertificateFailed,
+    _image_echelons,
+    _lowering_action,
     build_chain,
     cohomology_bases,
-    coker_slice_dims,
     corner_action,
     eigenvector_product,
     eta_power_vector,
@@ -25,9 +27,18 @@ from hodgemoments.counting import (
 from hodgemoments.cyclo import CycloInt, vanishing_tuple_count
 from hodgemoments.families import Family
 from hodgemoments.hodge import dims_kl
-from hodgemoments.linalg import SparseEchelon, matrix_rank
+from hodgemoments.linalg import SparseEchelon
 from hodgemoments.multiindex import weak_compositions, weight
 from hodgemoments.weyl import v21_chain
+from test_linalg import jordan_type, matrix_rank
+
+
+def coker_slice_dims(chain):
+    """dim coker(theta_bar: slice d-1 -> slice d) for d = 0..max_degree, from the class echelons."""
+    out = [0] * (chain.max_degree + 1)
+    for d, image in _image_echelons(chain):
+        out[d] = len(chain.slice_monomials(d)) - image.rank
+    return out
 
 
 def test_shift_action_leibniz_hand_cases():
@@ -42,6 +53,15 @@ def test_shift_action_leibniz_hand_cases():
 def test_corner_action_hand_cases():
     assert corner_action((0, 0, 2)) == {(1, 0, 1): 2}
     assert corner_action((1, 1, 0)) == {}
+
+
+def test_lowering_action_hand_cases():
+    # v0 v1 v2 -> 2 v0^2 v2 + 2 v0 v1^2 (v1 -> 1*2 v0, v2 -> 2*1 v1)
+    assert _lowering_action((1, 1, 1)) == {(2, 0, 1): 2, (1, 2, 0): 2}
+    # v3^2 -> 2 * 3 v2 v3 with m = 4
+    assert _lowering_action((0, 0, 0, 2)) == {(0, 0, 1, 1): 6}
+    # the bottom slot has nowhere to go
+    assert _lowering_action((3, 0, 0)) == {}
 
 
 class TestChainConstruction:
@@ -325,6 +345,35 @@ SLICE_CASES = [
 
 def _chain(family, n, k):
     return v21_chain() if family is Family.V21 else build_chain(family, n, k)
+
+
+CERTIFICATE_CASES = [
+    (Family.KL_Z, 2, 5), (Family.KL_Z, 3, 7), (Family.KL_Z, 4, 8),
+    (Family.AIRY_Z, 3, 5), (Family.AIRY_Z, 4, 5), (Family.KL_TILDE_T, 2, 4),
+    (Family.V21, 2, 4),
+]
+
+
+@pytest.mark.parametrize("family,n,k", CERTIFICATE_CASES,
+                         ids=[f"{f.value}-{n}-{k}" for f, n, k in CERTIFICATE_CASES])
+def test_sl2_certificate_matches_oracles(family, n, k):
+    # the Jordan type from the ranks of the powers of N, and coker(N) per
+    # weight from the rank of N on the weight below
+    chain = _chain(family, n, k)
+    assert jordan_block_sizes(chain) == jordan_type(chain.nmat, len(chain.weights))
+    assert shift_coker_dims(chain) == [
+        len(_layer(chain, w)) - matrix_rank(chain.nmat[j] for j in _layer(chain, w - 1))
+        for w in range(n * k + 1)]
+
+
+def test_doubled_shift_fails_the_certificate():
+    # 2N has the same Jordan type, but (2N, F) is no sl2 triple for this grading
+    chain = build_chain(Family.KL_Z, 2, 4)
+    chain.nmat = [{i: 2 * c for i, c in col.items()} for col in chain.nmat]
+    with pytest.raises(Sl2CertificateFailed):
+        jordan_block_sizes(chain)
+    with pytest.raises(Sl2CertificateFailed):
+        shift_coker_dims(chain)
 
 
 @pytest.mark.parametrize("family,n,k", SLICE_CASES,

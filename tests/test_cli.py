@@ -7,8 +7,8 @@ import sys
 import pytest
 
 import hodgemoments.cli as cli
-from hodgemoments import cyclo
-from hodgemoments.chains import DegenerateReduction
+from hodgemoments import cyclo, hodge
+from hodgemoments.chains import DegenerateReduction, build_chain
 from hodgemoments.cli import main
 from hodgemoments.families import Family
 from hodgemoments.hodge import HodgeDiamond
@@ -193,6 +193,20 @@ def test_degenerate_reduction_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: reduction failed to reconstruct\n"
+
+
+def test_failed_sl2_certificate_in_verify_exits_1(capsys, monkeypatch):
+    # a chain whose shift is 2N fails the sl2 certificate inside verify
+    def doubled(family, n, k):
+        chain = build_chain(family, n, k)
+        chain.nmat = [{i: 2 * c for i, c in col.items()} for col in chain.nmat]
+        return chain
+
+    monkeypatch.setattr(hodge, "build_chain", doubled)
+    code, out, err = run_main(capsys, "verify", "--n", "2", "--k", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_counts_point_query(capsys):

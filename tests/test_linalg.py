@@ -1,11 +1,45 @@
-"""Sparse echelon machinery, cross-checked against sympy's dense routines."""
+"""Sparse echelon machinery, cross-checked against sympy's dense routines.
+
+matrix_rank and jordan_type are oracles for the other tests: the library
+reads the Jordan type of N off an sl2 certificate instead.
+"""
 
 from fractions import Fraction
 
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from hodgemoments.linalg import SparseEchelon, apply_columns, jordan_type, matrix_rank
+from hodgemoments.linalg import SparseEchelon, apply_columns
+
+
+def matrix_rank(vectors) -> int:
+    ech = SparseEchelon()
+    for v in vectors:
+        ech.add_row(v)
+    return ech.rank
+
+
+def jordan_type(cols, dim: int) -> dict[int, int]:
+    """Jordan type of a nilpotent dim x dim matrix given by columns: size -> count.
+
+    Read off the ranks r_s of its powers: r_{s-1} - 2 r_s + r_{s+1} blocks of size s.
+    """
+    ranks = [dim]
+    cur = cols
+    while ranks[-1]:
+        # the echelon rows span im M^s, so M applied to them spans im M^{s+1}
+        ech = SparseEchelon()
+        for v in cur:
+            ech.add_row(v)
+        ranks.append(ech.rank)
+        cur = [apply_columns(cols, row) for row in ech.rows.values()]
+    ranks.append(0)
+    blocks = {}
+    for s in range(1, len(ranks) - 1):
+        count = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
+        if count:
+            blocks[s] = count
+    return blocks
 
 
 def sparse_rows(nrows=5, ncols=5, lo=-6, hi=6):

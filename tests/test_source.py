@@ -29,9 +29,12 @@ def test_one_elimination_loop():
 
 
 def test_chain_operators_built_in_one_place():
-    # N and E come from shift_action / corner_action in build_chain only;
-    # everything else reads them off the GradedChain
-    calls = {"shift_action": [], "corner_action": []}
+    # N and E come from shift_action / corner_action in build_chain only, and
+    # F from _lowering_action in the sl2 certificate only; each is the one
+    # Leibniz helper of its module on a per-slot move.  weyl's tensor
+    # derivations come from its own helper, in young_projector only
+    calls = {"shift_action": [], "corner_action": [], "_lowering_action": [],
+             "_leibniz": [], "_tensor_columns": []}
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
@@ -39,8 +42,14 @@ def test_chain_operators_built_in_one_place():
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id in calls):
                     calls[node.func.id].append(f"{path.name}:{getattr(top, 'name', '')}")
-    assert calls == {"shift_action": ["chains.py:build_chain"],
-                     "corner_action": ["chains.py:build_chain"]}
+    assert calls == {
+        "shift_action": ["chains.py:build_chain"],
+        "corner_action": ["chains.py:build_chain"],
+        "_lowering_action": ["chains.py:_sl2_strings"],
+        "_leibniz": ["chains.py:shift_action", "chains.py:corner_action",
+                     "chains.py:_lowering_action"],
+        "_tensor_columns": ["weyl.py:young_projector"] * 3,
+    }
 
 
 def test_integer_counting_layers_import_no_fractions():
@@ -55,8 +64,8 @@ def test_integer_counting_layers_import_no_fractions():
         assert "fractions" not in imported, name
 
 
-def test_class_echelons_walked_in_three_places():
-    # the two rank-only walks and the one walk that gives both bases
+def test_class_echelons_walked_in_two_places():
+    # the rank-only kernel walk and the one walk that gives both bases
     callers = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -65,8 +74,19 @@ def test_class_echelons_walked_in_three_places():
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == "_image_echelons"):
                     callers.append(f"{path.name}:{getattr(top, 'name', '')}")
-    assert sorted(callers) == ["chains.py:cohomology_bases", "chains.py:coker_slice_dims",
-                               "chains.py:kernel_slice_dims"]
+    assert sorted(callers) == ["chains.py:cohomology_bases", "chains.py:kernel_slice_dims"]
+
+
+def test_test_oracles_stay_out_of_the_library():
+    # the powers-of-N Jordan type, the rank helper and the per-degree coker
+    # walk are oracles in the tests; the library certifies N with an sl2 triple
+    oracles = {"jordan_type", "matrix_rank", "coker_slice_dims"}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in oracles]
+    assert found == []
 
 
 def test_eigenvector_products_make_no_cycloint_multiply():

@@ -40,6 +40,14 @@ def test_induced_shift_raises_weight():
             assert ps.weights[i] == ps.weights[j] + 1
 
 
+def test_induced_lowering_drops_weight_by_one():
+    ps = young_projector()
+    assert any(ps.fmat)
+    for j, col in enumerate(ps.fmat):
+        for i in col:
+            assert ps.weights[i] == ps.weights[j] - 1
+
+
 def test_induced_corner_drops_weight_by_two():
     ps = young_projector()
     any_nonzero = False
@@ -54,7 +62,7 @@ def test_chain_operators_are_integral():
     # the echelon rows of the chain are built from these entries, and the
     # echelon takes ints only
     chain = v21_chain()
-    for cols in (chain.nmat, chain.emat):
+    for cols in (chain.nmat, chain.emat, chain.fmat):
         assert all(type(c) is int for col in cols for c in col.values())
 
 
