@@ -20,18 +20,26 @@ d-1 slice, further divided by the power tower z^* eta when n = 2 and 3 | k.
 The "middle" basis removes the directions that extend to solutions at 0
 (complement of the shift image in the z^0 layer) and, in the tower case,
 the z^{k/3} v_0^k line in degree k.  One walk of the image echelons gives
-both bases (cohomology_bases).
+both bases (cohomology_bases) and leaves the image ranks for the kernel dims.
+
+The twisted eigenvectors f_I live in the group ring Z[C_m] = Z[x]/(x^m - 1),
+one Python int per coefficient: x -> 2^B (Kronecker substitution) modulo
+M = 2^{mB} - 1, where multiplying by x^e is a rotation of mB bits.  The
+eigen relation is decided modulo Phi_m without CycloInt: alpha vanishes at
+zeta_m iff Psi_m alpha = 0 in Z[C_m], Psi_m = (x^m - 1) / Phi_m, and the
+packing decides that exactly under a bound proven for the chain at hand
+(GroupRingPacking, eigen_relation_failure).
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from operator import add
 
-from .cyclo import CycloInt
+from .cyclo import CycloInt, cyclotomic_poly
 from .families import BadFamilyParams, Family, has_tower, require_admissible
 from .linalg import SparseEchelon, apply_columns
 from .multiindex import MultiIndex, weak_compositions, weight
+from .poly import div_exact_monic
 
 Mono = tuple[int, int]  # (z_power, basis index into the graded space V)
 
@@ -93,6 +101,8 @@ class GradedChain:
     tower: dict | None      # {(z_power, j): int} for the eta power, else None
     tower_degree: int = 0
     fmat: list | None = None  # lowering columns, weight -1; None: from the labels on first use
+    _strings: tuple | None = field(default=None, repr=False)  # the certified sl2 strings
+    _image_ranks: list = field(default_factory=list, repr=False)  # per degree, from a full walk
     _slices: dict = field(default_factory=dict, repr=False)
     _by_weight: dict = field(default_factory=dict, repr=False)
     _kappa: list = field(default_factory=list, repr=False)
@@ -149,47 +159,126 @@ class GradedChain:
         return {(a + r, j): c for (a, j), c in self.tower.items()}
 
 
-def _times_eigenvector(prod: dict, n: int, i: int) -> dict:
-    """prod * f_i in the group ring Z[C_m] = Z[x]/(x^m - 1), m = n + 1.
+def _psi(m: int) -> tuple[int, ...]:
+    """Psi_m = (x^m - 1) / Phi_m, constant term first."""
+    return tuple(div_exact_monic([-1] + [0] * (m - 1) + [1], cyclotomic_poly(m)))
 
-    prod maps J to a length-m coefficient tuple (the coefficient of x^e at
-    position e); the t-power of v^J is n|J| - wt(J) and stays implicit.
-    zeta^e acts as the rotation by e, so nothing is reduced modulo Phi_m.
+
+class GroupRingPacking:
+    """Z[C_m] = Z[x]/(x^m - 1) as one int: x -> 2^B (Kronecker), modulo M = 2^{mB} - 1.
+
+    alpha = sum_{e<m} a_e x^e packs to alpha(2^B) mod M.  As 2^{mB} = 1 mod M
+    this is a ring map Z[C_m] -> Z/M, and x^e alpha is the rotation of the
+    mB bits of any residue 0..M by eB bits.  Two facts make the zero test exact:
+
+    Kronecker injectivity: if every |a_e| < 2^{B-1}, alpha(2^B) is a balanced
+    base-2^B number in (-M/2, M/2), so it is 0 mod M only for alpha = 0.
+    Psi_m: Phi_m Psi_m = x^m - 1 with both factors monic, so by Gauss's lemma
+    Phi_m | alpha iff x^m - 1 | Psi_m alpha, i.e. iff Psi_m alpha = 0 in Z[C_m].
+    So alpha(zeta_m) = 0 iff Psi_m(2^B) alpha(2^B) = 0 mod M, provided the
+    coefficients of Psi_m alpha, at most ||Psi_m||_1 max |a_e|, are below 2^{B-1}.
     """
-    m = n + 1
-    out = {}
-    for jj, vec in prod.items():
-        for slot in range(m):
-            e = i * (n - slot) % m
-            rot = vec[-e:] + vec[:-e] if e else vec
-            tgt = jj[:slot] + (jj[slot] + 1,) + jj[slot + 1:]
-            acc = out.get(tgt)
-            out[tgt] = rot if acc is None else tuple(map(add, acc, rot))
+
+    def __init__(self, m: int, width: int):
+        self.m, self.width = m, width
+        self.modulus = (1 << m * width) - 1
+        self.psi = self.pack(_psi(m))
+
+    def pack(self, coeffs) -> int:
+        """The residue of sum_e coeffs[e] x^e, e < m."""
+        return sum(c << e * self.width for e, c in enumerate(coeffs)) % self.modulus
+
+    def unpack(self, value: int) -> tuple[int, ...]:
+        """The coefficients a_e, all |a_e| < 2^{B-1}, of the element with this residue."""
+        v = value % self.modulus
+        if 2 * v > self.modulus:
+            v -= self.modulus
+        low, half = (1 << self.width) - 1, 1 << (self.width - 1)
+        out = []
+        for _ in range(self.m):
+            d = v & low
+            v >>= self.width
+            if d >= half:
+                d -= 1 << self.width
+                v += 1
+            out.append(d)
+        return tuple(out)
+
+    def all_vanish_mod_phi(self, values) -> bool:
+        """Whether every element with one of these residues vanishes in Z[zeta_m] (bound above)."""
+        psi, modulus = self.psi, self.modulus
+        return not any(psi * v % modulus for v in values)
+
+
+def _raise_tables(m: int, k: int) -> tuple[list, list]:
+    """(levels, steps) for the products of k eigenvectors on m slots.
+
+    levels[L] lists the weak compositions of L in lexicographic order, which
+    is label order; steps[L] is (len(levels[L + 1]), raises) with raises[s][p]
+    the position of levels[L][p] + e_s in levels[L + 1].
+    """
+    levels = [list(weak_compositions(total, m)) for total in range(k + 1)]
+    steps = []
+    for low, high in zip(levels, levels[1:]):
+        pos = {jj: p for p, jj in enumerate(high)}
+        steps.append((len(high), [[pos[jj[:s] + (jj[s] + 1,) + jj[s + 1:]] for jj in low]
+                                  for s in range(m)]))
+    return levels, steps
+
+
+def _packed_times_eigenvector(prod: list, step: tuple, packing: GroupRingPacking,
+                              i: int) -> list:
+    """prod * f_i one level up, f_i = sum_s x^{i(n-s)} t^{n-s} v_s, n = m - 1.
+
+    prod and the result are packed coefficients by label position; the
+    t-power of v^J is n|J| - wt(J) and stays implicit.  x^e rotates each
+    residue; the sums into one target are exact while its coefficients are
+    nonnegative and below 2^B, so that nothing carries.
+    """
+    size, raises = step
+    m, width = packing.m, packing.width
+    mask, bits = packing.modulus, m * width
+    out = [0] * size
+    for s, targets in enumerate(raises):
+        sh = i * (m - 1 - s) % m * width
+        if sh:
+            back = bits - sh
+            for t, v in zip(targets, prod):
+                out[t] += ((v << sh) & mask) | (v >> back)
+        else:
+            for t, v in zip(targets, prod):
+                out[t] += v
     return out
 
 
-def group_ring_eigenvector_products(n: int, k: int):
+def group_ring_eigenvector_products(n: int, k: int, packing: GroupRingPacking):
     """Yield (I, f_I in Z[C_m]) for the weak compositions I of k, in lexicographic order.
 
-    Each f_I is the product of its parent (I minus one unit in its last
-    nonzero slot) and one f_i, so the products share their prefixes; the walk
-    is depth first and holds one product per slot.  The values are
-    {J: coefficient tuple} as in _times_eigenvector; mapping x to zeta_m is a
-    ring homomorphism onto Z[zeta_m], so reducing them with
-    CycloInt.from_exponents gives eigenvector_product.
+    f_I is a list of packed coefficients, one per weak composition J of k in
+    label order, as in _packed_times_eigenvector.  Its coefficients are
+    nonnegative and sum to m^k, so the packing needs m^k < 2^{B-1}.  Each
+    f_I is the product of its parent (I minus one unit in its last nonzero
+    slot) and one f_i, so the products share their prefixes; the walk is
+    depth first and holds one product per slot.  Mapping x to zeta_m is a
+    ring homomorphism onto Z[zeta_m], so reducing the unpacked coefficients
+    with CycloInt.from_exponents gives eigenvector_product.
     """
+    if packing.m != n + 1 or (n + 1) ** k >> (packing.width - 1):
+        raise ValueError(f"the packing cannot hold products of {k} eigenvectors on {n + 1} slots")
+    _, steps = _raise_tables(n + 1, k)
+
     def walk(prefix, prod, slot, left):
         if slot == n:
-            for _ in range(left):
-                prod = _times_eigenvector(prod, n, n)
+            for level in range(k - left, k):
+                prod = _packed_times_eigenvector(prod, steps[level], packing, n)
             yield prefix + (left,), prod
             return
         for e in range(left + 1):
             if e:
-                prod = _times_eigenvector(prod, n, slot)
+                prod = _packed_times_eigenvector(prod, steps[k - left + e - 1], packing, slot)
             yield from walk(prefix + (e,), prod, slot + 1, left - e)
 
-    yield from walk((), {(0,) * (n + 1): (1,) + (0,) * n}, 0, k)
+    yield from walk((), [1], 0, k)
 
 
 def eigenvector_product(n: int, k: int, index: MultiIndex) -> dict:
@@ -203,16 +292,60 @@ def eigenvector_product(n: int, k: int, index: MultiIndex) -> dict:
         raise ValueError(f"expected {m} slots")
     if sum(index) != k:
         raise ValueError("index does not sum to k")
-    prod = {(0,) * m: (1,) + (0,) * n}
-    for i in range(m):
-        for _ in range(index[i]):
-            prod = _times_eigenvector(prod, n, i)
+    packing = GroupRingPacking(m, (m ** k).bit_length() + 1)
+    levels, steps = _raise_tables(m, k)
+    prod, level = [1], 0
+    for i, e in enumerate(index):
+        for _ in range(e):
+            prod = _packed_times_eigenvector(prod, steps[level], packing, i)
+            level += 1
     out = {}
-    for jj, vec in prod.items():
-        c = CycloInt.from_exponents(m, vec)
+    for jj, v in zip(levels[k], prod):
+        c = CycloInt.from_exponents(m, packing.unpack(v))
         if c:
             out[(n * k - weight(jj), jj)] = c
     return out
+
+
+def eigen_relation_failure(chain: GradedChain) -> MultiIndex | None:
+    """The first I, lexicographically, where theta_bar f_I = m c_I t f_I fails, or None.
+
+    chain is a KL_TILDE_T chain and c_I = sum_e I_e zeta^e.  Both sides have
+    degree nk + 1; at each monomial there theta_bar f_I - m lambda_I t f_I,
+    lambda_I = sum_e I_e x^e, is an alpha in Z[C_m], and the relation holds iff
+    every alpha vanishes at zeta_m.  The packing width B is proven for this
+    chain's own theta_bar (see GroupRingPacking):
+
+        every coefficient of f_I is at most m^k, so |alpha_e| <= (l1 + mk) m^k,
+        with l1 the largest l1 norm of a theta_bar row into degree nk + 1;
+        bound = ||Psi_m||_1 (l1 + mk) m^k and B = bound.bit_length() + 2,
+
+    so the coefficients of Psi_m alpha stay below 2^{B-2}, with a factor 2 to spare.
+    """
+    if chain.family is not Family.KL_TILDE_T:
+        raise BadFamilyParams("the eigen relation is stated on the kl-tilde chain")
+    n, k, m = chain.n, chain.k, chain.n + 1
+    rows = {}  # degree nk + 1 monomial -> [(label position of a source, theta_bar coefficient)]
+    for j, w in enumerate(chain.weights):
+        for key, c in chain.theta_bar_mono((n * k - w, j)).items():
+            rows.setdefault(key, []).append((j, c))
+    l1 = max(sum(abs(c) for _, c in row) for row in rows.values())
+    bound = sum(map(abs, _psi(m))) * (l1 + m * k) * m ** k
+    packing = GroupRingPacking(m, bound.bit_length() + 2)
+    # m lambda_I t f_I has its v^J term at the monomial (nk + 1 - wt(J), J)
+    rhs = {(n * k + 1 - w, j): j for j, w in enumerate(chain.weights)}
+    checks = [(rows.get(key, ()), rhs.get(key)) for key in dict.fromkeys([*rows, *rhs])]
+    for index, prod in group_ring_eigenvector_products(n, k, packing):
+        lam = m * packing.pack(index)
+        alphas = []
+        for row, r in checks:
+            acc = 0 if r is None else -lam * prod[r]
+            for j, c in row:
+                acc += c * prod[j]
+            alphas.append(acc)
+        if not packing.all_vanish_mod_phi(alphas):
+            return index
+    return None
 
 
 def eta_power_vector(k: int) -> dict:
@@ -293,6 +426,7 @@ def _image_echelons(chain: GradedChain):
     at a time; callers must not add rows to the yielded echelon.
     """
     kappa = chain._kappa
+    ranks = [0] * (chain.max_degree + 1)
     for r in range(chain.zweight):
         ech = SparseEchelon()
         for d in range(r, chain.max_degree + 1, chain.zweight):
@@ -300,16 +434,22 @@ def _image_echelons(chain: GradedChain):
                 # N and E land in different weights, so dropping the z-power
                 # keeps their keys apart
                 ech.add_row({kappa[i]: c for (_, i), c in chain.theta_bar_mono((0, j)).items()})
+            ranks[d] = ech.rank
             yield d, ech
+    chain._image_ranks = ranks
 
 
 def kernel_slice_dims(chain: GradedChain) -> list[int]:
-    """dim ker(theta_bar restricted to slice d) for d = 0..max_degree-1."""
-    out = [0] * chain.max_degree
-    for d, image in _image_echelons(chain):
-        if d:
-            out[d - 1] = len(chain.slice_monomials(d - 1)) - image.rank
-    return out
+    """dim ker(theta_bar restricted to slice d) for d = 0..max_degree-1.
+
+    The image ranks come from the last full walk of the class echelons, so
+    after cohomology_bases no second walk is needed.
+    """
+    if not chain._image_ranks:
+        for _ in _image_echelons(chain):
+            pass
+    ranks = chain._image_ranks
+    return [len(chain.slice_monomials(d)) - ranks[d + 1] for d in range(chain.max_degree)]
 
 
 @dataclass(frozen=True)
@@ -420,13 +560,20 @@ def _sl2_strings(chain: GradedChain) -> tuple[int, dict[int, int]]:
     return top, {w: len(by_w.get(w, ())) - len(by_w.get(w - 1, ())) for w in range(top // 2 + 1)}
 
 
+def _certified_strings(chain: GradedChain) -> tuple[int, dict[int, int]]:
+    """_sl2_strings, certified once per chain and stored on it like fmat."""
+    if chain._strings is None:
+        chain._strings = _sl2_strings(chain)
+    return chain._strings
+
+
 def jordan_block_sizes(chain: GradedChain) -> dict[int, int]:
     """Jordan type of the shift N on the chain's space V: size -> count."""
-    top, starts = _sl2_strings(chain)
+    top, starts = _certified_strings(chain)
     return {top - 2 * w + 1: c for w, c in reversed(starts.items()) if c}
 
 
 def shift_coker_dims(chain: GradedChain) -> list[int]:
     """Graded dims of coker(N) on V, weights 0..n*k: one per string, at its bottom."""
-    _, starts = _sl2_strings(chain)
+    _, starts = _certified_strings(chain)
     return [starts.get(w, 0) for w in range(chain.n * chain.k + 1)]

@@ -9,16 +9,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .chains import (DegenerateReduction, build_chain, cohomology_bases,
-                     group_ring_eigenvector_products, jordan_block_sizes, kernel_slice_dims,
-                     shift_coker_dims)
+from .chains import (DegenerateReduction, build_chain, cohomology_bases, eigen_relation_failure,
+                     jordan_block_sizes, kernel_slice_dims, shift_coker_dims)
 from .counting import (block_multiplicity, block_multiplicity_n2_closed,
                        bottom_multiplicity, lattice_step, lattice_step_n2_closed,
                        lattice_step_series, solution_dim_at_infinity,
                        solution_dim_at_zero)
-from .cyclo import CycloInt, vanishing_tuple_count
+from .cyclo import vanishing_tuple_count
 from .families import Family, admissible, has_tower, require_admissible
-from .multiindex import weight
 from .series import expand_rational
 from .weyl import v21_chain
 
@@ -404,33 +402,9 @@ def verify(n: int, k: int) -> ConsistencyReport:
             record("tilde-kernel-tail", tail and monotone, f"kernel={kdims}")
 
     if n <= 3 and k <= 6:
-        # theta_bar f_I = m c_I t f_I for the twisted eigenvectors f_I, in the
-        # group ring Z[C_m]; x -> zeta_m is a ring homomorphism, so the relation
-        # holds iff lhs - rhs reduces to zero modulo Phi_m at every key
-        pos = {ix: j for j, ix in enumerate(tchain.labels)}
-        cols = {}
-        for jj, j in pos.items():
-            a = n * k - weight(jj)
-            cols[jj] = ((a + 1, j), tchain.theta_bar_mono((a, j)))
-        bad = None
-        for index, prod in group_ring_eigenvector_products(n, k):
-            diff = {}
-            for jj, vec in prod.items():
-                rhs_key, col = cols[jj]
-                for key, c in col.items():
-                    acc = diff.get(key) or diff.setdefault(key, [0] * m)
-                    for r in range(m):
-                        acc[r] += c * vec[r]
-                # rhs at t^{a+1} v^J: m * (sum_e I_e x^e) * vec
-                acc = diff.get(rhs_key) or diff.setdefault(rhs_key, [0] * m)
-                for e, ie in enumerate(index):
-                    if ie:
-                        for r in range(m):
-                            acc[(r + e) % m] -= m * ie * vec[r]
-            # a zero tuple is zero modulo Phi_m; only the others need reducing
-            if any(any(acc) and CycloInt.from_exponents(m, acc) for acc in diff.values()):
-                bad = index
-                break
+        # theta_bar f_I = m c_I t f_I for the twisted eigenvectors f_I, decided
+        # in the packed group ring Z[C_m] modulo Phi_m
+        bad = eigen_relation_failure(tchain)
         record("tilde-eigen-relation", bad is None, f"first failure at {bad}")
 
     # dimension relations

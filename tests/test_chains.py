@@ -1,13 +1,18 @@
 """Graded chain construction, the degree-1 differential, and basis extraction."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hodgemoments.chains import (
     BadFamilyParams,
     GradedChain,
+    GroupRingPacking,
     Sl2CertificateFailed,
     _image_echelons,
     _lowering_action,
+    _packed_times_eigenvector,
+    _psi,
+    _raise_tables,
     build_chain,
     cohomology_bases,
     corner_action,
@@ -24,7 +29,7 @@ from hodgemoments.counting import (
     bottom_multiplicity,
     lattice_step,
 )
-from hodgemoments.cyclo import CycloInt, vanishing_tuple_count
+from hodgemoments.cyclo import CycloInt, cyclotomic_poly, vanishing_tuple_count
 from hodgemoments.families import Family
 from hodgemoments.hodge import dims_kl
 from hodgemoments.linalg import SparseEchelon
@@ -141,14 +146,25 @@ class TestEigenvectors:
         for n in (1, 2, 3):
             m = n + 1
             for k in range(1, 7):
-                shared = dict(group_ring_eigenvector_products(n, k))
-                assert list(shared) == list(weak_compositions(k, m))
-                for index in weak_compositions(k, m):
+                packing = GroupRingPacking(m, (m ** k).bit_length() + 1)
+                shared = dict(group_ring_eigenvector_products(n, k, packing))
+                labels = list(weak_compositions(k, m))
+                assert list(shared) == labels
+                for index in labels:
                     want = cycloint_eigenvector_product(n, index)
                     assert eigenvector_product(n, k, index) == want, (n, k, index)
-                    reduced = {(n * k - weight(jj), jj): CycloInt.from_exponents(m, vec)
-                               for jj, vec in shared[index].items()}
+                    reduced = {(n * k - weight(jj), jj):
+                               CycloInt.from_exponents(m, packing.unpack(v))
+                               for jj, v in zip(labels, shared[index])}
                     assert {key: c for key, c in reduced.items() if c} == want, (n, k, index)
+
+    def test_products_need_room_in_the_packing(self):
+        # 3^4 = 81 needs 2^{B-1} > 81, so B = 8 is the least width
+        assert len(dict(group_ring_eigenvector_products(2, 4, GroupRingPacking(3, 8)))) == 15
+        with pytest.raises(ValueError):
+            next(group_ring_eigenvector_products(2, 4, GroupRingPacking(3, 7)))
+        with pytest.raises(ValueError):
+            next(group_ring_eigenvector_products(2, 4, GroupRingPacking(4, 8)))
 
     def test_eta_power_is_integral(self):
         vec = eta_power_vector(3)
@@ -195,6 +211,65 @@ def test_kernel_dims_tilde():
 def test_kernel_dims_tilde_coprime_all_zero():
     chain = build_chain(Family.KL_TILDE_T, 2, 4)
     assert not any(kernel_slice_dims(chain))
+
+
+def _cyclic_product(f, g, m):
+    out = [0] * m
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[(i + j) % m] += a * b
+    return out
+
+
+def _packed_case(max_coeff):
+    """(m, width, coefficient tuple) with m = 2..12 and |coefficients| <= max_coeff(width)."""
+    return st.tuples(st.integers(2, 12), st.integers(2, 40)).flatmap(
+        lambda mw: st.tuples(st.just(mw[0]), st.just(mw[1]), st.lists(
+            st.integers(-max_coeff(mw[1]), max_coeff(mw[1])), min_size=mw[0], max_size=mw[0])))
+
+
+class TestGroupRingPacking:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_psi_completes_phi_to_x_m_minus_1(self, m):
+        assert _psi(m)[-1] == 1
+        x_m_minus_1 = [-1] + [0] * (m - 1) + [1] + [0] * (m - 1)
+        assert _cyclic_product(cyclotomic_poly(m), _psi(m), 2 * m) == x_m_minus_1
+
+    @given(_packed_case(lambda width: (1 << width - 1) - 1), st.integers(0, 40))
+    def test_rotation_is_multiplication_by_x_power(self, case, i):
+        # f_i times a constant c puts c x^{i(n-s)} at v_s: one rotation per slot
+        m, width, coeffs = case
+        packing = GroupRingPacking(m, width)
+        value = packing.pack(coeffs)
+        _, steps = _raise_tables(m, 1)
+        out = _packed_times_eigenvector([value], steps[0], packing, i)
+        for s in range(m):
+            e = i * (m - 1 - s) % m
+            x_power = packing.pack([int(r == e) for r in range(m)])
+            # levels[1] lists e_{m-1}, ..., e_0
+            assert out[m - 1 - s] == value * x_power % packing.modulus
+            assert packing.unpack(out[m - 1 - s]) == tuple(coeffs[(r - e) % m] for r in range(m))
+
+    @given(_packed_case(lambda width: 60), st.booleans())
+    def test_psi_test_agrees_with_cycloint(self, case, times_phi):
+        # half the cases are multiples of Phi_m, which vanish at zeta_m
+        m, _, coeffs = case
+        if times_phi:
+            coeffs = _cyclic_product(coeffs, cyclotomic_poly(m), m)
+        bound = sum(map(abs, _psi(m))) * max(1, *map(abs, coeffs))
+        packing = GroupRingPacking(m, bound.bit_length() + 2)
+        want = not CycloInt.from_exponents(m, tuple(coeffs))
+        assert packing.all_vanish_mod_phi([packing.pack(coeffs)]) == want
+        assert want or not times_phi
+
+    @given(st.integers(2, 12), st.integers(2, 64), st.data())
+    def test_extreme_coefficients_round_trip(self, m, width, data):
+        top = (1 << width - 1) - 1
+        coeffs = tuple(data.draw(st.lists(st.sampled_from([-top, top]), min_size=m, max_size=m)))
+        packing = GroupRingPacking(m, width)
+        value = packing.pack(coeffs)
+        assert value
+        assert packing.unpack(value) == coeffs
 
 
 class TestBases:

@@ -43,6 +43,10 @@ GOLDEN = [
      "b79db39c060dd40ce0dc4a8918385e439e204ea43964f311164afd84c8daa8b9"),
     ("verify --n 3 --k 5", 0,
      "b180d7d95c661d120fbc2b83d18a5164b83c2bffbb93aacd9a7a08b39361b0f8"),
+    ("verify --n 3 --k 6", 0,
+     "4902a667b617f1f8340ade8ba9e72f37a7671cafc170fb8b0344567f04c1a1e4"),
+    ("verify --n 2 --k 9", 0,
+     "bdcc5883b646e028b68c826247effc8aae3a232d760acce96899b35c45af75ff"),
 ]
 
 

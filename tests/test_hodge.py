@@ -7,7 +7,8 @@ from math import comb, factorial, gcd, prod
 import pytest
 
 from hodgemoments import hodge
-from hodgemoments.chains import build_chain, eigenvector_product
+from hodgemoments import chains
+from hodgemoments.chains import Sl2CertificateFailed, build_chain, eigenvector_product
 from hodgemoments.cyclo import CycloInt
 from hodgemoments.families import BadFamilyParams, Family
 from hodgemoments.hodge import (
@@ -230,8 +231,7 @@ class TestVerify:
 
     def test_one_basis_walk_per_chain(self, monkeypatch):
         # kl: both bases, which also give the coker dims; kl-tilde: both
-        # bases and kernel dims
-        import hodgemoments.chains as chains
+        # bases, whose walk leaves the image ranks for the kernel dims
         seen = []
         walk = chains._image_echelons
 
@@ -241,11 +241,34 @@ class TestVerify:
 
         monkeypatch.setattr(chains, "_image_echelons", counted)
         assert verify(3, 5).all_pass
-        assert Counter(seen) == {Family.KL_Z: 1, Family.KL_TILDE_T: 2, Family.AIRY_Z: 1}
+        assert Counter(seen) == {Family.KL_Z: 1, Family.KL_TILDE_T: 1, Family.AIRY_Z: 1}
+
+    def test_sl2_certified_once_per_chain(self, monkeypatch):
+        # jordan-blocks and shift-coker read one certificate of the kl chain
+        seen = []
+        certify = chains._sl2_strings
+
+        def counted(chain):
+            seen.append(chain.family)
+            return certify(chain)
+
+        monkeypatch.setattr(chains, "_sl2_strings", counted)
+        assert verify(3, 5).all_pass
+        assert Counter(seen) == {Family.KL_Z: 1}
+
+    def test_corrupted_shift_still_fails_the_certificate(self, monkeypatch):
+        def corrupted_build(family, n_, k_):
+            chain = build_chain(family, n_, k_)
+            _bump_last_n(chain)
+            return chain
+
+        monkeypatch.setattr(hodge, "build_chain", corrupted_build)
+        with pytest.raises(Sl2CertificateFailed):
+            verify(3, 5)
 
     # for n = 1 no two multi-indices share a weight, so no cancelling pair
     @pytest.mark.parametrize("n,k,corrupt", [
-        (n, k, corrupt) for n, k in [(1, 3), (2, 4), (2, 6), (3, 5)]
+        (n, k, corrupt) for n, k in [(1, 3), (2, 4), (2, 6), (3, 5), (3, 6)]
         for corrupt in (_bump_first_e, _bump_last_n, _cancelling_n_pair)
         if n > 1 or corrupt is not _cancelling_n_pair])
     def test_eigen_relation_fails_where_cycloint_oracle_fails(self, monkeypatch, n, k,
@@ -267,16 +290,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 5)])
     def test_eigen_relation_is_decided_modulo_phi(self, monkeypatch, n, k):
-        # adding the norm element 1 + x + ... + x^n to every coefficient of
-        # f_I changes it in Z[C_m] but not in Z[zeta_m]: lhs - rhs is then
+        # adding the packed norm element 1 + x + ... + x^n to every coefficient
+        # of f_I changes it in Z[C_m] but not in Z[zeta_m]: lhs - rhs is then
         # nonzero before the reduction, and the relation must still hold
-        shared = hodge.group_ring_eigenvector_products
+        shared = chains.group_ring_eigenvector_products
 
-        def padded(n_, k_):
-            for index, product in shared(n_, k_):
-                yield index, {jj: tuple(c + 1 for c in vec) for jj, vec in product.items()}
+        def padded(n_, k_, packing):
+            norm = sum(1 << e * packing.width for e in range(n_ + 1))
+            for index, product in shared(n_, k_, packing):
+                yield index, [v + norm for v in product]
 
-        monkeypatch.setattr(hodge, "group_ring_eigenvector_products", padded)
+        monkeypatch.setattr(chains, "group_ring_eigenvector_products", padded)
         check = next(c for c in verify(n, k).checks if c.name == "tilde-eigen-relation")
         assert check.passed, check.detail
 

@@ -90,19 +90,22 @@ def test_test_oracles_stay_out_of_the_library():
 
 
 def test_eigenvector_products_make_no_cycloint_multiply():
-    # the products multiply in the group ring Z[C_m]; the only CycloInt is the
-    # from_exponents reduction once per key, and it is never an operand
+    # the products multiply in the packed group ring Z[C_m] and the eigen
+    # relation is decided there; the only CycloInt is the from_exponents
+    # reduction once per key, and it is never an operand
     path = next(p for p in SOURCES if p.name == "chains.py")
     tree = ast.parse(path.read_text(), filename=str(path))
-    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
     def is_reduction(node):
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and isinstance(node.func.value, ast.Name)
                 and node.func.value.id == "CycloInt" and node.func.attr == "from_exponents")
 
-    for name in ("_times_eigenvector", "group_ring_eigenvector_products",
-                 "eigenvector_product"):
+    for name in ("GroupRingPacking", "_packed_times_eigenvector",
+                 "group_ring_eigenvector_products", "eigenvector_product",
+                 "eigen_relation_failure"):
         nodes = list(ast.walk(funcs[name]))
         uses = sum(1 for node in nodes if isinstance(node, ast.Name) and node.id == "CycloInt")
         assert uses == sum(1 for node in nodes if is_reduction(node)), name
