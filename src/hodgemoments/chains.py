@@ -22,20 +22,22 @@ The "middle" basis removes the directions that extend to solutions at 0
 the z^{k/3} v_0^k line in degree k.  One walk of the image echelons gives
 both bases (cohomology_bases) and leaves the image ranks for the kernel dims.
 
-The twisted eigenvectors f_I live in the group ring Z[C_m] = Z[x]/(x^m - 1),
-one Python int per coefficient: x -> 2^B (Kronecker substitution) modulo
-M = 2^{mB} - 1, where multiplying by x^e is a rotation of mB bits.  The
-eigen relation is decided modulo Phi_m without CycloInt: alpha vanishes at
-zeta_m iff Psi_m alpha = 0 in Z[C_m], Psi_m = (x^m - 1) / Phi_m, and the
-packing decides that exactly under a bound proven for the chain at hand
-(GroupRingPacking, eigen_relation_failure).
+The tower element eta = f_0 f_1 f_2 is the norm of f_0 from Q(zeta_3), an
+integer polynomial in four terms (eta_power_vector), so its powers are plain
+sparse integer products.  The group ring serves the eigen relation only: the
+twisted eigenvectors f_I live in Z[C_m] = Z[x]/(x^m - 1), one Python int per
+coefficient: x -> 2^B (Kronecker substitution) modulo M = 2^{mB} - 1, where
+multiplying by x^e is a rotation of mB bits.  The relation is decided modulo
+Phi_m: alpha vanishes at zeta_m iff Psi_m alpha = 0 in Z[C_m], Psi_m =
+(x^m - 1) / Phi_m, and the packing decides that exactly under a bound proven
+for the chain at hand (GroupRingPacking, eigen_relation_failure).
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .cyclo import CycloInt, cyclotomic_poly
+from .cyclo import cyclotomic_poly
 from .families import BadFamilyParams, Family, has_tower, require_admissible
 from .linalg import SparseEchelon, apply_columns
 from .multiindex import MultiIndex, weak_compositions, weight
@@ -103,7 +105,6 @@ class GradedChain:
     fmat: list | None = None  # lowering columns, weight -1; None: from the labels on first use
     _strings: tuple | None = field(default=None, repr=False)  # the certified sl2 strings
     _image_ranks: list = field(default_factory=list, repr=False)  # per degree, from a full walk
-    _slices: dict = field(default_factory=dict, repr=False)
     _by_weight: dict = field(default_factory=dict, repr=False)
     _kappa: list = field(default_factory=list, repr=False)
 
@@ -127,14 +128,8 @@ class GradedChain:
         """Basis (z_power, j) of the degree-d slice, z_power ascending."""
         if d < 0:
             return []
-        if d not in self._slices:
-            monos = []
-            for a in range(d // self.zweight + 1):
-                w = d - self.zweight * a
-                for j in self._by_weight.get(w, ()):
-                    monos.append((a, j))
-            self._slices[d] = monos
-        return self._slices[d]
+        return [(a, j) for a in range(d // self.zweight + 1)
+                for j in self._by_weight.get(d - self.zweight * a, ())]
 
     def theta_bar_mono(self, mono: Mono) -> dict[Mono, int]:
         """theta_bar of a chain monomial, as chain monomials (degree +1)."""
@@ -188,34 +183,18 @@ class GroupRingPacking:
         """The residue of sum_e coeffs[e] x^e, e < m."""
         return sum(c << e * self.width for e, c in enumerate(coeffs)) % self.modulus
 
-    def unpack(self, value: int) -> tuple[int, ...]:
-        """The coefficients a_e, all |a_e| < 2^{B-1}, of the element with this residue."""
-        v = value % self.modulus
-        if 2 * v > self.modulus:
-            v -= self.modulus
-        low, half = (1 << self.width) - 1, 1 << (self.width - 1)
-        out = []
-        for _ in range(self.m):
-            d = v & low
-            v >>= self.width
-            if d >= half:
-                d -= 1 << self.width
-                v += 1
-            out.append(d)
-        return tuple(out)
-
     def all_vanish_mod_phi(self, values) -> bool:
         """Whether every element with one of these residues vanishes in Z[zeta_m] (bound above)."""
         psi, modulus = self.psi, self.modulus
         return not any(psi * v % modulus for v in values)
 
 
-def _raise_tables(m: int, k: int) -> tuple[list, list]:
-    """(levels, steps) for the products of k eigenvectors on m slots.
+def _raise_tables(m: int, k: int) -> list:
+    """steps[L] = (len(levels[L + 1]), raises) for the products of k eigenvectors on m slots.
 
     levels[L] lists the weak compositions of L in lexicographic order, which
-    is label order; steps[L] is (len(levels[L + 1]), raises) with raises[s][p]
-    the position of levels[L][p] + e_s in levels[L + 1].
+    is label order; raises[s][p] is the position of levels[L][p] + e_s in
+    levels[L + 1].
     """
     levels = [list(weak_compositions(total, m)) for total in range(k + 1)]
     steps = []
@@ -223,7 +202,7 @@ def _raise_tables(m: int, k: int) -> tuple[list, list]:
         pos = {jj: p for p, jj in enumerate(high)}
         steps.append((len(high), [[pos[jj[:s] + (jj[s] + 1,) + jj[s + 1:]] for jj in low]
                                   for s in range(m)]))
-    return levels, steps
+    return steps
 
 
 def _packed_times_eigenvector(prod: list, step: tuple, packing: GroupRingPacking,
@@ -259,13 +238,11 @@ def group_ring_eigenvector_products(n: int, k: int, packing: GroupRingPacking):
     nonnegative and sum to m^k, so the packing needs m^k < 2^{B-1}.  Each
     f_I is the product of its parent (I minus one unit in its last nonzero
     slot) and one f_i, so the products share their prefixes; the walk is
-    depth first and holds one product per slot.  Mapping x to zeta_m is a
-    ring homomorphism onto Z[zeta_m], so reducing the unpacked coefficients
-    with CycloInt.from_exponents gives eigenvector_product.
+    depth first and holds one product per slot.
     """
     if packing.m != n + 1 or (n + 1) ** k >> (packing.width - 1):
         raise ValueError(f"the packing cannot hold products of {k} eigenvectors on {n + 1} slots")
-    _, steps = _raise_tables(n + 1, k)
+    steps = _raise_tables(n + 1, k)
 
     def walk(prefix, prod, slot, left):
         if slot == n:
@@ -279,32 +256,6 @@ def group_ring_eigenvector_products(n: int, k: int, packing: GroupRingPacking):
             yield from walk(prefix + (e,), prod, slot + 1, left - e)
 
     yield from walk((), [1], 0, k)
-
-
-def eigenvector_product(n: int, k: int, index: MultiIndex) -> dict:
-    """Product of twisted eigenvectors f_i = sum_j zeta^{i(n-j)} t^{n-j} v_j.
-
-    Returns {(t_power, J): CycloInt} over multi-indices J with |J| = |index|;
-    every monomial satisfies t_power + wt(J) = n * |index|.
-    """
-    m = n + 1
-    if len(index) != m:
-        raise ValueError(f"expected {m} slots")
-    if sum(index) != k:
-        raise ValueError("index does not sum to k")
-    packing = GroupRingPacking(m, (m ** k).bit_length() + 1)
-    levels, steps = _raise_tables(m, k)
-    prod, level = [1], 0
-    for i, e in enumerate(index):
-        for _ in range(e):
-            prod = _packed_times_eigenvector(prod, steps[level], packing, i)
-            level += 1
-    out = {}
-    for jj, v in zip(levels[k], prod):
-        c = CycloInt.from_exponents(m, packing.unpack(v))
-        if c:
-            out[(n * k - weight(jj), jj)] = c
-    return out
 
 
 def eigen_relation_failure(chain: GradedChain) -> MultiIndex | None:
@@ -348,21 +299,23 @@ def eigen_relation_failure(chain: GradedChain) -> MultiIndex | None:
     return None
 
 
-def eta_power_vector(k: int) -> dict:
-    """eta^{k/3} for n = 2, 3 | k, in t-coordinates: {(t_power, J): int}.
+# eta = f_0 f_1 f_2 = a^3 + b^3 + c^3 - 3abc, with f_i = zeta^{2i} a + zeta^i b + c
+# and a, b, c = t^2 v_0, t v_1, v_2: the norm of f_0 from Q(zeta_3)
+_ETA = {(6, (3, 0, 0)): 1, (3, (0, 3, 0)): 1, (0, (0, 0, 3)): 1, (3, (1, 1, 1)): -3}
 
-    The cyclotomic coefficients collapse to plain integers; anything else is
-    an arithmetic bug, not an input condition.
-    """
+
+def eta_power_vector(k: int) -> dict:
+    """eta^{k/3} for n = 2, 3 | k, in t-coordinates: {(t_power, J): int}."""
     if k % 3:
         raise BadFamilyParams("the tower exists only when 3 divides k")
-    ell = k // 3
-    vec = eigenvector_product(2, k, (ell, ell, ell))
-    out = {}
-    for key, c in vec.items():
-        if not c.is_rational():
-            raise ArithmeticError(f"tower coefficient at {key} is irrational: {c}")
-        out[key] = c.rational_part()
+    out = {(0, (0, 0, 0)): 1}
+    for _ in range(k // 3):
+        prod = {}
+        for (a, (x, y, z)), c in out.items():
+            for (b, (p, q, r)), e in _ETA.items():
+                key = (a + b, (x + p, y + q, z + r))
+                prod[key] = prod.get(key, 0) + c * e
+        out = {key: c for key, c in prod.items() if c}
     return out
 
 

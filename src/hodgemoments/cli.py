@@ -89,8 +89,11 @@ def _emit(doc: dict, fmt: str, out_path):
     else:
         text = _to_md(doc)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise CliError(f"cannot write {out_path}: {err.strerror or err}") from err
     else:
         sys.stdout.write(text)
 

@@ -121,12 +121,6 @@ class CycloInt:
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def rational_part(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
     def _check(self, other: "CycloInt"):
         if self.m != other.m:
             raise ValueError("mixed cyclotomic orders")

@@ -146,7 +146,7 @@ def hodge_kl_from_basis(n: int, k: int) -> HodgeDiamond:
 
 
 def _kl_diamond(chain, mid) -> HodgeDiamond:
-    """The levels of hodge_kl_from_basis, from a KL_Z chain and its middle basis."""
+    """The diamond of a kl or v21 chain on weight n*k + 1, from its middle basis."""
     n, k = chain.n, chain.k
     cards = mid.cardinalities()
     w = n * k + 1
@@ -161,7 +161,7 @@ def _kl_diamond(chain, mid) -> HodgeDiamond:
         for d, count in low.items():
             levels[(w - d, d)] += count
             levels[(d, w - d)] += count
-    return HodgeDiamond(Family.KL_Z, n, k, w, "pure", levels)
+    return HodgeDiamond(chain.family, n, k, w, "pure", levels)
 
 
 def _airy_support(n: int, k: int):
@@ -199,17 +199,14 @@ V21_WEIGHT = 9
 
 
 def hodge_v21(route: str = "basis") -> HodgeDiamond:
-    """Hodge numbers of the 15-dimensional family on weight 9."""
-    levels = {(p, V21_WEIGHT - p): 0 for p in range(V21_WEIGHT + 1)}
-    if route == "closed":
-        levels[(4, 5)] = 1
-        levels[(5, 4)] = 1
-    elif route == "basis":
-        _, mid = cohomology_bases(v21_chain())
-        for d, count in mid.cardinalities().items():
-            levels[(V21_WEIGHT - d, d)] += count
-    else:
+    """Hodge numbers of the 15-dimensional family on weight 9 (n = 2, k = 4: no tower)."""
+    if route == "basis":
+        chain = v21_chain()
+        return _kl_diamond(chain, cohomology_bases(chain)[1])
+    if route != "closed":
         raise ValueError(f"unknown route {route!r}")
+    levels = {(p, V21_WEIGHT - p): 0 for p in range(V21_WEIGHT + 1)}
+    levels[(4, 5)] = levels[(5, 4)] = 1
     return HodgeDiamond(Family.V21, 2, 4, V21_WEIGHT, "pure", levels)
 
 

@@ -17,7 +17,6 @@ import pytest
 from hodgemoments.chains import (
     build_chain,
     cohomology_bases,
-    eigenvector_product,
     jordan_block_sizes,
     kernel_slice_dims,
 )
@@ -40,7 +39,7 @@ from hodgemoments.hodge import (
 from hodgemoments.linalg import apply_columns
 from hodgemoments.multiindex import weak_compositions
 from hodgemoments.weyl import v21_chain, young_projector
-from test_chains import coker_slice_dims
+from test_chains import coker_slice_dims, cycloint_eigenvector_product
 
 GOLDEN_2_10 = (0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0)
 
@@ -172,7 +171,7 @@ def test_criterion_07_tilde_eigenstructure():
             pos = {ix: j for j, ix in enumerate(chain.labels)}
             for index in weak_compositions(k, m):
                 fvec = {(a, pos[jj]): c
-                        for (a, jj), c in eigenvector_product(n, k, index).items()}
+                        for (a, jj), c in cycloint_eigenvector_product(n, index).items()}
                 lhs = apply_columns({mono: chain.theta_bar_mono(mono) for mono in fvec}, fvec)
                 c_index = CycloInt.from_exponents(m, index)
                 rhs = {(a + 1, j): m * c_index * c for (a, j), c in fvec.items()}

@@ -209,6 +209,16 @@ def test_failed_sl2_certificate_in_verify_exits_1(capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_out_exits_2(capsys, tmp_path, where):
+    out_path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = run_main(capsys, "dims", "--family", "kl", "--n", "2", "--k", "4",
+                              "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+
+
 def test_counts_point_query(capsys):
     code, out, _ = run_main(capsys, "counts", "--what", "n", "--n", "2", "--k", "4",
                             "--d", "3")

@@ -132,9 +132,8 @@ def test_signed_orbit_count_small_values():
 def test_rational_detection():
     z = zeta(3, 1)
     s = z + zeta(3, 2)  # zeta + zeta^2 = -1
-    assert s.is_rational()
-    assert s.rational_part() == -1
-    assert not z.is_rational()
+    assert s.coeffs == (-1, 0)
+    assert z.coeffs == (0, 1)
 
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)

@@ -8,7 +8,7 @@ import pytest
 
 from hodgemoments import hodge
 from hodgemoments import chains
-from hodgemoments.chains import Sl2CertificateFailed, build_chain, eigenvector_product
+from hodgemoments.chains import Sl2CertificateFailed, build_chain
 from hodgemoments.cyclo import CycloInt
 from hodgemoments.families import BadFamilyParams, Family
 from hodgemoments.hodge import (
@@ -27,6 +27,7 @@ from hodgemoments.hodge import (
 )
 from hodgemoments.linalg import apply_columns
 from hodgemoments.multiindex import weak_compositions
+from test_chains import cycloint_eigenvector_product
 
 GOLDEN_2_10 = (0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0)
 
@@ -178,7 +179,7 @@ def cycloint_first_eigen_failure(chain, n, k):
     m = n + 1
     pos = {ix: j for j, ix in enumerate(chain.labels)}
     for index in weak_compositions(k, m):
-        fvec = {(a, pos[jj]): c for (a, jj), c in eigenvector_product(n, k, index).items()}
+        fvec = {(a, pos[jj]): c for (a, jj), c in cycloint_eigenvector_product(n, index).items()}
         lhs = apply_columns({mono: chain.theta_bar_mono(mono) for mono in fvec}, fvec)
         c_index = CycloInt.from_exponents(m, index)
         rhs = {(a + 1, j): m * c_index * c for (a, j), c in fvec.items()}
