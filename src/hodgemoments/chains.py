@@ -17,10 +17,12 @@ which is homogeneous of degree +1 in every family:
 
 Cohomology in each degree d is the cokernel of theta_bar from the degree
 d-1 slice, further divided by the power tower z^* eta when n = 2 and 3 | k.
-The "middle" basis removes the directions that extend to solutions at 0
-(complement of the shift image in the z^0 layer) and, in the tower case,
-the z^{k/3} v_0^k line in degree k.  One walk of the image echelons gives
-both bases (cohomology_bases) and leaves the image ranks for the kernel dims.
+Its representatives are the slice monomials off the pivots of the image and
+the tower.  The "middle" part drops the local solutions at 0, which are the
+representatives in the z^0 layer, and, in the tower case, the z^{k/3} v_0^k
+line in degree k; so the middle basis is a filter of the full one.  One walk
+of the image echelons gives both (cohomology_bases) and leaves the image
+ranks for the kernel dims.
 
 The tower element eta = f_0 f_1 f_2 is the norm of f_0 from Q(zeta_3), an
 integer polynomial in four terms (eta_power_vector), so its powers are plain
@@ -409,10 +411,11 @@ def kernel_slice_dims(chain: GradedChain) -> list[int]:
 class BasisSet:
     """Cohomology basis data: per-degree representative vectors.
 
-    kind is "full" or "mid".  Vectors map chain monomials (z_power, j) to
-    integer coefficients; they are echelon representatives, canonical only
-    up to the stated quotients, so tests should rely on cardinalities,
-    degrees and the stated support properties rather than exact entries.
+    kind is "full" or "mid".  Each vector is one chain monomial (z_power, j)
+    with coefficient 1: a non-pivot column of the degree's modulus, which
+    depends on the column order, so tests should rely on cardinalities,
+    degrees and support rather than on which monomials are chosen.  Per
+    degree the mid vectors are a subset of the full ones.
     """
 
     family: Family
@@ -429,54 +432,38 @@ class BasisSet:
 
 
 def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
-    """The full and the middle basis per degree, from one walk of the class echelons.
+    """The full and the middle basis per degree, read off one walk of the class echelons.
 
-    Full: the monomials left over by the image of theta_bar plus the tower.
-    Middle: the same modulus, plus the z^0 embeddings of the shift-cokernel
-    complement (weight-d monomials of V left over by N) and, when 3 | k, the
-    z^{k/3} v_0^k line in degree k; the middle representatives are the full
-    ones still independent of it.  The z^0 columns come first and only z^0
-    sources reach them, so the image's pivots there are N's pivots from
-    weight d-1: the complement is the image's z^0 non-pivots, and every z^0
-    monomial is in the modulus before a representative is chosen.  The
-    middle representatives are therefore monomials off the z^0 layer, and a
-    subset of the full ones.  For airy the middle part is the full
-    cohomology, so both carry the full representatives.
+    Full: the slice monomials that are neither a pivot of the image of
+    theta_bar nor the pivot the tower adds to it.  Middle: the full
+    cohomology less the z^0 embeddings of the shift-cokernel complement
+    (the local solutions at 0) and, when 3 | k, the z^{k/3} v_0^k line in
+    degree k.  The middle basis is a filter of the full one, by two facts:
+
+    * the z^0 columns come first and only z^0 sources reach them, so the
+      image's z^0 pivots are N's pivots from weight d-1, and the z^0 full
+      representatives are exactly the shift-cokernel complement;
+    * the tower starts in degree 2k, where the only z^0 monomial, v_2^k, is
+      in im N, so the tower pivot is never a z^0 column.
+
+    The line monomial is the one of weight 0, the last column of its slice,
+    so it is a full representative exactly when it is not in the image.  For
+    airy the middle part is the full cohomology: mid carries the full basis.
     """
     require_admissible(chain.family, chain.n, chain.k)
     kappa = chain._kappa
-    with_mid = chain.family is not Family.AIRY_Z
-    line = None
-    if chain.tower is not None:
-        line = kappa[chain.labels.index((chain.k,) + (0,) * (len(chain.labels[0]) - 1))]
+    airy = chain.family is Family.AIRY_Z
+    line = None if chain.tower is None else (chain.k // chain.zweight, chain._by_weight[0][0])
     full, mid = {}, {}
     for d, image in _image_echelons(chain):
-        # a fresh echelon over a shallow copy of the image rows: add_row never
-        # changes a stored row, so the image echelon stays as it was
-        ech = SparseEchelon()
-        ech.rows = dict(image.rows)
         tow = chain.tower_slice(d)
-        if tow is not None:
-            ech.add_row({kappa[j]: c for (_, j), c in tow.items()})
-        reps = [mono for mono in chain.slice_monomials(d) if kappa[mono[1]] not in ech.rows]
+        extra = None if tow is None else min(
+            image.residual({kappa[j]: c for (_, j), c in tow.items()}), default=None)
+        reps = [(a, j) for a, j in chain.slice_monomials(d)
+                if kappa[j] not in image.rows and kappa[j] != extra]
         full[d] = tuple({mono: 1} for mono in reps)
-        if not with_mid:
-            continue
-        for j in chain._by_weight.get(d, ()):
-            if kappa[j] not in image.rows:
-                ech.add_row({kappa[j]: 1})
-        if line is not None and d == chain.k:
-            ech.add_row({line: 1})
-        chosen = []
-        for a, j in reps:
-            if not ech.add_row({kappa[j]: 1}):
-                continue
-            if not a:
-                raise DegenerateReduction(
-                    f"z^0 monomial {chain.labels[j]} chosen in degree {d}, outside the "
-                    f"shift-cokernel complement")
-            chosen.append({(a, j): 1})
-        mid[d] = tuple(chosen)
+        mid[d] = full[d] if airy else tuple({mono: 1} for mono in reps
+                                            if mono[0] and mono != line)
     # the middle representatives are among the full ones, so one check covers both
     top = chain.max_degree
     if full[top]:
@@ -485,7 +472,7 @@ def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
             f"{chain.n * chain.k + 1}: the input is outside the range where the "
             f"basis route is valid, or there is an arithmetic bug")
     return tuple(BasisSet(chain.family, chain.n, chain.k, kind, dict(sorted(vecs.items())))
-                 for kind, vecs in (("full", full), ("mid", mid if with_mid else full)))
+                 for kind, vecs in (("full", full), ("mid", mid)))
 
 
 def _sl2_strings(chain: GradedChain) -> tuple[int, dict[int, int]]:

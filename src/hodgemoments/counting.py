@@ -64,13 +64,8 @@ def lattice_count(n: int, k: int, d: int) -> int:
     """Solutions of (n+1) a + wt(I) = d with |I| = k, all entries >= 0."""
     if d < 0:
         return 0
-    counts = _weight_counts(n, k)
-    total = 0
-    for a in range(d // (n + 1) + 1):
-        w = d - (n + 1) * a
-        if w < len(counts):
-            total += counts[w]
-    return total
+    # the weights w = d - (n+1) a that V carries: w = d mod n+1, 0 <= w <= min(d, n*k)
+    return sum(_weight_counts(n, k)[d % (n + 1):min(d, n * k) + 1:n + 1])
 
 
 def lattice_step(n: int, k: int, d: int) -> int:

@@ -210,7 +210,7 @@ def hodge_v21(route: str = "basis") -> HodgeDiamond:
     return HodgeDiamond(Family.V21, 2, 4, V21_WEIGHT, "pure", levels)
 
 
-def _mixed_diamond(k: int, pure_at, diag_center: int) -> HodgeDiamond:
+def _mixed_diamond(family: Family, k: int, pure_at, diag_center: int) -> HodgeDiamond:
     w = 2 * k + 1
     levels = {}
     for p in range(w + 1):
@@ -218,7 +218,7 @@ def _mixed_diamond(k: int, pure_at, diag_center: int) -> HodgeDiamond:
     levels[(k + 1, k + 1)] = diag_center
     for p in range(k + 2, w + 1):
         levels[(p, p)] = 1 if p % 2 else 0
-    return HodgeDiamond(Family.KL_TILDE_T, 2, k, w, "mixed", levels)
+    return HodgeDiamond(family, 2, k, w, "mixed", levels)
 
 
 def mixed_hodge_tilde_kl3(k: int) -> HodgeDiamond:
@@ -233,7 +233,7 @@ def mixed_hodge_tilde_kl3(k: int) -> HodgeDiamond:
         return val
 
     center = (1 if k % 2 == 0 else 0) + dk
-    return _mixed_diamond(k, pure_at, center)
+    return _mixed_diamond(Family.KL_TILDE_T, k, pure_at, center)
 
 
 def mixed_hodge_kl3(k: int) -> HodgeDiamond:
@@ -246,8 +246,7 @@ def mixed_hodge_kl3(k: int) -> HodgeDiamond:
         return pure.levels[(p, 2 * k + 1 - p)]
 
     center = (1 if k % 2 == 0 else 0) + 1
-    dm = _mixed_diamond(k, pure_at, center)
-    return HodgeDiamond(Family.KL_Z, 2, k, 2 * k + 1, "mixed", dm.levels)
+    return _mixed_diamond(Family.KL_Z, k, pure_at, center)
 
 
 @dataclass(frozen=True)
@@ -339,15 +338,15 @@ def verify(n: int, k: int) -> ConsistencyReport:
 
     # chain routes
     if kl_ok:
+        rep, trep = dims_kl(n, k), dims_kl(n, k, Family.KL_TILDE_T)
         full, mid = cohomology_bases(chain)
         if chain.tower is None:
             # without the tower the full basis counts coker(theta_bar) per degree
             dims = [len(v) for v in full.vectors.values()]
             ok = all(dims[d] == lattice_step(n, k, d) for d in range(len(dims)))
-            total_ok = sum(dims) == dims_kl(n, k).dim_h1
+            total_ok = sum(dims) == rep.dim_h1
             record("coker-matches-steps", ok and total_ok,
                    f"dims={dims}")
-        rep = dims_kl(n, k)
         record("basis-totals-kl",
                full.total() == rep.dim_h1 and mid.total() == rep.dim_mid,
                f"full={full.total()} mid={mid.total()} report={rep}")
@@ -379,7 +378,6 @@ def verify(n: int, k: int) -> ConsistencyReport:
     if kl_ok or n <= 3:
         tchain = build_chain(Family.KL_TILDE_T, n, k)
     if kl_ok:
-        trep = dims_kl(n, k, Family.KL_TILDE_T)
         tfull, tmid = cohomology_bases(tchain)
         record("basis-totals-tilde",
                tfull.total() == trep.dim_h1 and tmid.total() == trep.dim_mid,
@@ -406,12 +404,10 @@ def verify(n: int, k: int) -> ConsistencyReport:
 
     # dimension relations
     if kl_ok:
-        zrep = dims_kl(n, k)
-        trep = dims_kl(n, k, Family.KL_TILDE_T)
         record("dims-consistent",
-               zrep.dim_mid >= 0 and trep.dim_mid >= 0
-               and trep.dim_h1 == m * zrep.dim_h1,
-               f"z={zrep} tilde={trep}")
+               rep.dim_mid >= 0 and trep.dim_mid >= 0
+               and trep.dim_h1 == m * rep.dim_h1,
+               f"z={rep} tilde={trep}")
 
     # mixed tables
     if n == 2:
@@ -422,8 +418,9 @@ def verify(n: int, k: int) -> ConsistencyReport:
                and diag_total == 1 + k // 2 + vanishing_tuple_count(3, k),
                f"total={table.total()} expected={expected_total} diag={diag_total}")
         if k % 3 == 0:
+            # the tower case passes the gate, so rep is the kl report
             table = mixed_hodge_kl3(k)
-            expected_total = dims_kl(2, k).dim_h1
+            expected_total = rep.dim_h1
             diag_total = sum(h for (p, q), h in table.levels.items() if p == q)
             record("mixed-kl3", table.total() == expected_total
                    and diag_total == 1 + k // 2 + 1,

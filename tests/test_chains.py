@@ -434,9 +434,9 @@ def _slice_middle(chain):
 
 SLICE_CASES = [
     (Family.KL_Z, 1, 5), (Family.KL_Z, 2, 3), (Family.KL_Z, 2, 4), (Family.KL_Z, 2, 6),
-    (Family.KL_Z, 2, 9), (Family.KL_Z, 3, 5), (Family.KL_Z, 4, 3),
+    (Family.KL_Z, 2, 9), (Family.KL_Z, 2, 12), (Family.KL_Z, 3, 5), (Family.KL_Z, 4, 3),
     (Family.KL_TILDE_T, 2, 3), (Family.KL_TILDE_T, 2, 5), (Family.KL_TILDE_T, 2, 6),
-    (Family.KL_TILDE_T, 2, 9), (Family.KL_TILDE_T, 3, 3),
+    (Family.KL_TILDE_T, 2, 9), (Family.KL_TILDE_T, 2, 12), (Family.KL_TILDE_T, 3, 3),
     (Family.AIRY_Z, 3, 5), (Family.AIRY_Z, 4, 3), (Family.AIRY_Z, 5, 4),
     (Family.V21, 2, 4),
 ]
@@ -502,7 +502,8 @@ OFFER_CASES = [(Family.KL_Z, 3, 5), (Family.KL_Z, 2, 6), (Family.KL_TILDE_T, 2, 
                          ids=[f"{f.value}-{n}-{k}" for f, n, k in OFFER_CASES])
 def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
     # the theta_bar row of each source (0, j) of V goes to the class echelons
-    # once per walk; the tower and middle-modulus rows are not theta_bar rows
+    # once per walk, and it is the only row added: both bases are read off
+    # the image echelons, the tower through a residual
     chain = _chain(family, n, k)
     sources = []
     theta_bar_mono = GradedChain.theta_bar_mono
@@ -511,9 +512,6 @@ def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
         sources.append(mono)
         return theta_bar_mono(self, mono)
 
-    monkeypatch.setattr(GradedChain, "theta_bar_mono", counted_theta_bar)
-    cohomology_bases(chain)
-    assert sorted(sources) == [(0, j) for j in range(len(chain.weights))]
     calls = []
     add_row = SparseEchelon.add_row
 
@@ -521,6 +519,11 @@ def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
         calls.append(vec)
         return add_row(self, vec)
 
+    monkeypatch.setattr(GradedChain, "theta_bar_mono", counted_theta_bar)
     monkeypatch.setattr(SparseEchelon, "add_row", counted_add_row)
+    cohomology_bases(chain)
+    assert sorted(sources) == [(0, j) for j in range(len(chain.weights))]
+    assert len(calls) == len(chain.weights)
+    calls.clear()
     coker_slice_dims(chain)
     assert len(calls) == len(chain.weights)

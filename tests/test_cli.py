@@ -226,6 +226,14 @@ def test_counts_point_query(capsys):
     assert json.loads(out)["payload"]["value"] == 1
 
 
+def test_counts_point_query_far_past_the_top(capsys):
+    # past n*k + 1 every step is 0, and the count does not loop up to d
+    code, out, _ = run_main(capsys, "counts", "--what", "n", "--n", "1", "--k", "1",
+                            "--d", "1000000000000")
+    assert code == 0
+    assert json.loads(out)["payload"]["value"] == 0
+
+
 def test_counts_orbit_representatives(capsys):
     _, out, _ = run_main(capsys, "counts", "--what", "a", "--n", "2", "--k", "3")
     payload = json.loads(out)["payload"]

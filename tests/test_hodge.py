@@ -143,6 +143,7 @@ class TestMixedTables:
     def test_tilde_k3_fixed_table(self):
         dm = mixed_hodge_tilde_kl3(3)
         assert dm.kind == "mixed"
+        assert dm.family is Family.KL_TILDE_T
         assert dm.nonzero() == {
             (1, 6): 1, (2, 5): 1, (3, 4): 1, (4, 3): 1, (4, 4): 1,
             (5, 2): 1, (5, 5): 1, (6, 1): 1, (7, 7): 1,
@@ -151,6 +152,7 @@ class TestMixedTables:
 
     def test_kl3_k6_fixed_table(self):
         dm = mixed_hodge_kl3(6)
+        assert (dm.family, dm.kind) == (Family.KL_Z, "mixed")
         assert dm.nonzero() == {
             (3, 10): 1, (5, 8): 1, (7, 7): 2, (8, 5): 1, (9, 9): 1,
             (10, 3): 1, (11, 11): 1, (13, 13): 1,
@@ -243,6 +245,19 @@ class TestVerify:
         monkeypatch.setattr(chains, "_image_echelons", counted)
         assert verify(3, 5).all_pass
         assert Counter(seen) == {Family.KL_Z: 1, Family.KL_TILDE_T: 1, Family.AIRY_Z: 1}
+
+    def test_one_dimension_report_per_family(self, monkeypatch):
+        # at (2, 6) basis-totals, dims-consistent and mixed-kl3 all read a report
+        seen = []
+        report = hodge.dims_kl
+
+        def counted(n, k, family=Family.KL_Z):
+            seen.append(family)
+            return report(n, k, family)
+
+        monkeypatch.setattr(hodge, "dims_kl", counted)
+        assert verify(2, 6).all_pass
+        assert Counter(seen) == {Family.KL_Z: 1, Family.KL_TILDE_T: 1}
 
     def test_sl2_certified_once_per_chain(self, monkeypatch):
         # jordan-blocks and shift-coker read one certificate of the kl chain
