@@ -145,6 +145,18 @@ class GradedChain:
             out[key] = out.get(key, 0) + self.scale * c
         return out
 
+    def _theta_bar_row(self, j: int) -> dict[int, int]:
+        """theta_bar of the source (0, j) under the class column keys _kappa.
+
+        N and E land in different weights, so dropping the z-power keeps
+        their keys apart; the row is the same for every source (a, j).
+        """
+        kappa, scale = self._kappa, self.scale
+        row = {kappa[i]: scale * c for i, c in self.nmat[j].items()}
+        for i, c in self.emat[j].items():
+            row[kappa[i]] = scale * c
+        return row
+
     def tower_slice(self, d: int) -> dict[Mono, int] | None:
         """The tower element of degree d, if the family carries one."""
         if self.tower is None or d < self.tower_degree:
@@ -380,15 +392,12 @@ def _image_echelons(chain: GradedChain):
     the top z-power first, which keeps fill-in low.  Degrees come one class
     at a time; callers must not add rows to the yielded echelon.
     """
-    kappa = chain._kappa
     ranks = [0] * (chain.max_degree + 1)
     for r in range(chain.zweight):
         ech = SparseEchelon()
         for d in range(r, chain.max_degree + 1, chain.zweight):
             for j in reversed(chain._by_weight.get(d - 1, ())):
-                # N and E land in different weights, so dropping the z-power
-                # keeps their keys apart
-                ech.add_row({kappa[i]: c for (_, i), c in chain.theta_bar_mono((0, j)).items()})
+                ech.add_row(chain._theta_bar_row(j))
             ranks[d] = ech.rank
             yield d, ech
     chain._image_ranks = ranks

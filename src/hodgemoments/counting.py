@@ -43,21 +43,14 @@ def bottom_multiplicity(n: int, k: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _weight_counts(n: int, k: int) -> tuple[int, ...]:
-    """#{I : |I| = k, wt(I) = w} for w = 0..n*k, over n+1 slots."""
-    top = n * k
-    table = [[0] * (top + 1) for _ in range(k + 1)]
-    table[0][0] = 1
-    for slot in range(n + 1):
-        for c in range(1, k + 1):
-            prev = table[c - 1]
-            cur = table[c]
-            if slot == 0:
-                for w in range(top + 1):
-                    cur[w] += prev[w]
-            else:
-                for w in range(slot, top + 1):
-                    cur[w] += prev[w - slot]
-    return tuple(table[k])
+    """#{I : |I| = k, wt(I) = w} for w = 0..n*k, over n+1 slots.
+
+    The row is the Gaussian binomial [n+k choose n]_t, symmetric in n and k:
+    prod_{i=1..lo} (1 - t^{hi+i}) / (1 - t^i) with lo, hi = min, max of n, k.
+    Its numerator has degree at most 2nk, so the work and the list are O(nk).
+    """
+    lo, hi = sorted((n, k))
+    return binomial_quotient(range(hi + 1, hi + lo + 1), range(1, lo + 1))
 
 
 def lattice_count(n: int, k: int, d: int) -> int:

@@ -20,17 +20,13 @@ from math import gcd
 
 
 def _strip_int_row(vec, pivot):
-    g = 0
-    for v in vec.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        for c in list(vec):
-            vec[c] //= g
+    # divide by the gcd, with the sign that leaves the pivot entry positive
+    g = gcd(*vec.values())
     if vec[pivot] < 0:
-        for c in list(vec):
-            vec[c] = -vec[c]
+        g = -g
+    if g != 1:
+        for c in vec:
+            vec[c] //= g
 
 
 class SparseEchelon:
@@ -44,33 +40,39 @@ class SparseEchelon:
         return len(self.rows)
 
     def _eliminate(self, vec):
-        """Remove every pivot column from vec's support, in ascending order."""
-        heap = list(vec)
+        """Remove every pivot column from vec's support, in ascending order.
+
+        The heap holds only pivot columns.  A row's support lies at or past
+        its pivot, so once a pivot is eliminated no later row brings it back,
+        and a second heap entry for it finds it gone from vec.
+        """
+        rows = self.rows
+        heap = [c for c in vec if c in rows]
         heapq.heapify(heap)
-        seen = set()
         while heap:
             c = heapq.heappop(heap)
-            if c in seen or c not in vec or not vec[c]:
+            a = vec.get(c)
+            if a is None:
                 continue
-            seen.add(c)
-            row = self.rows.get(c)
-            if row is None:
-                continue
-            a = vec[c]
+            row = rows[c]
             b = row[c]
             g = gcd(a, b)
             sv, sr = b // g, -(a // g)
             if sv != 1:
-                for cc in list(vec):
+                for cc in vec:
                     vec[cc] *= sv
             for cc, v in row.items():
-                nv = vec.get(cc, 0) + sr * v
-                if nv:
-                    if cc not in vec and cc not in seen:
+                old = vec.get(cc)
+                if old is None:
+                    vec[cc] = sr * v
+                    if cc in rows:
                         heapq.heappush(heap, cc)
-                    vec[cc] = nv
-                elif cc in vec:
-                    del vec[cc]
+                else:
+                    nv = old + sr * v
+                    if nv:
+                        vec[cc] = nv
+                    else:
+                        del vec[cc]
 
     def residual(self, vec) -> dict:
         """A nonzero multiple of vec minus a combination of the rows, off every pivot."""

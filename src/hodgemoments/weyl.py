@@ -105,12 +105,12 @@ def young_projector() -> ProjectedSpace:
     shift_cols = _tensor_columns(basis, pos, {0: (1, 1), 1: (2, 1)})
     corner_cols = _tensor_columns(basis, pos, {2: (0, 1)})
     lower_cols = _tensor_columns(basis, pos, {1: (0, 2), 2: (1, 2)})
+    # the projector is S / scalar with scalar > 0, so it commutes with a
+    # derivation exactly when S does: check that over Z
     for name, cols in (("shift", shift_cols), ("corner", corner_cols),
                        ("lowering", lower_cols)):
         for j in range(dim):
-            left = apply_columns(cols, proj[j])
-            right = apply_columns(proj, cols[j])
-            if left != right:
+            if apply_columns(cols, raw[j]) != apply_columns(raw, cols[j]):
                 raise DimensionMismatch(f"projector does not commute with the {name}")
 
     # graded image basis: independent columns of S, weight by weight; each is

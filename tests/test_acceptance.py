@@ -6,7 +6,6 @@ a FAIL line is followed by the assertion detail from pytest itself.
 """
 
 import json
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -39,6 +38,7 @@ from hodgemoments.hodge import (
 from hodgemoments.linalg import apply_columns
 from hodgemoments.multiindex import weak_compositions
 from hodgemoments.weyl import v21_chain, young_projector
+from conftest import run_module
 from test_chains import coker_slice_dims, cycloint_eigenvector_product
 
 GOLDEN_2_10 = (0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0)
@@ -225,22 +225,17 @@ def test_criterion_10_airy_3_2():
 
 @criterion(11, "command line end to end")
 def test_criterion_11_cli():
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "hodgemoments", *argv],
-                              capture_output=True, text=True)
-
-    sweep = run("verify", "--sweep", "--max-n", "3", "--max-k", "10")
+    sweep = run_module("verify", "--sweep", "--max-n", "3", "--max-k", "10")
     assert sweep.returncode == 0, sweep.stderr
     assert json.loads(sweep.stdout)["payload"]["all_pass"] is True
 
-    both = run("hodge", "--family", "kl", "--n", "2", "--k", "10",
-               "--route", "both")
+    both = run_module("hodge", "--family", "kl", "--n", "2", "--k", "10", "--route", "both")
     assert both.returncode == 0, both.stderr
     assert json.loads(both.stdout)["payload"]["equal"] is True
 
-    bad = run("hodge", "--family", "kl", "--n", "2")
+    bad = run_module("hodge", "--family", "kl", "--n", "2")
     assert bad.returncode == 2
-    worse = run("hodge", "--family", "unknown", "--n", "2", "--k", "3")
+    worse = run_module("hodge", "--family", "unknown", "--n", "2", "--k", "3")
     assert worse.returncode == 2
 
 

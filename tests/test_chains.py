@@ -506,11 +506,11 @@ def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
     # the image echelons, the tower through a residual
     chain = _chain(family, n, k)
     sources = []
-    theta_bar_mono = GradedChain.theta_bar_mono
+    theta_bar_row = GradedChain._theta_bar_row
 
-    def counted_theta_bar(self, mono):
-        sources.append(mono)
-        return theta_bar_mono(self, mono)
+    def counted_theta_bar_row(self, j):
+        sources.append(j)
+        return theta_bar_row(self, j)
 
     calls = []
     add_row = SparseEchelon.add_row
@@ -519,11 +519,24 @@ def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
         calls.append(vec)
         return add_row(self, vec)
 
-    monkeypatch.setattr(GradedChain, "theta_bar_mono", counted_theta_bar)
+    monkeypatch.setattr(GradedChain, "_theta_bar_row", counted_theta_bar_row)
     monkeypatch.setattr(SparseEchelon, "add_row", counted_add_row)
     cohomology_bases(chain)
-    assert sorted(sources) == [(0, j) for j in range(len(chain.weights))]
+    assert sorted(sources) == list(range(len(chain.weights)))
     assert len(calls) == len(chain.weights)
     calls.clear()
     coker_slice_dims(chain)
     assert len(calls) == len(chain.weights)
+
+
+@pytest.mark.parametrize("family,n,k", OFFER_CASES,
+                         ids=[f"{f.value}-{n}-{k}" for f, n, k in OFFER_CASES])
+def test_theta_bar_row_rekeys_theta_bar_mono(family, n, k):
+    # the class row read straight off N and E is theta_bar of the source
+    # (0, j) with each monomial (a, i) keyed by _kappa[i]: every scale
+    # (kl-tilde multiplies by n + 1) and the tower case included
+    chain = _chain(family, n, k)
+    for j in range(len(chain.weights)):
+        image = chain.theta_bar_mono((0, j))
+        assert len({i for _, i in image}) == len(image)
+        assert chain._theta_bar_row(j) == {chain._kappa[i]: c for (_, i), c in image.items()}

@@ -1,8 +1,6 @@
 """End-to-end CLI behavior: document shape, formats, determinism, exit codes."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -12,6 +10,7 @@ from hodgemoments.chains import DegenerateReduction, build_chain
 from hodgemoments.cli import main
 from hodgemoments.families import Family
 from hodgemoments.hodge import HodgeDiamond
+from conftest import run_module
 
 
 def run_main(capsys, *argv):
@@ -172,10 +171,7 @@ def test_counts_d_on_a_prime_power_enumerates_nothing(capsys, monkeypatch):
 
 def test_failed_internal_check_is_one_line_exit_1():
     # d_k(6, 5) != 0, which the airy gate does not see: the support check fails
-    proc = subprocess.run(
-        [sys.executable, "-m", "hodgemoments", "hodge", "--family", "airy",
-         "--n", "6", "--k", "5"],
-        capture_output=True, text=True)
+    proc = run_module("hodge", "--family", "airy", "--n", "6", "--k", "5")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
@@ -326,10 +322,7 @@ def test_bad_choice_is_usage_error():
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hodgemoments", "dims", "--family", "kl",
-         "--n", "2", "--k", "10"],
-        capture_output=True, text=True)
+    proc = run_module("dims", "--family", "kl", "--n", "2", "--k", "10")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["payload"]["dim_h1"] == 22

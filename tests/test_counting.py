@@ -5,6 +5,7 @@ over weak compositions, with no generating functions involved, so the two
 routes share nothing but the answer.
 """
 
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -12,6 +13,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hodgemoments.counting import (
+    _weight_counts,
     block_multiplicity,
     block_multiplicity_n2_closed,
     block_multiplicity_poly,
@@ -52,6 +54,18 @@ def test_lattice_count_against_enumeration(n, k):
     far = [10 ** 12 + r for r in range(n + 1)] + [10 ** 15]
     for d in [*range(n * k + 4), *far]:
         assert lattice_count(n, k, d) == brute_lattice_count(n, k, d), (n, k, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_weight_counts_against_enumeration(n):
+    for k in range(1, 9):
+        counts = Counter(weight(ix) for ix in weak_compositions(k, n + 1))
+        assert _weight_counts(n, k) == tuple(counts[w] for w in range(n * k + 1)), (n, k)
+
+
+def test_weight_counts_of_two_slots_at_large_k():
+    # min(n, k) = 1 factor: the old (k+1) x (nk+1) table held nine million cells here
+    assert _weight_counts(1, 3000) == (1,) * 3001
 
 
 def test_lattice_count_negative_degree():

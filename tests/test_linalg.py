@@ -4,12 +4,71 @@ matrix_rank and jordan_type are oracles for the other tests: the library
 reads the Jordan type of N off an sl2 certificate instead.
 """
 
+import heapq
 from fractions import Fraction
+from math import gcd
 
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from hodgemoments.linalg import SparseEchelon, apply_columns
+
+
+class OracleEchelon(SparseEchelon):
+    """The elimination loop as it stood before the pivot-only heap, kept as an oracle.
+
+    Every column of the probe goes on the heap, a seen set skips repeats and
+    the rows are stripped by a running gcd; the kernel must make the same
+    fraction-free steps in the same order, so its rows come out identical.
+    """
+
+    def _eliminate(self, vec):
+        heap = list(vec)
+        heapq.heapify(heap)
+        seen = set()
+        while heap:
+            c = heapq.heappop(heap)
+            if c in seen or c not in vec or not vec[c]:
+                continue
+            seen.add(c)
+            row = self.rows.get(c)
+            if row is None:
+                continue
+            a = vec[c]
+            b = row[c]
+            g = gcd(a, b)
+            sv, sr = b // g, -(a // g)
+            if sv != 1:
+                for cc in list(vec):
+                    vec[cc] *= sv
+            for cc, v in row.items():
+                nv = vec.get(cc, 0) + sr * v
+                if nv:
+                    if cc not in vec and cc not in seen:
+                        heapq.heappush(heap, cc)
+                    vec[cc] = nv
+                elif cc in vec:
+                    del vec[cc]
+
+    def add_row(self, vec) -> bool:
+        vec = {c: v for c, v in vec.items() if v}
+        self._eliminate(vec)
+        if not vec:
+            return False
+        pivot = min(vec)
+        g = 0
+        for v in vec.values():
+            g = gcd(g, v)
+            if g == 1:
+                break
+        if g > 1:
+            for c in list(vec):
+                vec[c] //= g
+        if vec[pivot] < 0:
+            for c in list(vec):
+                vec[c] = -vec[c]
+        self.rows[pivot] = vec
+        return True
 
 
 def matrix_rank(vectors) -> int:
@@ -141,6 +200,43 @@ def test_jordan_type_of_shift_blocks():
     cols = [{1: 1}, {2: 1}, {}, {4: 1}, {}, {}]
     assert jordan_type(cols, 6) == {1: 1, 2: 1, 3: 1}
     assert jordan_type([], 0) == {}
+
+
+def _items(echelon):
+    """The stored rows with their key order, which dict equality ignores."""
+    return [(pivot, list(row.items())) for pivot, row in echelon.rows.items()]
+
+
+# columns from -1 (the solve marker) to 5, few enough that entries often
+# cancel in one step and come back in a later one
+_ORACLE_ROW = st.dictionaries(st.integers(-1, 5), st.integers(-4, 4), max_size=6)
+
+
+@settings(max_examples=300)
+@given(st.lists(_ORACLE_ROW, max_size=9), st.lists(_ORACLE_ROW, max_size=4))
+def test_kernel_matches_oracle_loop(rows, probes):
+    ech, oracle = SparseEchelon(), OracleEchelon()
+    for row in rows:
+        assert ech.add_row(row) == oracle.add_row(row)
+        assert _items(ech) == _items(oracle)
+    for probe in probes:
+        for vec in (probe, {**probe, -1: 1}):
+            got = ech.residual(vec)
+            assert list(got.items()) == list(oracle.residual(vec).items())
+
+
+def test_kernel_matches_oracle_when_a_pivot_cancels_and_returns():
+    # eliminating column 0 cancels column 2, eliminating column 1 brings it
+    # back, so column 2 goes on the heap twice and is eliminated once
+    rows = [{0: 1, 2: 1}, {1: 1, 2: -1, 3: 1}, {2: 1, 3: 1}, {-1: 2, 3: 3}]
+    ech, oracle = SparseEchelon(), OracleEchelon()
+    for row in rows:
+        ech.add_row(row)
+        oracle.add_row(row)
+    assert _items(ech) == _items(oracle)
+    for probe in ({0: 1, 1: 1, 2: 1}, {-1: 1, 0: 1, 1: 1, 2: 1}):
+        assert ech.residual(probe) == oracle.residual(probe) != {}
+    assert ech.residual({0: 1, 1: 1, 2: 1}) == {3: -2}
 
 
 class TestSparseEchelon:

@@ -1,19 +1,14 @@
 """The report scripts under scripts/, run end to end as subprocesses."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, src_env
 
 
 def run_script(name, *argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
 
 
 def test_show_basis_prints_the_middle_basis():

@@ -3,9 +3,12 @@
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
+from hodgemoments import weyl
 from hodgemoments.chains import cohomology_bases, jordan_block_sizes
 from hodgemoments.linalg import apply_columns
-from hodgemoments.weyl import v21_chain, young_projector
+from hodgemoments.weyl import DimensionMismatch, v21_chain, young_projector
 
 
 def test_projector_dimension_and_scalar():
@@ -97,3 +100,25 @@ def test_basis_vectors_live_in_projected_coordinates():
             for (a, j), c in vec.items():
                 assert 0 <= j < 15
                 assert a >= 1
+
+
+def test_commutation_check_rejects_a_bad_shift(monkeypatch):
+    # the check runs on the integer signed sum S, not on S / c; one wrong
+    # entry of the shift columns must still stop the build
+    tensor_columns = weyl._tensor_columns
+
+    def bad_shift(basis, pos, moves):
+        cols = tensor_columns(basis, pos, moves)
+        if moves == {0: (1, 1), 1: (2, 1)}:
+            j = next(j for j, col in enumerate(cols) if col)
+            i = next(iter(cols[j]))
+            cols[j][i] += 1
+        return cols
+
+    young_projector.cache_clear()
+    monkeypatch.setattr(weyl, "_tensor_columns", bad_shift)
+    try:
+        with pytest.raises(DimensionMismatch, match="does not commute with the shift"):
+            young_projector()
+    finally:
+        young_projector.cache_clear()
