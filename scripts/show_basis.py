@@ -2,12 +2,16 @@
 
     python3 scripts/show_basis.py --family kl --n 2 --k 6 --mid
     python3 scripts/show_basis.py --family kl-tilde --n 2 --k 3
+
+Input outside the admissible range is one `error:` line on stderr with exit
+2; a failed internal check is one `error:` line with exit 1.
 """
 
 import argparse
+import sys
 
 from hodgemoments.chains import build_chain, cohomology_bases
-from hodgemoments.families import Family
+from hodgemoments.families import Family, require_admissible
 from hodgemoments.weyl import v21_chain
 
 
@@ -26,22 +30,6 @@ def fmt_mono(chain, mono, var):
     return " ".join(parts) if parts else "1"
 
 
-def fmt_vec(chain, vec, var):
-    terms = []
-    for mono, c in sorted(vec.items()):
-        mono_s = fmt_mono(chain, mono, var)
-        if c == 1:
-            terms.append(f"+ {mono_s}")
-        elif c == -1:
-            terms.append(f"- {mono_s}")
-        elif c < 0:
-            terms.append(f"- {-c} {mono_s}")
-        else:
-            terms.append(f"+ {c} {mono_s}")
-    out = " ".join(terms)
-    return out[2:] if out.startswith("+ ") else out
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--family", default="kl",
@@ -52,15 +40,22 @@ def main():
     args = ap.parse_args()
 
     fam = Family(args.family)
-    if fam is Family.V21:
-        chain = v21_chain()
-        var = "z"
-    else:
-        if args.n is None or args.k is None:
-            ap.error("--n and --k are required for this family")
-        chain = build_chain(fam, args.n, args.k)
-        var = "t" if fam is Family.KL_TILDE_T else "z"
-    full, mid = cohomology_bases(chain)
+    if fam is not Family.V21 and (args.n is None or args.k is None):
+        ap.error("--n and --k are required for this family")
+    try:
+        if fam is Family.V21:
+            chain = v21_chain()
+        else:
+            require_admissible(fam, args.n, args.k)
+            chain = build_chain(fam, args.n, args.k)
+        full, mid = cohomology_bases(chain)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (RuntimeError, ArithmeticError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    var = "t" if fam is Family.KL_TILDE_T else "z"
     basis = mid if args.mid else full
 
     print(f"family={fam.value} n={chain.n} k={chain.k} kind={basis.kind} "
@@ -70,9 +65,10 @@ def main():
         if not vecs:
             continue
         print(f"degree {d}:")
-        for vec in vecs:
-            print(f"  {fmt_vec(chain, vec, var)}")
+        for mono in vecs:
+            print(f"  {fmt_mono(chain, mono, var)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

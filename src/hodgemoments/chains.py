@@ -17,12 +17,13 @@ which is homogeneous of degree +1 in every family:
 
 Cohomology in each degree d is the cokernel of theta_bar from the degree
 d-1 slice, further divided by the power tower z^* eta when n = 2 and 3 | k.
-Its representatives are the slice monomials off the pivots of the image and
-the tower.  The "middle" part drops the local solutions at 0, which are the
-representatives in the z^0 layer, and, in the tower case, the z^{k/3} v_0^k
-line in degree k; so the middle basis is a filter of the full one.  One walk
-of the image echelons gives both (cohomology_bases) and leaves the image
-ranks for the kernel dims.
+Its representatives are slice monomials (z_power, j) off the pivots of the
+image and the tower; keyed by j alone (_kappa), a theta_bar row and the tower
+are each one row in every degree.  The "middle" part drops the local
+solutions at 0, which are the representatives in the z^0 layer, and, in the
+tower case, the z^{k/3} v_0^k line in degree k; so the middle basis is a
+filter of the full one.  One walk of the image echelons gives both
+(cohomology_bases) and leaves the image ranks for the kernel dims.
 
 The tower element eta = f_0 f_1 f_2 is the norm of f_0 from Q(zeta_3), an
 integer polynomial in four terms (eta_power_vector), so its powers are plain
@@ -133,18 +134,6 @@ class GradedChain:
         return [(a, j) for a in range(d // self.zweight + 1)
                 for j in self._by_weight.get(d - self.zweight * a, ())]
 
-    def theta_bar_mono(self, mono: Mono) -> dict[Mono, int]:
-        """theta_bar of a chain monomial, as chain monomials (degree +1)."""
-        a, j = mono
-        out = {}
-        for i, c in self.nmat[j].items():
-            key = (a, i)
-            out[key] = out.get(key, 0) + self.scale * c
-        for i, c in self.emat[j].items():
-            key = (a + self.ezshift, i)
-            out[key] = out.get(key, 0) + self.scale * c
-        return out
-
     def _theta_bar_row(self, j: int) -> dict[int, int]:
         """theta_bar of the source (0, j) under the class column keys _kappa.
 
@@ -156,16 +145,6 @@ class GradedChain:
         for i, c in self.emat[j].items():
             row[kappa[i]] = scale * c
         return row
-
-    def tower_slice(self, d: int) -> dict[Mono, int] | None:
-        """The tower element of degree d, if the family carries one."""
-        if self.tower is None or d < self.tower_degree:
-            return None
-        excess = d - self.tower_degree
-        if excess % self.zweight:
-            return None
-        r = excess // self.zweight
-        return {(a + r, j): c for (a, j), c in self.tower.items()}
 
 
 def _psi(m: int) -> tuple[int, ...]:
@@ -290,15 +269,17 @@ def eigen_relation_failure(chain: GradedChain) -> MultiIndex | None:
     if chain.family is not Family.KL_TILDE_T:
         raise BadFamilyParams("the eigen relation is stated on the kl-tilde chain")
     n, k, m = chain.n, chain.k, chain.n + 1
-    rows = {}  # degree nk + 1 monomial -> [(label position of a source, theta_bar coefficient)]
-    for j, w in enumerate(chain.weights):
-        for key, c in chain.theta_bar_mono((n * k - w, j)).items():
+    # zweight is 1, so a degree nk + 1 monomial is fixed by its index in V and
+    # the class keys _kappa name the targets of the sources (nk - wt(j), j)
+    rows = {}  # target key -> [(label position of a source, theta_bar coefficient)]
+    for j in range(len(chain.weights)):
+        for key, c in chain._theta_bar_row(j).items():
             rows.setdefault(key, []).append((j, c))
     l1 = max(sum(abs(c) for _, c in row) for row in rows.values())
     bound = sum(map(abs, _psi(m))) * (l1 + m * k) * m ** k
     packing = GroupRingPacking(m, bound.bit_length() + 2)
     # m lambda_I t f_I has its v^J term at the monomial (nk + 1 - wt(J), J)
-    rhs = {(n * k + 1 - w, j): j for j, w in enumerate(chain.weights)}
+    rhs = {key: j for j, key in enumerate(chain._kappa)}
     checks = [(rows.get(key, ()), rhs.get(key)) for key in dict.fromkeys([*rows, *rhs])]
     for index, prod in group_ring_eigenvector_products(n, k, packing):
         lam = m * packing.pack(index)
@@ -418,20 +399,20 @@ def kernel_slice_dims(chain: GradedChain) -> list[int]:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Cohomology basis data: per-degree representative vectors.
+    """Cohomology basis data: per-degree representatives.
 
-    kind is "full" or "mid".  Each vector is one chain monomial (z_power, j)
-    with coefficient 1: a non-pivot column of the degree's modulus, which
-    depends on the column order, so tests should rely on cardinalities,
-    degrees and support rather than on which monomials are chosen.  Per
-    degree the mid vectors are a subset of the full ones.
+    kind is "full" or "mid".  Each representative is one chain monomial
+    (z_power, j), the class of that basis vector: a non-pivot column of the
+    degree's modulus, which depends on the column order, so tests should rely
+    on cardinalities, degrees and support rather than on which monomials are
+    chosen.  Per degree the mid monomials are a subset of the full ones.
     """
 
     family: Family
     n: int
     k: int
     kind: str
-    vectors: dict  # degree -> tuple of {Mono: int}
+    vectors: dict  # degree -> tuple of Mono
 
     def cardinalities(self) -> dict[int, int]:
         return {d: len(v) for d, v in self.vectors.items() if v}
@@ -463,15 +444,16 @@ def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
     kappa = chain._kappa
     airy = chain.family is Family.AIRY_Z
     line = None if chain.tower is None else (chain.k // chain.zweight, chain._by_weight[0][0])
+    # z^r eta, the tower element of each degree 2k + r zweight, is one class row
+    tower = None if chain.tower is None else {kappa[j]: c for (_, j), c in chain.tower.items()}
     full, mid = {}, {}
     for d, image in _image_echelons(chain):
-        tow = chain.tower_slice(d)
-        extra = None if tow is None else min(
-            image.residual({kappa[j]: c for (_, j), c in tow.items()}), default=None)
-        reps = [(a, j) for a, j in chain.slice_monomials(d)
-                if kappa[j] not in image.rows and kappa[j] != extra]
-        full[d] = tuple({mono: 1} for mono in reps)
-        mid[d] = full[d] if airy else tuple({mono: 1} for mono in reps
+        excess = d - chain.tower_degree
+        extra = (min(image.residual(tower), default=None)
+                 if tower is not None and excess >= 0 and excess % chain.zweight == 0 else None)
+        full[d] = tuple((a, j) for a, j in chain.slice_monomials(d)
+                        if kappa[j] not in image.rows and kappa[j] != extra)
+        mid[d] = full[d] if airy else tuple(mono for mono in full[d]
                                             if mono[0] and mono != line)
     # the middle representatives are among the full ones, so one check covers both
     top = chain.max_degree

@@ -68,17 +68,10 @@ def _report_payload(rep) -> dict:
     }
 
 
-def _render_vector(vec, labels) -> list:
-    """Translate a {(z_power, column): coeff} vector through the chain labels."""
-    terms = []
-    for (a, j), c in sorted(vec.items()):
-        term = {"coeff": c, "z": a}
-        if labels is None:
-            term["u"] = j
-        else:
-            term["v"] = list(labels[j])
-        terms.append(term)
-    return terms
+def _render_vector(mono, labels) -> list:
+    """A representative monomial (z_power, column) as one unit term, through the chain labels."""
+    a, j = mono
+    return [{"coeff": 1, "z": a, **({"u": j} if labels is None else {"v": list(labels[j])})}]
 
 
 def _emit(doc: dict, fmt: str, out_path):

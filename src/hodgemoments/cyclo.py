@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .multiindex import MultiIndex, canonical_rotation, rotate, weak_compositions
-from .poly import div_exact_monic
+from .poly import _divmod_monic, div_exact_monic
 
 # most exponent tuples one count may enumerate when m is not a prime power;
 # at 6 to 15 microseconds a tuple (m = 6 to 15), up to about 8 s
@@ -55,20 +55,10 @@ def _prime_power_base(m: int) -> "int | None":
 
 
 def _reduce_mod_cyclotomic(coeffs: list[int], m: int) -> tuple[int, ...]:
+    """coeffs mod Phi_m, in the power basis 1..zeta^{phi(m)-1}."""
     phi = cyclotomic_poly(m)
-    deg = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            work[i] = 0
-            for j, p in enumerate(phi[:-1]):
-                work[i - deg + j] -= c * p
-    while len(work) > deg:
-        work.pop()
-    while len(work) < deg:
-        work.append(0)
-    return tuple(work)
+    _, rem = _divmod_monic(coeffs, phi)
+    return tuple(rem) + (0,) * (len(phi) - 1 - len(rem))
 
 
 @dataclass(frozen=True)

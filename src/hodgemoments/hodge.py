@@ -95,13 +95,10 @@ def dims_airy(n: int, k: int) -> DimReport:
     return DimReport(Family.AIRY_Z, n, k, h1, h1, 0, 0, h1)
 
 
-def _pure_diamond(family: Family, n: int, k: int, weight: int, half) -> HodgeDiamond:
-    """Assemble a pure diamond from h(p) on the low half, mirrored upward."""
-    levels = {}
-    for p in range(weight + 1):
-        src = p if 2 * p <= weight else weight - p
-        levels[(p, weight - p)] = half(src)
-    return HodgeDiamond(family, n, k, weight, "pure", levels)
+def _pure_diamond(family: Family, n: int, k: int, weight: int, h) -> HodgeDiamond:
+    """The pure diamond with h(p) at (p, weight - p), p = 0..weight."""
+    return HodgeDiamond(family, n, k, weight, "pure",
+                        {(p, weight - p): h(p) for p in range(weight + 1)})
 
 
 def hodge_kl_closed(n: int, k: int) -> HodgeDiamond:
@@ -112,10 +109,11 @@ def hodge_kl_closed(n: int, k: int) -> HodgeDiamond:
     w = n * k + 1
     series = lattice_step_series(n, w + 1, k + 1)
 
-    def half(p: int) -> int:
-        return series.coeff(p - n - 1, k) if p >= n + 1 else 0
+    def h(p: int) -> int:
+        low = min(p, w - p)
+        return series.coeff(low - n - 1, k) if low >= n + 1 else 0
 
-    return _pure_diamond(Family.KL_Z, n, k, w, half)
+    return _pure_diamond(Family.KL_Z, n, k, w, h)
 
 
 def hodge_kl3_div3(k: int) -> HodgeDiamond:
@@ -123,11 +121,11 @@ def hodge_kl3_div3(k: int) -> HodgeDiamond:
     if k % 3:
         raise ValueError("this table needs 3 | k")
 
-    def half(p: int) -> int:
-        base = p // 6 + (1 if p % 6 in (3, 5) else 0)
-        return base - (1 if p == k else 0)
+    def h(p: int) -> int:
+        low = min(p, 2 * k + 1 - p)
+        return low // 6 + (low % 6 in (3, 5)) - (low == k)
 
-    return _pure_diamond(Family.KL_Z, 2, k, 2 * k + 1, half)
+    return _pure_diamond(Family.KL_Z, 2, k, 2 * k + 1, h)
 
 
 def hodge_kl_from_basis(n: int, k: int) -> HodgeDiamond:
@@ -147,52 +145,44 @@ def hodge_kl_from_basis(n: int, k: int) -> HodgeDiamond:
 
 def _kl_diamond(chain, mid) -> HodgeDiamond:
     """The diamond of a kl or v21 chain on weight n*k + 1, from its middle basis."""
-    n, k = chain.n, chain.k
+    k, w = chain.k, chain.n * chain.k + 1
     cards = mid.cardinalities()
-    w = n * k + 1
-    levels = {(p, w - p): 0 for p in range(w + 1)}
     if chain.tower is None:
-        for d, count in cards.items():
-            levels[(w - d, d)] += count
-    else:
-        low = {d: c for d, c in cards.items() if d <= k}
-        if 2 * sum(low.values()) != mid.total():
-            raise DegenerateReduction("the low half of the middle basis is not half of it")
-        for d, count in low.items():
-            levels[(w - d, d)] += count
-            levels[(d, w - d)] += count
-    return HodgeDiamond(chain.family, n, k, w, "pure", levels)
+        return _pure_diamond(chain.family, chain.n, k, w, lambda p: cards.get(w - p, 0))
+    if 2 * sum(c for d, c in cards.items() if d <= k) != mid.total():
+        raise DegenerateReduction("the low half of the middle basis is not half of it")
+    return _pure_diamond(chain.family, chain.n, k, w, lambda p: cards.get(min(p, w - p), 0))
 
 
-def _airy_support(n: int, k: int):
-    top = n * k - n - k + 1
-    return [(Fraction(p + n + k, n + 1), Fraction(n * k + 1 - p, n + 1))
-            for p in range(top + 1)]
+def _airy_diamond(n: int, k: int, h) -> HodgeDiamond:
+    """h(p) at the (n+1)-th fraction levels ((p+n+k)/(n+1), (nk+1-p)/(n+1)), p <= nk-n-k+1."""
+    levels = {(_level(Fraction(p + n + k, n + 1)), _level(Fraction(n * k + 1 - p, n + 1))): h(p)
+              for p in range(n * k - n - k + 2)}
+    return HodgeDiamond(Family.AIRY_Z, n, k, k + 1, "pure", levels)
 
 
 def hodge_airy_closed(n: int, k: int) -> HodgeDiamond:
-    """Closed-route Airy Hodge numbers; levels are (n+1)-th fractions."""
+    """Closed-route Airy Hodge numbers, from the bivariate generating function."""
     require_admissible(Family.AIRY_Z, n, k)
     top = n * k - n - k + 1
     series = expand_rational([1, -1], [(n, 0)] + [(i, 1) for i in range(n)],
                              max(top + 1, 1), k + 1)
-    levels = {}
-    for p in range(top + 1):
-        key = (_level(Fraction(p + n + k, n + 1)), _level(Fraction(n * k + 1 - p, n + 1)))
-        levels[key] = series.coeff(p, k)
-    return HodgeDiamond(Family.AIRY_Z, n, k, k + 1, "pure", levels)
+    return _airy_diamond(n, k, lambda p: series.coeff(p, k))
 
 
 def hodge_airy_from_basis(n: int, k: int) -> HodgeDiamond:
-    """Basis route: a degree-d class contributes at level (n*k + 1 - d)/(n + 1)."""
+    """Basis route: a degree-d class contributes at level (n*k + 1 - d)/(n + 1), p = top - d."""
     require_admissible(Family.AIRY_Z, n, k)
     chain = build_chain(Family.AIRY_Z, n, k)
     basis, _ = cohomology_bases(chain)
-    levels = {(_level(p), _level(q)): 0 for p, q in _airy_support(n, k)}
-    for d, count in basis.cardinalities().items():
-        key = (_level(Fraction(n * k + 1 - d, n + 1)), _level(Fraction(d + n + k, n + 1)))
-        levels[key] += count
-    return HodgeDiamond(Family.AIRY_Z, n, k, k + 1, "pure", levels)
+    cards = basis.cardinalities()
+    top = n * k - n - k + 1
+    diamond = _airy_diamond(n, k, lambda p: cards.get(top - p, 0))
+    if diamond.total() != basis.total():
+        raise DegenerateReduction(
+            f"airy classes in degrees {sorted(d for d in cards if d > top)} lie past the "
+            f"top degree {top} of the Hodge support")
+    return diamond
 
 
 V21_WEIGHT = 9
@@ -205,19 +195,13 @@ def hodge_v21(route: str = "basis") -> HodgeDiamond:
         return _kl_diamond(chain, cohomology_bases(chain)[1])
     if route != "closed":
         raise ValueError(f"unknown route {route!r}")
-    levels = {(p, V21_WEIGHT - p): 0 for p in range(V21_WEIGHT + 1)}
-    levels[(4, 5)] = levels[(5, 4)] = 1
-    return HodgeDiamond(Family.V21, 2, 4, V21_WEIGHT, "pure", levels)
+    return _pure_diamond(Family.V21, 2, 4, V21_WEIGHT, lambda p: int(p in (4, 5)))
 
 
 def _mixed_diamond(family: Family, k: int, pure_at, diag_center: int) -> HodgeDiamond:
     w = 2 * k + 1
-    levels = {}
-    for p in range(w + 1):
-        levels[(p, w - p)] = pure_at(p)
-    levels[(k + 1, k + 1)] = diag_center
-    for p in range(k + 2, w + 1):
-        levels[(p, p)] = 1 if p % 2 else 0
+    levels = {**_pure_diamond(family, 2, k, w, pure_at).levels, (k + 1, k + 1): diag_center}
+    levels.update({(p, p): p % 2 for p in range(k + 2, w + 1)})
     return HodgeDiamond(family, 2, k, w, "mixed", levels)
 
 

@@ -35,8 +35,8 @@ def binomial_quotient(ups, downs) -> tuple[int, ...]:
     return tuple(f[:deg + 1])
 
 
-def div_exact_monic(f, g) -> list[int]:
-    """Quotient f / g for monic g, raising RemainderNonzero unless exact."""
+def _divmod_monic(f, g) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of f by monic g; the remainder has min(len(f), deg g) slots."""
     rem = list(f)
     dg = len(g) - 1
     quot = [0] * (len(rem) - dg)
@@ -45,6 +45,12 @@ def div_exact_monic(f, g) -> list[int]:
         if c:
             for j, b in enumerate(g):
                 rem[i + j] -= c * b
+    return quot, rem[:dg]
+
+
+def div_exact_monic(f, g) -> list[int]:
+    """Quotient f / g for monic g, raising RemainderNonzero unless exact."""
+    quot, rem = _divmod_monic(f, g)
     if any(rem):
         raise RemainderNonzero("division left a nonzero remainder")
     return quot

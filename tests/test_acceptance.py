@@ -39,7 +39,7 @@ from hodgemoments.linalg import apply_columns
 from hodgemoments.multiindex import weak_compositions
 from hodgemoments.weyl import v21_chain, young_projector
 from conftest import run_module
-from test_chains import coker_slice_dims, cycloint_eigenvector_product
+from test_chains import coker_slice_dims, cycloint_eigenvector_product, theta_bar_mono
 
 GOLDEN_2_10 = (0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0)
 
@@ -172,7 +172,7 @@ def test_criterion_07_tilde_eigenstructure():
             for index in weak_compositions(k, m):
                 fvec = {(a, pos[jj]): c
                         for (a, jj), c in cycloint_eigenvector_product(n, index).items()}
-                lhs = apply_columns({mono: chain.theta_bar_mono(mono) for mono in fvec}, fvec)
+                lhs = apply_columns({mono: theta_bar_mono(chain, mono) for mono in fvec}, fvec)
                 c_index = CycloInt.from_exponents(m, index)
                 rhs = {(a + 1, j): m * c_index * c for (a, j), c in fvec.items()}
                 assert _dict_eq(lhs, rhs), (n, k, index)

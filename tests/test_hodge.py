@@ -1,6 +1,7 @@
 """Hodge tables: closed formulas against the basis route, plus fixed values."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
@@ -8,7 +9,7 @@ import pytest
 
 from hodgemoments import hodge
 from hodgemoments import chains
-from hodgemoments.chains import Sl2CertificateFailed, build_chain
+from hodgemoments.chains import DegenerateReduction, Sl2CertificateFailed, build_chain
 from hodgemoments.cyclo import CycloInt
 from hodgemoments.families import BadFamilyParams, Family
 from hodgemoments.hodge import (
@@ -27,7 +28,7 @@ from hodgemoments.hodge import (
 )
 from hodgemoments.linalg import apply_columns
 from hodgemoments.multiindex import weak_compositions
-from test_chains import cycloint_eigenvector_product
+from test_chains import cycloint_eigenvector_product, theta_bar_mono
 
 GOLDEN_2_10 = (0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0)
 
@@ -120,11 +121,37 @@ class TestAiry:
     def test_routes_agree(self, n, k):
         assert hodge_airy_closed(n, k).levels == hodge_airy_from_basis(n, k).levels
 
+    def test_basis_class_past_the_support_is_named(self, monkeypatch):
+        # a class above degree nk - n - k + 1 has no Hodge level: the basis
+        # route raises instead of dropping it
+        bases = hodge.cohomology_bases
+
+        def one_class_too_high(chain):
+            full, mid = bases(chain)
+            top = chain.n * chain.k - chain.n - chain.k + 1
+            vectors = {**full.vectors, top + 1: full.vectors[top + 1] + ((0, 0),)}
+            return replace(full, vectors=vectors), mid
+
+        monkeypatch.setattr(hodge, "cohomology_bases", one_class_too_high)
+        with pytest.raises(DegenerateReduction, match=r"degrees \[3\] lie past the top degree 2"):
+            hodge_airy_from_basis(3, 2)
+
     def test_integer_levels_render_as_ints(self):
         # when n + 1 divides the numerator the level collapses to an int
         dm = hodge_airy_closed(2, 5)
         kinds = {type(p) for p, q in dm.levels}
         assert kinds <= {int, Fraction}
+
+
+def test_diamond_layouts_put_h_of_p_at_p():
+    # the layouts mirror nothing; the callers that need Hodge symmetry fold p
+    pure = hodge._pure_diamond(Family.KL_Z, 1, 2, 3, lambda p: 10 + p)
+    assert pure.levels == {(0, 3): 10, (1, 2): 11, (2, 1): 12, (3, 0): 13}
+    airy = hodge._airy_diamond(3, 2, lambda p: 10 + p)
+    assert airy.levels == {(Fraction(5, 4), Fraction(7, 4)): 10,
+                           (Fraction(3, 2), Fraction(3, 2)): 11,
+                           (Fraction(7, 4), Fraction(5, 4)): 12}
+    assert (airy.weight, airy.kind) == (3, "pure")
 
 
 class TestV21:
@@ -182,7 +209,7 @@ def cycloint_first_eigen_failure(chain, n, k):
     pos = {ix: j for j, ix in enumerate(chain.labels)}
     for index in weak_compositions(k, m):
         fvec = {(a, pos[jj]): c for (a, jj), c in cycloint_eigenvector_product(n, index).items()}
-        lhs = apply_columns({mono: chain.theta_bar_mono(mono) for mono in fvec}, fvec)
+        lhs = apply_columns({mono: theta_bar_mono(chain, mono) for mono in fvec}, fvec)
         c_index = CycloInt.from_exponents(m, index)
         rhs = {(a + 1, j): m * c_index * c for (a, j), c in fvec.items()}
         if {key: c for key, c in lhs.items() if c} != {key: c for key, c in rhs.items() if c}:

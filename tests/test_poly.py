@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from hodgemoments.poly import RemainderNonzero, binomial_quotient, div_exact_monic
+from hodgemoments.poly import RemainderNonzero, _divmod_monic, binomial_quotient, div_exact_monic
 
 t = sympy.symbols("t")
 
@@ -60,6 +60,17 @@ def test_binomial_quotient_rejects_remainder(ups, downs):
 def test_div_exact_recovers_factor(f, g):
     g = g + [1]  # monic
     assert div_exact_monic(times(f, g), g) == f
+
+
+@given(small_polys, small_polys)
+def test_divmod_monic_matches_sympy(f, g):
+    # the one division loop behind div_exact_monic and the reduction mod Phi_m
+    g = g + [1]  # monic
+    quot, rem = _divmod_monic(f, g)
+    want_q, want_r = sympy.div(to_sympy(f), to_sympy(g))
+    assert to_sympy(quot or [0]) == want_q
+    assert to_sympy(rem or [0]) == want_r
+    assert len(rem) == min(len(f), len(g) - 1)
 
 
 def test_div_exact_rejects_remainder():

@@ -81,9 +81,11 @@ def test_test_oracles_stay_out_of_the_library():
     # the powers-of-N Jordan type, the rank helper and the per-degree coker
     # walk are oracles in the tests; the library certifies N with an sl2 triple.
     # The eigenvector products in Z[zeta_m], the balanced unpacker of the
-    # packed group ring and the rationality test of CycloInt are test-only too
+    # packed group ring and the rationality test of CycloInt are test-only too,
+    # and so are theta_bar and the tower on chain monomials, z-powers kept
     oracles = {"jordan_type", "matrix_rank", "coker_slice_dims", "eigenvector_product",
-               "cycloint_eigenvector_product", "unpack", "is_rational", "rational_part"}
+               "cycloint_eigenvector_product", "unpack", "is_rational", "rational_part",
+               "theta_bar_mono", "tower_slice"}
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
