@@ -22,8 +22,12 @@ image and the tower; keyed by j alone (_kappa), a theta_bar row and the tower
 are each one row in every degree.  The "middle" part drops the local
 solutions at 0, which are the representatives in the z^0 layer, and, in the
 tower case, the z^{k/3} v_0^k line in degree k; so the middle basis is a
-filter of the full one.  One walk of the image echelons gives both
-(cohomology_bases) and leaves the image ranks for the kernel dims.
+filter of the full one.  Both (cohomology_bases) and the kernel dims read
+one walk of the image echelons: the degree in which each column key first
+becomes an image pivot.  The walk reads only m, k, zweight, scale and whether
+there is a tower, never the family or n, so it is kept for the life of the
+process under those (_image_walk): the rank-n Airy chain is the rank-n
+Kloosterman chain with a longer range of degrees, and shares its walk.
 
 The tower element eta = f_0 f_1 f_2 is the norm of f_0 from Q(zeta_3), an
 integer polynomial in four terms (eta_power_vector), so its powers are plain
@@ -107,7 +111,6 @@ class GradedChain:
     tower_degree: int = 0
     fmat: list | None = None  # lowering columns, weight -1; None: from the labels on first use
     _strings: tuple | None = field(default=None, repr=False)  # the certified sl2 strings
-    _image_ranks: list = field(default_factory=list, repr=False)  # per degree, from a full walk
     _by_weight: dict = field(default_factory=dict, repr=False)
     _kappa: list = field(default_factory=list, repr=False)
 
@@ -361,40 +364,90 @@ def build_chain(family: Family, n: int, k: int) -> GradedChain:
     return chain
 
 
-def _image_echelons(chain: GradedChain):
-    """Yield (d, echelon of im theta_bar in degree d) for d = 0..max_degree.
+_IMAGE_WALKS: dict = {}  # _walk_key -> (born, extra) of _walk_images, for the life of the process
+
+
+def _walk_key(chain: GradedChain) -> tuple:
+    """Exactly what theta_bar and the walk read of a chain from build_chain.
+
+    The labels and weights are the weak compositions of k on m slots, and N,
+    E and the tower (keyed without its z-power) follow from them; V21 has a
+    space of its own.  The family and n stay out: kl (n-1, k) and airy (n, k)
+    share one key.
+    """
+    if chain.family is Family.V21:
+        return (Family.V21,)
+    return (len(chain.labels[0]), chain.k, chain.zweight, chain.scale, chain.tower is not None)
+
+
+def _image_walk(chain: GradedChain) -> tuple:
+    """The walk of this chain's image echelons, taken once per walk key."""
+    key = _walk_key(chain)
+    walk = _IMAGE_WALKS.get(key)
+    if walk is None:
+        walk = _IMAGE_WALKS[key] = _walk_images(chain)
+    return walk
+
+
+def _walk_images(chain: GradedChain) -> tuple:
+    """(born, extra) from the echelons of im theta_bar, one per class of the degree mod zweight.
+
+    born[c] is the degree in which column key c first becomes an image pivot,
+    0 if never; so c is a pivot in degree d exactly when 0 < born[c] <= d,
+    for every d in its class.  extra holds (d, key) for each tower degree d
+    whose tower row leaves a residual: key is the pivot that row adds.  Both
+    are immutable, and neither holds a row or the chain.
 
     Columns are the keys chain._kappa, under which the theta_bar row of a
     source j is the same in every degree.  Since theta_bar is C[z]-linear,
     the image in degree d + zweight is z times the image in degree d plus the
-    rows of the weight d + zweight - 1 layer, so one echelon per residue class
-    of d mod zweight serves the whole class and each source of V is offered
-    once.  Layers go in ascending weight with j descending inside a layer:
-    the top z-power first, which keeps fill-in low.  Degrees come one class
-    at a time; callers must not add rows to the yielded echelon.
+    rows of the weight d + zweight - 1 layer, so one echelon serves the whole
+    class and each source of V is offered once.  Layers go in ascending
+    weight with j descending inside a layer: the top z-power first, which
+    keeps fill-in low.  A row offered in degree d lands in weights = d mod
+    zweight, so the classes' keys are disjoint and one born table holds all.
+
+    The last layer enters at max weight + 1, so the walk is complete for any
+    range of degrees.  It runs on to max weight + 2, the top degree of the
+    Kloosterman chains, which are the only ones with a tower.
     """
-    ranks = [0] * (chain.max_degree + 1)
-    for r in range(chain.zweight):
+    kappa, zweight = chain._kappa, chain.zweight
+    top = max(chain.weights) + 2
+    born = [0] * len(kappa)
+    # z^r eta, the tower element of each degree 2k + r zweight, is one class row
+    tower = None if chain.tower is None else {kappa[j]: c for (_, j), c in chain.tower.items()}
+    extra = []
+    for r in range(zweight):
         ech = SparseEchelon()
-        for d in range(r, chain.max_degree + 1, chain.zweight):
+        for d in range(r, top + 1, zweight):
             for j in reversed(chain._by_weight.get(d - 1, ())):
-                ech.add_row(chain._theta_bar_row(j))
-            ranks[d] = ech.rank
-            yield d, ech
-    chain._image_ranks = ranks
+                pivot = ech.add_row(chain._theta_bar_row(j))
+                if pivot is not None:
+                    born[pivot] = d
+            excess = d - chain.tower_degree
+            if tower is not None and excess >= 0 and excess % zweight == 0:
+                residual = ech.residual(tower)
+                if residual:
+                    extra.append((d, min(residual)))
+    # one byte per key while every degree fits in one
+    return bytes(born) if top < 256 else tuple(born), tuple(extra)
 
 
 def kernel_slice_dims(chain: GradedChain) -> list[int]:
     """dim ker(theta_bar restricted to slice d) for d = 0..max_degree-1.
 
-    The image ranks come from the last full walk of the class echelons, so
-    after cohomology_bases no second walk is needed.
+    The rank of the image in degree d counts the keys born in its class by
+    degree d, read off the walk that cohomology_bases shares.
     """
-    if not chain._image_ranks:
-        for _ in _image_echelons(chain):
-            pass
-    ranks = chain._image_ranks
-    return [len(chain.slice_monomials(d)) - ranks[d + 1] for d in range(chain.max_degree)]
+    top, zweight = chain.max_degree, chain.zweight
+    ranks = [0] * (top + 1)
+    born, _ = _image_walk(chain)
+    for b in born:
+        if b:
+            ranks[b] += 1
+    for d in range(zweight, top + 1):
+        ranks[d] += ranks[d - zweight]
+    return [len(chain.slice_monomials(d)) - ranks[d + 1] for d in range(top)]
 
 
 @dataclass(frozen=True)
@@ -422,7 +475,7 @@ class BasisSet:
 
 
 def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
-    """The full and the middle basis per degree, read off one walk of the class echelons.
+    """The full and the middle basis per degree, read off the walk of the class echelons.
 
     Full: the slice monomials that are neither a pivot of the image of
     theta_bar nor the pivot the tower adds to it.  Middle: the full
@@ -444,15 +497,13 @@ def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
     kappa = chain._kappa
     airy = chain.family is Family.AIRY_Z
     line = None if chain.tower is None else (chain.k // chain.zweight, chain._by_weight[0][0])
-    # z^r eta, the tower element of each degree 2k + r zweight, is one class row
-    tower = None if chain.tower is None else {kappa[j]: c for (_, j), c in chain.tower.items()}
+    born, extra = _image_walk(chain)
+    extra = dict(extra)
     full, mid = {}, {}
-    for d, image in _image_echelons(chain):
-        excess = d - chain.tower_degree
-        extra = (min(image.residual(tower), default=None)
-                 if tower is not None and excess >= 0 and excess % chain.zweight == 0 else None)
+    for d in range(chain.max_degree + 1):
+        tower_pivot = extra.get(d)
         full[d] = tuple((a, j) for a, j in chain.slice_monomials(d)
-                        if kappa[j] not in image.rows and kappa[j] != extra)
+                        if not 0 < born[kappa[j]] <= d and kappa[j] != tower_pivot)
         mid[d] = full[d] if airy else tuple(mono for mono in full[d]
                                             if mono[0] and mono != line)
     # the middle representatives are among the full ones, so one check covers both
@@ -462,7 +513,7 @@ def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
             f"full basis still nonzero in degree {top}, past the top degree "
             f"{chain.n * chain.k + 1}: the input is outside the range where the "
             f"basis route is valid, or there is an arithmetic bug")
-    return tuple(BasisSet(chain.family, chain.n, chain.k, kind, dict(sorted(vecs.items())))
+    return tuple(BasisSet(chain.family, chain.n, chain.k, kind, vecs)
                  for kind, vecs in (("full", full), ("mid", mid)))
 
 

@@ -80,16 +80,19 @@ class SparseEchelon:
         self._eliminate(vec)
         return vec
 
-    def add_row(self, vec) -> bool:
-        """Insert a copy of vec; True if it was independent of current rows."""
+    def add_row(self, vec) -> int | None:
+        """Insert vec reduced against the rows; its new pivot column, or None if dependent.
+
+        The pivot may be column 0, so test the result against None.
+        """
         vec = {c: v for c, v in vec.items() if v}
         self._eliminate(vec)
         if not vec:
-            return False
+            return None
         pivot = min(vec)
         _strip_int_row(vec, pivot)
         self.rows[pivot] = vec
-        return True
+        return pivot
 
 
 def apply_columns(cols, vec) -> dict:

@@ -129,9 +129,11 @@ def young_projector() -> ProjectedSpace:
                 continue
             if any(wt[i] != w for i in raw[j]):
                 raise DimensionMismatch("projector failed to preserve the grading")
-            row = {**raw[j], dim + len(chosen): 1}
-            if min(solver.residual(row)) < dim:
-                solver.add_row(row)
+            # the residual keeps the new tag, so it is never empty, and it has
+            # no pivot column left: add_row stores it without a second elimination
+            residual = solver.residual({**raw[j], dim + len(chosen): 1})
+            if min(residual) < dim:
+                solver.add_row(residual)
                 chosen.append((w, raw[j]))
     if len(chosen) != EXPECTED_DIM:
         raise DimensionMismatch(f"projected space has dimension {len(chosen)},"

@@ -1,18 +1,22 @@
 """Graded chain construction, the degree-1 differential, and basis extraction."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
+from hodgemoments import chains
 from hodgemoments.chains import (
     BadFamilyParams,
     GradedChain,
     GroupRingPacking,
     Sl2CertificateFailed,
-    _image_echelons,
+    _image_walk,
     _lowering_action,
     _packed_times_eigenvector,
     _psi,
     _raise_tables,
+    _walk_key,
     build_chain,
     cohomology_bases,
     corner_action,
@@ -29,7 +33,7 @@ from hodgemoments.counting import (
     lattice_step,
 )
 from hodgemoments.cyclo import CycloInt, cyclotomic_poly, vanishing_tuple_count
-from hodgemoments.families import Family
+from hodgemoments.families import Family, admissible
 from hodgemoments.hodge import dims_kl
 from hodgemoments.linalg import SparseEchelon
 from hodgemoments.multiindex import weak_compositions, weight
@@ -57,10 +61,25 @@ def tower_slice(chain, d):
     return {(a + r, j): c for (a, j), c in chain.tower.items()}
 
 
+def class_image_echelons(chain):
+    """Yield (d, echelon of im theta_bar in degree d) for d = 0..max_degree.
+
+    One echelon per residue class of d mod zweight, columns keyed by
+    chain._kappa, layers in ascending weight and j descending inside a
+    layer: the walk the library keeps only as the degree each pivot is born.
+    """
+    for r in range(chain.zweight):
+        ech = SparseEchelon()
+        for d in range(r, chain.max_degree + 1, chain.zweight):
+            for j in reversed(chain._by_weight.get(d - 1, ())):
+                ech.add_row(chain._theta_bar_row(j))
+            yield d, ech
+
+
 def coker_slice_dims(chain):
     """dim coker(theta_bar: slice d-1 -> slice d) for d = 0..max_degree, from the class echelons."""
     out = [0] * (chain.max_degree + 1)
-    for d, image in _image_echelons(chain):
+    for d, image in class_image_echelons(chain):
         out[d] = len(chain.slice_monomials(d)) - image.rank
     return out
 
@@ -521,7 +540,8 @@ OFFER_CASES = [(Family.KL_Z, 3, 5), (Family.KL_Z, 2, 6), (Family.KL_TILDE_T, 2, 
 def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
     # the theta_bar row of each source (0, j) of V goes to the class echelons
     # once per walk, and it is the only row added: both bases are read off
-    # the image echelons, the tower through a residual
+    # the image echelons, the tower through a residual.  The kernel dims read
+    # the same walk and offer nothing
     chain = _chain(family, n, k)
     sources = []
     theta_bar_row = GradedChain._theta_bar_row
@@ -543,6 +563,8 @@ def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
     assert sorted(sources) == list(range(len(chain.weights)))
     assert len(calls) == len(chain.weights)
     calls.clear()
+    kernel_slice_dims(chain)
+    assert calls == []
     coker_slice_dims(chain)
     assert len(calls) == len(chain.weights)
 
@@ -559,3 +581,123 @@ def test_theta_bar_row_rekeys_theta_bar_mono(family, n, k):
             image = theta_bar_mono(chain, (a, j))
             assert len({i for _, i in image}) == len(image)
             assert chain._theta_bar_row(j) == {chain._kappa[i]: c for (_, i), c in image.items()}
+
+
+# the slice cases, and two walks whose degrees pass 255, the most one byte holds
+WALK_CASES = SLICE_CASES + [(Family.KL_Z, 1, 255), (Family.KL_TILDE_T, 1, 255)]
+
+
+@pytest.mark.parametrize("family,n,k", WALK_CASES,
+                         ids=[f"{f.value}-{n}-{k}" for f, n, k in WALK_CASES])
+def test_walk_reads_the_class_echelons(family, n, k):
+    # born[c] is the degree where key c joins the pivots of its class echelon,
+    # and extra the leading column of the tower's residual in each tower degree
+    chain = _chain(family, n, k)
+    born, extra = _image_walk(chain)
+    extra, zweight = dict(extra), chain.zweight
+    tower = (None if chain.tower is None else
+             {chain._kappa[j]: c for (_, j), c in chain.tower.items()})
+    for d, image in class_image_echelons(chain):
+        assert set(image.rows) == {c for c, b in enumerate(born)
+                                   if 0 < b <= d and (d - b) % zweight == 0}, d
+        excess = d - chain.tower_degree
+        want = (min(image.residual(tower), default=None)
+                if tower is not None and excess >= 0 and excess % zweight == 0 else None)
+        assert extra.get(d) == want, d
+
+
+def test_walk_records_key_0():
+    # key 0 is v_2^4, the top weight of kl (2, 4); N(v_1 v_2^3) reaches it from
+    # the weight 7 layer, which enters in degree 8.  A pivot 0 read as falsy
+    # would leave it unborn
+    chain = build_chain(Family.KL_Z, 2, 4)
+    assert chain.labels[chain._kappa.index(0)] == (0, 0, 4)
+    assert _image_walk(chain)[0][0] == 8
+
+
+def test_walk_holds_degrees_past_255():
+    # in kl (1, 255) the top layer, v_1^255 of weight 255, enters in degree
+    # 256, where E takes it to a key of weight 254
+    chain = build_chain(Family.KL_Z, 1, 255)
+    born, _ = _image_walk(chain)
+    assert max(born) == 256
+    full, _ = cohomology_bases(chain)
+    assert [len(reps) for reps in full.vectors.values()] == coker_slice_dims(chain)
+
+
+# every (n, k) with dim V <= 300 on the grid n <= 7, k <= 12
+AIRY_KL_GRID = [(n, k) for n in range(1, 8) for k in range(1, 13) if comb(n + k, n) <= 300]
+
+
+def test_rank_n_airy_chain_is_the_rank_n_kloosterman_chain():
+    # airy (n + 1, k) and kl (n, k) share m = n + 1 slots, zweight n + 1 and
+    # scale 1, so their walks are one; kl's tower parts them
+    for n, k in AIRY_KL_GRID:
+        airy, kl = build_chain(Family.AIRY_Z, n + 1, k), build_chain(Family.KL_Z, n, k)
+        for name in ("labels", "weights", "nmat", "emat", "zweight", "scale"):
+            assert getattr(airy, name) == getattr(kl, name), (n, k, name)
+        assert (_walk_key(airy) == _walk_key(kl)) == (kl.tower is None), (n, k)
+
+
+def test_walk_keys_part_what_the_walk_reads():
+    # the tower: kl (2, 3) has one, airy (3, 3) has the same slots and none
+    assert _walk_key(build_chain(Family.KL_Z, 2, 3)) != _walk_key(build_chain(Family.AIRY_Z, 3, 3))
+    # the chart: kl-tilde has zweight 1 and scale n + 1
+    for n, k in AIRY_KL_GRID:
+        assert (_walk_key(build_chain(Family.KL_Z, n, k))
+                != _walk_key(build_chain(Family.KL_TILDE_T, n, k))), (n, k)
+    # the space: V21 lives in a projected space, kl (2, 4) on the same m, k
+    assert _walk_key(v21_chain()) != _walk_key(build_chain(Family.KL_Z, 2, 4))
+
+
+# every admissible point with dim V <= 300, kl first, so that airy (n + 1, k)
+# finds the walk of kl (n, k); and V21
+MEMO_POINTS = [(family, n, k) for family in (Family.KL_Z, Family.KL_TILDE_T, Family.AIRY_Z)
+               for n in range(1, 8) for k in range(1, 13)
+               if admissible(family, n, k)
+               and comb(n + k - (family is Family.AIRY_Z), k) <= 300]
+MEMO_POINTS.append((Family.V21, 2, 4))
+
+
+def _answers(chain):
+    """Both bases, key order kept, or the basis route's error; and the kernel dims."""
+    try:
+        bases = [list(basis.vectors.items()) for basis in cohomology_bases(chain)]
+    except RuntimeError as err:  # airy (6, 5), past the basis route's range
+        bases = str(err)
+    return bases, kernel_slice_dims(chain)
+
+
+def test_memo_hit_gives_the_cold_answers(monkeypatch):
+    built = {point: _chain(*point) for point in MEMO_POINTS}
+    cold = {}
+    for point, chain in built.items():
+        chains._IMAGE_WALKS.clear()
+        bases, _ = _answers(chain)
+        chains._IMAGE_WALKS.clear()
+        cold[point] = bases, kernel_slice_dims(chain)
+    chains._IMAGE_WALKS.clear()
+    offered = []
+    add_row = SparseEchelon.add_row
+
+    def counted_add_row(self, vec):
+        offered.append(vec)
+        return add_row(self, vec)
+
+    monkeypatch.setattr(SparseEchelon, "add_row", counted_add_row)
+    shared = 0
+    for point, chain in built.items():
+        hit = _walk_key(chain) in chains._IMAGE_WALKS
+        offered.clear()
+        assert _answers(chain) == cold[point], point
+        assert bool(offered) != hit, point
+        shared += hit
+    # the hits are the airy points (n + 1, k) after a kl (n, k) without a tower
+    partners = sum(built.get((Family.KL_Z, n - 1, k)) is not None
+                   and built[(Family.KL_Z, n - 1, k)].tower is None
+                   for family, n, k in built if family is Family.AIRY_Z)
+    assert shared == partners > 0
+    offered.clear()
+    for point, chain in built.items():
+        assert _answers(chain) == cold[point], point
+    assert offered == []

@@ -43,6 +43,20 @@ def test_output_is_byte_identical(capsys):
     assert json.dumps(doc, sort_keys=True) + "\n" == first
 
 
+def test_airy_after_kl_prints_the_fresh_bytes(capsys):
+    # airy (5, 11) reads the image walk of kl (4, 11) from the same process;
+    # its bytes are those of a fresh interpreter
+    code, _, _ = run_main(capsys, "hodge", "--family", "kl", "--n", "4", "--k", "11",
+                          "--route", "both")
+    assert code == 0
+    airy = ("hodge", "--family", "airy", "--n", "5", "--k", "11")
+    code, after_kl, err = run_main(capsys, *airy)
+    assert (code, err) == (0, "")
+    fresh = run_module(*airy)
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert after_kl == fresh.stdout
+
+
 def test_json_round_trip_every_command(capsys):
     for argv in (
         ("hodge", "--family", "airy", "--n", "3", "--k", "2"),

@@ -261,17 +261,21 @@ class TestVerify:
 
     def test_one_basis_walk_per_chain(self, monkeypatch):
         # kl: both bases, which also give the coker dims; kl-tilde: both
-        # bases, whose walk leaves the image ranks for the kernel dims
+        # bases and the kernel dims, read off one walk.  The kl chain at
+        # (2, 5) is the airy chain at (3, 5), so verify (2, 5) finds its walk
         seen = []
-        walk = chains._image_echelons
+        walk = chains._walk_images
 
         def counted(chain):
             seen.append(chain.family)
             return walk(chain)
 
-        monkeypatch.setattr(chains, "_image_echelons", counted)
+        monkeypatch.setattr(chains, "_walk_images", counted)
         assert verify(3, 5).all_pass
         assert Counter(seen) == {Family.KL_Z: 1, Family.KL_TILDE_T: 1, Family.AIRY_Z: 1}
+        seen.clear()
+        assert verify(2, 5).all_pass
+        assert Counter(seen) == {Family.KL_TILDE_T: 1, Family.AIRY_Z: 1}
 
     def test_one_dimension_report_per_family(self, monkeypatch):
         # at (2, 6) basis-totals, dims-consistent and mixed-kl3 all read a report

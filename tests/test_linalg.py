@@ -50,11 +50,11 @@ class OracleEchelon(SparseEchelon):
                 elif cc in vec:
                     del vec[cc]
 
-    def add_row(self, vec) -> bool:
+    def add_row(self, vec) -> int | None:
         vec = {c: v for c, v in vec.items() if v}
         self._eliminate(vec)
         if not vec:
-            return False
+            return None
         pivot = min(vec)
         g = 0
         for v in vec.values():
@@ -68,7 +68,7 @@ class OracleEchelon(SparseEchelon):
             for c in list(vec):
                 vec[c] = -vec[c]
         self.rows[pivot] = vec
-        return True
+        return pivot
 
 
 def matrix_rank(vectors) -> int:
@@ -242,11 +242,20 @@ def test_kernel_matches_oracle_when_a_pivot_cancels_and_returns():
 class TestSparseEchelon:
     def test_duplicate_row_is_dependent(self):
         ech = SparseEchelon()
-        assert ech.add_row({0: 2, 1: 3})
-        assert not ech.add_row({0: 4, 1: 6})
+        assert ech.add_row({0: 2, 1: 3}) == 0
+        assert ech.add_row({0: 4, 1: 6}) is None
         assert ech.rank == 1
+
+    def test_add_row_returns_the_new_pivot(self):
+        # pivot 0 is falsy: a caller must compare with None
+        ech = SparseEchelon()
+        assert ech.add_row({0: 2, 1: 3}) == 0
+        assert ech.add_row({0: 4, 1: 5, 3: 1}) == 1
+        assert ech.add_row({2: 0, 3: -2}) == 3
+        assert ech.add_row({1: 1, 3: 1}) is None
+        assert list(ech.rows) == [0, 1, 3]
 
     def test_zero_row_never_adds(self):
         ech = SparseEchelon()
-        assert not ech.add_row({})
+        assert ech.add_row({}) is None
         assert ech.rank == 0

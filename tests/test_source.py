@@ -64,17 +64,20 @@ def test_integer_counting_layers_import_no_fractions():
         assert "fractions" not in imported, name
 
 
-def test_class_echelons_walked_in_two_places():
-    # the rank-only kernel walk and the one walk that gives both bases
-    callers = []
+def test_class_echelons_walked_in_one_place():
+    # one walker builds the class echelons, behind the memo that both the
+    # bases and the kernel dims read
+    callers = {"_walk_images": [], "_image_walk": [], "SparseEchelon": []}
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
             for node in ast.walk(top):
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id == "_image_echelons"):
-                    callers.append(f"{path.name}:{getattr(top, 'name', '')}")
-    assert sorted(callers) == ["chains.py:cohomology_bases", "chains.py:kernel_slice_dims"]
+                        and node.func.id in callers):
+                    callers[node.func.id].append(f"{path.name}:{getattr(top, 'name', '')}")
+    assert callers == {"_walk_images": ["chains.py:_image_walk"],
+                       "_image_walk": ["chains.py:kernel_slice_dims", "chains.py:cohomology_bases"],
+                       "SparseEchelon": ["chains.py:_walk_images", "weyl.py:young_projector"]}
 
 
 def test_test_oracles_stay_out_of_the_library():
