@@ -6,28 +6,33 @@ multi-indices).  A third, the lowering F (weight -1), only certifies the
 Jordan type of N: (N, F) spans an sl2 on V, so the weight counts give it.
 The degree of z^a v is zweight * a + wt(v), and the degree-raising map is
 
-    theta_bar = scale * (N + z^{ezshift} E),
+    theta_bar = scale * (N + z^e E),
 
-which is homogeneous of degree +1 in every family:
+with the z-shift e of E fixed by homogeneity of degree +1 in every family:
 
-    KL_Z        zweight n+1, ezshift 1,   scale 1
-    KL_TILDE_T  zweight 1,   ezshift n+1, scale n+1
-    AIRY_Z      zweight n,   ezshift 1,   scale 1
-    V21         zweight 3,   ezshift 1,   scale 1   (projected 15-dim V)
+    KL_Z        zweight n+1, e 1,   scale 1
+    KL_TILDE_T  zweight 1,   e n+1, scale n+1
+    AIRY_Z      zweight n,   e 1,   scale 1
+    V21         zweight 3,   e 1,   scale 1   (projected 15-dim V)
+
+V is stored in slice order: weight descending, then label.  In one degree
+the index j of a monomial (z_power, j) fixes its z-power, and the monomials
+of a slice, z_power ascending, have j ascending; so j is the monomial's
+column key in every slice.  Under it a theta_bar row and the tower are each
+one row in every degree, and the z-powers are never stored.
 
 Cohomology in each degree d is the cokernel of theta_bar from the degree
 d-1 slice, further divided by the power tower z^* eta when n = 2 and 3 | k.
-Its representatives are slice monomials (z_power, j) off the pivots of the
-image and the tower; keyed by j alone (_kappa), a theta_bar row and the tower
-are each one row in every degree.  The "middle" part drops the local
-solutions at 0, which are the representatives in the z^0 layer, and, in the
-tower case, the z^{k/3} v_0^k line in degree k; so the middle basis is a
-filter of the full one.  Both (cohomology_bases) and the kernel dims read
-one walk of the image echelons: the degree in which each column key first
-becomes an image pivot.  The walk reads only m, k, zweight, scale and whether
-there is a tower, never the family or n, so it is kept for the life of the
-process under those (_image_walk): the rank-n Airy chain is the rank-n
-Kloosterman chain with a longer range of degrees, and shares its walk.
+Its representatives are the slice monomials off the pivots of the image and
+the tower.  The "middle" part drops the local solutions at 0, which are the
+representatives in the z^0 layer, and, in the tower case, the z^{k/3} v_0^k
+line in degree k; so the middle basis is a filter of the full one.  Both
+(cohomology_bases) and the kernel dims read one walk of the image echelons:
+the degree in which each column key first becomes an image pivot.  The walk
+reads only m, k, zweight, scale and whether there is a tower, never the
+family or n, so it is kept for the life of the process under those
+(_image_walk): the rank-n Airy chain is the rank-n Kloosterman chain with a
+longer range of degrees, and shares its walk.
 
 The tower element eta = f_0 f_1 f_2 is the norm of f_0 from Q(zeta_3), an
 integer polynomial in four terms (eta_power_vector), so its powers are plain
@@ -41,7 +46,7 @@ for the chain at hand (GroupRingPacking, eigen_relation_failure).
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .cyclo import cyclotomic_poly
@@ -50,7 +55,7 @@ from .linalg import SparseEchelon, apply_columns
 from .multiindex import MultiIndex, weak_compositions, weight
 from .poly import div_exact_monic
 
-Mono = tuple[int, int]  # (z_power, basis index into the graded space V)
+Mono = tuple[int, int]  # (z_power, index j of V), j also its column key
 
 
 class DegenerateReduction(ArithmeticError):
@@ -101,18 +106,14 @@ class GradedChain:
     n: int
     k: int
     zweight: int
-    ezshift: int
     scale: int
-    labels: list            # per basis index: a multi-index, or an int for V21
-    weights: list[int]
+    labels: list            # per index j of V, in slice order: a multi-index, or an int for V21
+    weights: list[int]      # per j: descending, so each weight is one run of indices
     nmat: list[dict]        # column j -> {i: coeff}, raises weight by 1
     emat: list[dict]        # column j -> {i: coeff}
-    tower: dict | None      # {(z_power, j): int} for the eta power, else None
-    tower_degree: int = 0
+    tower: dict | None      # {j: int}: eta^{k/3}, of degree 2k, else None
     fmat: list | None = None  # lowering columns, weight -1; None: from the labels on first use
-    _strings: tuple | None = field(default=None, repr=False)  # the certified sl2 strings
     _by_weight: dict = field(default_factory=dict, repr=False)
-    _kappa: list = field(default_factory=list, repr=False)
 
     @property
     def max_degree(self) -> int:
@@ -120,34 +121,29 @@ class GradedChain:
         return self.n * self.k + 2
 
     def __post_init__(self):
-        by_w = {}
         for j, w in enumerate(self.weights):
-            by_w.setdefault(w, []).append(j)
-        self._by_weight = by_w
-        # column key of every monomial (a, j): the position of j in V sorted by
-        # (weight descending, j ascending), which is slice order in every slice
-        self._kappa = [0] * len(self.weights)
-        for key, j in enumerate(j for w in sorted(by_w, reverse=True) for j in by_w[w]):
-            self._kappa[j] = key
+            self._by_weight.setdefault(w, []).append(j)
+
+    @cached_property
+    def _strings(self) -> tuple[int, dict[int, int]]:
+        """_sl2_strings, certified once per chain."""
+        return _sl2_strings(self)
 
     def slice_monomials(self, d: int) -> list[Mono]:
-        """Basis (z_power, j) of the degree-d slice, z_power ascending."""
+        """Basis (z_power, j) of the degree-d slice, z_power ascending, so j ascending."""
         if d < 0:
             return []
         return [(a, j) for a in range(d // self.zweight + 1)
                 for j in self._by_weight.get(d - self.zweight * a, ())]
 
     def _theta_bar_row(self, j: int) -> dict[int, int]:
-        """theta_bar of the source (0, j) under the class column keys _kappa.
+        """theta_bar of the source (0, j), keyed by index in V.
 
         N and E land in different weights, so dropping the z-power keeps
         their keys apart; the row is the same for every source (a, j).
         """
-        kappa, scale = self._kappa, self.scale
-        row = {kappa[i]: scale * c for i, c in self.nmat[j].items()}
-        for i, c in self.emat[j].items():
-            row[kappa[i]] = scale * c
-        return row
+        scale = self.scale
+        return {i: scale * c for col in (self.nmat[j], self.emat[j]) for i, c in col.items()}
 
 
 def _psi(m: int) -> tuple[int, ...]:
@@ -185,14 +181,19 @@ class GroupRingPacking:
         return not any(psi * v % modulus for v in values)
 
 
+def _slice_sorted(indices) -> list:
+    """The multi-indices in slice order: weight descending, then lexicographic."""
+    return sorted(indices, key=lambda ix: (-weight(ix), ix))
+
+
 def _raise_tables(m: int, k: int) -> list:
     """steps[L] = (len(levels[L + 1]), raises) for the products of k eigenvectors on m slots.
 
-    levels[L] lists the weak compositions of L in lexicographic order, which
-    is label order; raises[s][p] is the position of levels[L][p] + e_s in
-    levels[L + 1].
+    levels[L] lists the weak compositions of L in slice order, which is the
+    chain's label order; raises[s][p] is the position of levels[L][p] + e_s
+    in levels[L + 1].
     """
-    levels = [list(weak_compositions(total, m)) for total in range(k + 1)]
+    levels = [_slice_sorted(weak_compositions(total, m)) for total in range(k + 1)]
     steps = []
     for low, high in zip(levels, levels[1:]):
         pos = {jj: p for p, jj in enumerate(high)}
@@ -230,11 +231,11 @@ def group_ring_eigenvector_products(n: int, k: int, packing: GroupRingPacking):
     """Yield (I, f_I in Z[C_m]) for the weak compositions I of k, in lexicographic order.
 
     f_I is a list of packed coefficients, one per weak composition J of k in
-    label order, as in _packed_times_eigenvector.  Its coefficients are
-    nonnegative and sum to m^k, so the packing needs m^k < 2^{B-1}.  Each
-    f_I is the product of its parent (I minus one unit in its last nonzero
-    slot) and one f_i, so the products share their prefixes; the walk is
-    depth first and holds one product per slot.
+    the chain's label order, as in _packed_times_eigenvector.  Its
+    coefficients are nonnegative and sum to m^k, so the packing needs
+    m^k < 2^{B-1}.  Each f_I is the product of its parent (I minus one unit
+    in its last nonzero slot) and one f_i, so the products share their
+    prefixes; the walk is depth first and holds one product per slot.
     """
     if packing.m != n + 1 or (n + 1) ** k >> (packing.width - 1):
         raise ValueError(f"the packing cannot hold products of {k} eigenvectors on {n + 1} slots")
@@ -272,23 +273,21 @@ def eigen_relation_failure(chain: GradedChain) -> MultiIndex | None:
     if chain.family is not Family.KL_TILDE_T:
         raise BadFamilyParams("the eigen relation is stated on the kl-tilde chain")
     n, k, m = chain.n, chain.k, chain.n + 1
-    # zweight is 1, so a degree nk + 1 monomial is fixed by its index in V and
-    # the class keys _kappa name the targets of the sources (nk - wt(j), j)
-    rows = {}  # target key -> [(label position of a source, theta_bar coefficient)]
-    for j in range(len(chain.weights)):
-        for key, c in chain._theta_bar_row(j).items():
-            rows.setdefault(key, []).append((j, c))
-    l1 = max(sum(abs(c) for _, c in row) for row in rows.values())
+    # zweight is 1, so a degree nk + 1 monomial is fixed by its index in V, and
+    # the theta_bar rows name the targets of the sources (nk - wt(j), j)
+    rows = [[] for _ in chain.weights]  # target i -> [(source j, theta_bar coefficient)]
+    for j in range(len(rows)):
+        for i, c in chain._theta_bar_row(j).items():
+            rows[i].append((j, c))
+    l1 = max(sum(abs(c) for _, c in row) for row in rows)
     bound = sum(map(abs, _psi(m))) * (l1 + m * k) * m ** k
     packing = GroupRingPacking(m, bound.bit_length() + 2)
-    # m lambda_I t f_I has its v^J term at the monomial (nk + 1 - wt(J), J)
-    rhs = {key: j for j, key in enumerate(chain._kappa)}
-    checks = [(rows.get(key, ()), rhs.get(key)) for key in dict.fromkeys([*rows, *rhs])]
     for index, prod in group_ring_eigenvector_products(n, k, packing):
         lam = m * packing.pack(index)
+        # m lambda_I t f_I has its v^J term at the monomial (nk + 1 - wt(J), J)
         alphas = []
-        for row, r in checks:
-            acc = 0 if r is None else -lam * prod[r]
+        for i, row in enumerate(rows):
+            acc = -lam * prod[i]
             for j, c in row:
                 acc += c * prod[j]
             alphas.append(acc)
@@ -328,35 +327,17 @@ def build_chain(family: Family, n: int, k: int) -> GradedChain:
     if family is Family.AIRY_Z and n < 2:
         raise BadFamilyParams("the Airy family needs n >= 2")
     m = n + 1 if family in (Family.KL_Z, Family.KL_TILDE_T) else n
-    labels = sorted(weak_compositions(k, m))
+    labels = _slice_sorted(weak_compositions(k, m))
     weights = [weight(ix) for ix in labels]
     pos = {ix: j for j, ix in enumerate(labels)}
-    nmat = []
-    emat = []
-    for ix in labels:
-        nmat.append({pos[t]: c for t, c in shift_action(ix).items()})
-        emat.append({pos[t]: c for t, c in corner_action(ix).items()})
-    if family is Family.KL_Z:
-        zweight, ezshift, scale = n + 1, 1, 1
-    elif family is Family.KL_TILDE_T:
-        zweight, ezshift, scale = 1, n + 1, n + 1
-    else:
-        zweight, ezshift, scale = n, 1, 1
-    tower = None
-    tower_degree = 0
-    if has_tower(family, n, k):
-        raw = eta_power_vector(k)
-        tower = {}
-        for (a, jj), c in raw.items():
-            if family is Family.KL_Z:
-                if a % 3:
-                    raise ArithmeticError("tower t-power not divisible by the chart weight")
-                tower[(a // 3, pos[jj])] = c
-            else:
-                tower[(a, pos[jj])] = c
-        tower_degree = 2 * k
-    chain = GradedChain(family, n, k, zweight, ezshift, scale,
-                        labels, weights, nmat, emat, tower, tower_degree)
+    nmat = [{pos[t]: c for t, c in shift_action(ix).items()} for ix in labels]
+    emat = [{pos[t]: c for t, c in corner_action(ix).items()} for ix in labels]
+    zweight, scale = {Family.KL_Z: (n + 1, 1), Family.KL_TILDE_T: (1, n + 1),
+                      Family.AIRY_Z: (n, 1)}[family]
+    # eta^{k/3} is homogeneous of degree 2k, so J alone fixes each of its terms
+    tower = ({pos[jj]: c for (_, jj), c in eta_power_vector(k).items()}
+             if has_tower(family, n, k) else None)
+    chain = GradedChain(family, n, k, zweight, scale, labels, weights, nmat, emat, tower)
     if family is Family.KL_TILDE_T:
         stable = comb(n + k, n)
         if len(chain.slice_monomials(chain.max_degree)) != stable:
@@ -370,9 +351,9 @@ _IMAGE_WALKS: dict = {}  # _walk_key -> (born, extra) of _walk_images, for the l
 def _walk_key(chain: GradedChain) -> tuple:
     """Exactly what theta_bar and the walk read of a chain from build_chain.
 
-    The labels and weights are the weak compositions of k on m slots, and N,
-    E and the tower (keyed without its z-power) follow from them; V21 has a
-    space of its own.  The family and n stay out: kl (n-1, k) and airy (n, k)
+    The labels and weights are the weak compositions of k on m slots in
+    slice order, and N, E and the tower follow from them; V21 has a space of
+    its own.  The family and n stay out: kl (n-1, k) and airy (n, k)
     share one key.
     """
     if chain.family is Family.V21:
@@ -398,7 +379,7 @@ def _walk_images(chain: GradedChain) -> tuple:
     whose tower row leaves a residual: key is the pivot that row adds.  Both
     are immutable, and neither holds a row or the chain.
 
-    Columns are the keys chain._kappa, under which the theta_bar row of a
+    Columns are the indices j of V, under which the theta_bar row of a
     source j is the same in every degree.  Since theta_bar is C[z]-linear,
     the image in degree d + zweight is z times the image in degree d plus the
     rows of the weight d + zweight - 1 layer, so one echelon serves the whole
@@ -411,11 +392,9 @@ def _walk_images(chain: GradedChain) -> tuple:
     range of degrees.  It runs on to max weight + 2, the top degree of the
     Kloosterman chains, which are the only ones with a tower.
     """
-    kappa, zweight = chain._kappa, chain.zweight
+    zweight, tower = chain.zweight, chain.tower
     top = max(chain.weights) + 2
-    born = [0] * len(kappa)
-    # z^r eta, the tower element of each degree 2k + r zweight, is one class row
-    tower = None if chain.tower is None else {kappa[j]: c for (_, j), c in chain.tower.items()}
+    born = [0] * len(chain.weights)
     extra = []
     for r in range(zweight):
         ech = SparseEchelon()
@@ -424,13 +403,13 @@ def _walk_images(chain: GradedChain) -> tuple:
                 pivot = ech.add_row(chain._theta_bar_row(j))
                 if pivot is not None:
                     born[pivot] = d
-            excess = d - chain.tower_degree
+            # z^r eta, the tower element of degree 2k + r zweight, is one row
+            excess = d - 2 * chain.k
             if tower is not None and excess >= 0 and excess % zweight == 0:
                 residual = ech.residual(tower)
                 if residual:
                     extra.append((d, min(residual)))
-    # one byte per key while every degree fits in one
-    return bytes(born) if top < 256 else tuple(born), tuple(extra)
+    return tuple(born), tuple(extra)
 
 
 def kernel_slice_dims(chain: GradedChain) -> list[int]:
@@ -461,9 +440,6 @@ class BasisSet:
     chosen.  Per degree the mid monomials are a subset of the full ones.
     """
 
-    family: Family
-    n: int
-    k: int
     kind: str
     vectors: dict  # degree -> tuple of Mono
 
@@ -494,7 +470,6 @@ def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
     airy the middle part is the full cohomology: mid carries the full basis.
     """
     require_admissible(chain.family, chain.n, chain.k)
-    kappa = chain._kappa
     airy = chain.family is Family.AIRY_Z
     line = None if chain.tower is None else (chain.k // chain.zweight, chain._by_weight[0][0])
     born, extra = _image_walk(chain)
@@ -503,7 +478,7 @@ def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
     for d in range(chain.max_degree + 1):
         tower_pivot = extra.get(d)
         full[d] = tuple((a, j) for a, j in chain.slice_monomials(d)
-                        if not 0 < born[kappa[j]] <= d and kappa[j] != tower_pivot)
+                        if not 0 < born[j] <= d and j != tower_pivot)
         mid[d] = full[d] if airy else tuple(mono for mono in full[d]
                                             if mono[0] and mono != line)
     # the middle representatives are among the full ones, so one check covers both
@@ -513,8 +488,7 @@ def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
             f"full basis still nonzero in degree {top}, past the top degree "
             f"{chain.n * chain.k + 1}: the input is outside the range where the "
             f"basis route is valid, or there is an arithmetic bug")
-    return tuple(BasisSet(chain.family, chain.n, chain.k, kind, vecs)
-                 for kind, vecs in (("full", full), ("mid", mid)))
+    return tuple(BasisSet(kind, vecs) for kind, vecs in (("full", full), ("mid", mid)))
 
 
 def _sl2_strings(chain: GradedChain) -> tuple[int, dict[int, int]]:
@@ -542,20 +516,13 @@ def _sl2_strings(chain: GradedChain) -> tuple[int, dict[int, int]]:
     return top, {w: len(by_w.get(w, ())) - len(by_w.get(w - 1, ())) for w in range(top // 2 + 1)}
 
 
-def _certified_strings(chain: GradedChain) -> tuple[int, dict[int, int]]:
-    """_sl2_strings, certified once per chain and stored on it like fmat."""
-    if chain._strings is None:
-        chain._strings = _sl2_strings(chain)
-    return chain._strings
-
-
 def jordan_block_sizes(chain: GradedChain) -> dict[int, int]:
     """Jordan type of the shift N on the chain's space V: size -> count."""
-    top, starts = _certified_strings(chain)
+    top, starts = chain._strings
     return {top - 2 * w + 1: c for w, c in reversed(starts.items()) if c}
 
 
 def shift_coker_dims(chain: GradedChain) -> list[int]:
     """Graded dims of coker(N) on V, weights 0..n*k: one per string, at its bottom."""
-    _, starts = _certified_strings(chain)
+    _, starts = chain._strings
     return [starts.get(w, 0) for w in range(chain.n * chain.k + 1)]

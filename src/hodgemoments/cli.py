@@ -18,10 +18,10 @@ from .chains import build_chain, cohomology_bases
 from .counting import block_multiplicity_poly, lattice_step
 from .cyclo import signed_orbit_count, vanishing_orbits, vanishing_tuple_count
 from .families import Family, require_admissible
-from .hodge import (NonIntegralDimension, dims_airy, dims_kl, hodge_airy_closed,
-                    hodge_airy_from_basis, hodge_kl_closed, hodge_kl_from_basis,
-                    hodge_v21, mixed_hodge_tilde_kl3, verify, verify_sweep)
-from .weyl import DimensionMismatch, v21_chain
+from .hodge import (dims_airy, dims_kl, hodge_airy_closed, hodge_airy_from_basis,
+                    hodge_kl_closed, hodge_kl_from_basis, hodge_v21, mixed_hodge_tilde_kl3,
+                    verify, verify_sweep)
+from .weyl import v21_chain
 
 SCHEMA_VERSION = "1"
 
@@ -69,9 +69,11 @@ def _report_payload(rep) -> dict:
 
 
 def _render_vector(mono, labels) -> list:
-    """A representative monomial (z_power, column) as one unit term, through the chain labels."""
+    """A representative monomial (z_power, j) as one unit term, named by its chain label."""
     a, j = mono
-    return [{"coeff": 1, "z": a, **({"u": j} if labels is None else {"v": list(labels[j])})}]
+    label = labels[j]
+    name = {"u": label} if isinstance(label, int) else {"v": list(label)}
+    return [{"coeff": 1, "z": a, **name}]
 
 
 def _emit(doc: dict, fmt: str, out_path):
@@ -267,7 +269,7 @@ def _cmd_counts(args) -> int:
     elif what == "a":
         orbits = vanishing_orbits(m, k)
         payload = {"n": n, "k": k, "m": m, "count": len(orbits),
-                   "orbit_representatives": [list(rep) for rep in orbits.reps]}
+                   "orbit_representatives": [list(rep) for rep in orbits]}
     else:  # b
         payload = {"n": n, "k": k, "m": m, "count": signed_orbit_count(m, k)}
     _emit(_document("counts", args, payload), args.format, args.out)
@@ -298,9 +300,8 @@ def _cmd_basis(args) -> int:
         "total": basis.total(),
     }
     if args.vectors:
-        labels = None if family is Family.V21 else chain.labels
         payload["vectors"] = {
-            str(d): [_render_vector(vec, labels) for vec in vecs]
+            str(d): [_render_vector(vec, chain.labels) for vec in vecs]
             for d, vecs in sorted(basis.vectors.items()) if vecs
         }
     _emit(_document("basis", args, payload), args.format, args.out)
@@ -400,7 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, NonIntegralDimension, DimensionMismatch) as err:
+    except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as err:

@@ -120,18 +120,6 @@ def tuple_vanishes(m: int, index: MultiIndex) -> bool:
     return not CycloInt.from_exponents(m, index)
 
 
-@dataclass(frozen=True)
-class OrbitSet:
-    """Cyclic-shift orbits of vanishing exponent tuples, by canonical reps."""
-
-    m: int
-    k: int
-    reps: tuple[MultiIndex, ...]
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-
 def _enumerated_tuples(m: int, k: int):
     """The weak compositions of k into m parts, for an m with no closed form."""
     size = comb(k + m - 1, m - 1)
@@ -152,7 +140,8 @@ def vanishing_tuple_count(m: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def vanishing_orbits(m: int, k: int) -> OrbitSet:
+def vanishing_orbits(m: int, k: int) -> tuple[MultiIndex, ...]:
+    """The canonical representatives of the cyclic-shift orbits of vanishing tuples, sorted."""
     p = _prime_power_base(m)
     if p is not None:
         # rotating and comparing J * p is doing so on J
@@ -161,7 +150,7 @@ def vanishing_orbits(m: int, k: int) -> OrbitSet:
     else:
         reps = {canonical_rotation(index) for index in _enumerated_tuples(m, k)
                 if tuple_vanishes(m, index)}
-    return OrbitSet(m, k, tuple(sorted(reps)))
+    return tuple(sorted(reps))
 
 
 def vanishing_orbit_count(m: int, k: int) -> int:
@@ -188,4 +177,4 @@ def signed_shift_sum(index: MultiIndex) -> dict:
 
 def signed_orbit_count(m: int, k: int) -> int:
     """Orbits of vanishing tuples whose signed shift sum is nonzero."""
-    return sum(1 for rep in vanishing_orbits(m, k).reps if signed_shift_sum(rep))
+    return sum(1 for rep in vanishing_orbits(m, k) if signed_shift_sum(rep))

@@ -17,7 +17,6 @@ from .counting import (block_multiplicity, block_multiplicity_n2_closed,
                        solution_dim_at_zero)
 from .cyclo import vanishing_tuple_count
 from .families import Family, admissible, has_tower, require_admissible
-from .series import expand_rational
 from .weyl import v21_chain
 
 
@@ -162,11 +161,10 @@ def _airy_diamond(n: int, k: int, h) -> HodgeDiamond:
 
 
 def hodge_airy_closed(n: int, k: int) -> HodgeDiamond:
-    """Closed-route Airy Hodge numbers, from the bivariate generating function."""
+    """Closed-route Airy Hodge numbers, from the step series of rank n - 1."""
     require_admissible(Family.AIRY_Z, n, k)
     top = n * k - n - k + 1
-    series = expand_rational([1, -1], [(n, 0)] + [(i, 1) for i in range(n)],
-                             max(top + 1, 1), k + 1)
+    series = lattice_step_series(n - 1, max(top + 1, 1), k + 1)
     return _airy_diamond(n, k, lambda p: series.coeff(p, k))
 
 

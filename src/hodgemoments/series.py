@@ -2,16 +2,10 @@
 
 Used to expand rational generating functions of the form
 num(t) / prod (1 - t^a x^b) up to fixed truncation orders in t and x.
-All coefficients stay integers; a non-integer anywhere is a bug upstream,
-not a rounding concern, hence the dedicated error.
+The numerator and so every coefficient are integers.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-
-class NonIntegerCoefficient(ArithmeticError):
-    """A series coefficient failed to be an integer."""
 
 
 @dataclass(frozen=True)
@@ -32,20 +26,15 @@ class BiSeries:
 def expand_rational(num, denom_factors, trunc_t: int, trunc_x: int) -> BiSeries:
     """Expand num(t) / prod (1 - t^a x^b) as a truncated series.
 
-    num is a univariate polynomial in t (list of coefficients, may be
-    Fractions with denominator 1); denom_factors is a list of pairs (a, b),
-    each standing for a factor 1 - t^a x^b with (a, b) != (0, 0).
+    num is a univariate integer polynomial in t (list of coefficients);
+    denom_factors is a list of pairs (a, b), each standing for a factor
+    1 - t^a x^b with (a, b) != (0, 0).
     """
     if trunc_t < 1 or trunc_x < 1:
         raise ValueError("truncation orders must be at least 1")
     grid = [[0] * trunc_x for _ in range(trunc_t)]
-    for d, c in enumerate(num):
-        if d >= trunc_t:
-            break
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise NonIntegerCoefficient(f"numerator coefficient {c} of t^{d}")
-        grid[d][0] = f.numerator
+    for d, c in enumerate(num[:trunc_t]):
+        grid[d][0] = c
     for a, b in denom_factors:
         if a < 0 or b < 0 or (a == 0 and b == 0):
             raise ValueError(f"bad denominator factor (1 - t^{a} x^{b})")

@@ -174,19 +174,18 @@ def young_projector() -> ProjectedSpace:
 
 
 def v21_chain() -> GradedChain:
-    """The graded chain over the projected 15-dimensional space."""
+    """The graded chain over the projected 15-dimensional space.
+
+    Its index j holds the projected basis vector labels[j], in slice order
+    like every chain: weight descending, then projected index.
+    """
     ps = young_projector()
-    return GradedChain(
-        family=Family.V21,
-        n=2,
-        k=4,
-        zweight=3,
-        ezshift=1,
-        scale=1,
-        labels=list(range(ps.dim)),
-        weights=list(ps.weights),
-        nmat=[dict(col) for col in ps.nmat],
-        emat=[dict(col) for col in ps.emat],
-        tower=None,
-        fmat=[dict(col) for col in ps.fmat],
-    )
+    order = sorted(range(ps.dim), key=lambda t: (-ps.weights[t], t))
+    pos = {t: j for j, t in enumerate(order)}
+
+    def permuted(cols):
+        return [{pos[i]: c for i, c in cols[t].items()} for t in order]
+
+    return GradedChain(family=Family.V21, n=2, k=4, zweight=3, scale=1, labels=order,
+                       weights=[ps.weights[t] for t in order], nmat=permuted(ps.nmat),
+                       emat=permuted(ps.emat), tower=None, fmat=permuted(ps.fmat))

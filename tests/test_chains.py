@@ -37,8 +37,13 @@ from hodgemoments.families import Family, admissible
 from hodgemoments.hodge import dims_kl
 from hodgemoments.linalg import SparseEchelon
 from hodgemoments.multiindex import weak_compositions, weight
-from hodgemoments.weyl import v21_chain
+from hodgemoments.weyl import v21_chain, young_projector
 from test_linalg import jordan_type, matrix_rank
+
+
+def ezshift(chain):
+    """The power of z that theta_bar puts on E: n + 1 in the t chart of kl-tilde, else 1."""
+    return chain.n + 1 if chain.family is Family.KL_TILDE_T else 1
 
 
 def theta_bar_mono(chain, mono):
@@ -48,24 +53,23 @@ def theta_bar_mono(chain, mono):
     for i, c in chain.nmat[j].items():
         out[(a, i)] = out.get((a, i), 0) + chain.scale * c
     for i, c in chain.emat[j].items():
-        key = (a + chain.ezshift, i)
+        key = (a + ezshift(chain), i)
         out[key] = out.get(key, 0) + chain.scale * c
     return out
 
 
 def tower_slice(chain, d):
-    """The tower element z^r eta of degree d as chain monomials, or None."""
-    if chain.tower is None or d < chain.tower_degree or (d - chain.tower_degree) % chain.zweight:
+    """The tower element z^r eta of degree d = 2k + r zweight as chain monomials, or None."""
+    if chain.tower is None or d < 2 * chain.k or (d - 2 * chain.k) % chain.zweight:
         return None
-    r = (d - chain.tower_degree) // chain.zweight
-    return {(a + r, j): c for (a, j), c in chain.tower.items()}
+    return {((d - chain.weights[j]) // chain.zweight, j): c for j, c in chain.tower.items()}
 
 
 def class_image_echelons(chain):
     """Yield (d, echelon of im theta_bar in degree d) for d = 0..max_degree.
 
-    One echelon per residue class of d mod zweight, columns keyed by
-    chain._kappa, layers in ascending weight and j descending inside a
+    One echelon per residue class of d mod zweight, columns keyed by the
+    index j in V, layers in ascending weight and j descending inside a
     layer: the walk the library keeps only as the degree each pivot is born.
     """
     for r in range(chain.zweight):
@@ -203,9 +207,10 @@ class TestEigenvectors:
             for k in range(1, 7):
                 packing = GroupRingPacking(m, (m ** k).bit_length() + 1)
                 shared = dict(group_ring_eigenvector_products(n, k, packing))
-                labels = list(weak_compositions(k, m))
-                assert list(shared) == labels
-                for index in labels:
+                # the I come lexicographically, each f_I in the chain's label order
+                assert list(shared) == list(weak_compositions(k, m))
+                labels = build_chain(Family.KL_TILDE_T, n, k).labels
+                for index in shared:
                     want = cycloint_eigenvector_product(n, index)
                     reduced = {(n * k - weight(jj), jj):
                                CycloInt.from_exponents(m, unpack(packing, v))
@@ -238,9 +243,49 @@ class TestEigenvectors:
         for key, c in want.items():
             assert c.coeffs == (vec[key], 0), key
 
+    @pytest.mark.parametrize("k", range(3, 31, 3))
+    def test_eta_power_terms_fix_their_z_power(self, k):
+        # every term t^a v^J has degree a + wt(J) = 2k, so in one degree J
+        # alone fixes the term, and 3 | a, so it is z^{a/3} v^J in the z chart
+        for a, jj in eta_power_vector(k):
+            assert a + weight(jj) == 2 * k and a % 3 == 0, (a, jj)
+
     def test_eta_power_needs_divisibility(self):
         with pytest.raises(BadFamilyParams):
             eta_power_vector(4)
+
+
+ORDER_CASES = [(Family.KL_Z, 1, 6), (Family.KL_Z, 2, 6), (Family.KL_Z, 4, 5),
+               (Family.KL_TILDE_T, 2, 6), (Family.KL_TILDE_T, 3, 4),
+               (Family.AIRY_Z, 3, 5), (Family.AIRY_Z, 5, 4), (Family.V21, 2, 4)]
+
+
+@pytest.mark.parametrize("family,n,k", ORDER_CASES,
+                         ids=[f"{f.value}-{n}-{k}" for f, n, k in ORDER_CASES])
+def test_chains_are_stored_in_slice_order(family, n, k):
+    # weights never increase and labels ascend within a weight, so the
+    # monomials of every slice come with their indices ascending: an index
+    # of V is its monomial's column key
+    chain = _chain(family, n, k)
+    assert all(a >= b for a, b in zip(chain.weights, chain.weights[1:]))
+    for w, layer in chain._by_weight.items():
+        labels = [chain.labels[j] for j in layer]
+        assert labels == sorted(labels) and len(set(labels)) == len(labels), w
+    for d in range(chain.max_degree + 1):
+        keys = [j for _, j in chain.slice_monomials(d)]
+        assert keys == sorted(keys), d
+
+
+def test_v21_labels_are_projected_indices():
+    # the V21 chain permutes the projected basis, keeping each vector's
+    # weight and its N, E and F columns
+    chain, space = v21_chain(), young_projector()
+    assert sorted(chain.labels) == list(range(space.dim))
+    assert chain.weights == [space.weights[t] for t in chain.labels]
+    for mat, projected in ((chain.nmat, space.nmat), (chain.emat, space.emat),
+                           (chain.fmat, space.fmat)):
+        assert [{chain.labels[i]: c for i, c in col.items()} for col in mat] == [
+            projected[t] for t in chain.labels]
 
 
 def test_tower_slice_degrees():
@@ -573,17 +618,17 @@ def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
                          ids=[f"{f.value}-{n}-{k}" for f, n, k in OFFER_CASES])
 def test_theta_bar_row_rekeys_theta_bar_mono(family, n, k):
     # the class row read straight off N and E is theta_bar of any source
-    # (a, j) with each monomial (b, i) keyed by _kappa[i]: every scale
+    # (a, j) with each monomial (b, i) keyed by its index i in V: every scale
     # (kl-tilde multiplies by n + 1) and the tower case included
     chain = _chain(family, n, k)
     for j in range(len(chain.weights)):
         for a in (0, 2):
             image = theta_bar_mono(chain, (a, j))
             assert len({i for _, i in image}) == len(image)
-            assert chain._theta_bar_row(j) == {chain._kappa[i]: c for (_, i), c in image.items()}
+            assert chain._theta_bar_row(j) == {i: c for (_, i), c in image.items()}
 
 
-# the slice cases, and two walks whose degrees pass 255, the most one byte holds
+# the slice cases, and two long walks, whose degrees pass 255
 WALK_CASES = SLICE_CASES + [(Family.KL_Z, 1, 255), (Family.KL_TILDE_T, 1, 255)]
 
 
@@ -595,14 +640,12 @@ def test_walk_reads_the_class_echelons(family, n, k):
     chain = _chain(family, n, k)
     born, extra = _image_walk(chain)
     extra, zweight = dict(extra), chain.zweight
-    tower = (None if chain.tower is None else
-             {chain._kappa[j]: c for (_, j), c in chain.tower.items()})
     for d, image in class_image_echelons(chain):
         assert set(image.rows) == {c for c, b in enumerate(born)
                                    if 0 < b <= d and (d - b) % zweight == 0}, d
-        excess = d - chain.tower_degree
-        want = (min(image.residual(tower), default=None)
-                if tower is not None and excess >= 0 and excess % zweight == 0 else None)
+        tower = tower_slice(chain, d)
+        want = None if tower is None else min(image.residual(
+            {j: c for (_, j), c in tower.items()}), default=None)
         assert extra.get(d) == want, d
 
 
@@ -611,7 +654,7 @@ def test_walk_records_key_0():
     # the weight 7 layer, which enters in degree 8.  A pivot 0 read as falsy
     # would leave it unborn
     chain = build_chain(Family.KL_Z, 2, 4)
-    assert chain.labels[chain._kappa.index(0)] == (0, 0, 4)
+    assert chain.labels[0] == (0, 0, 4)
     assert _image_walk(chain)[0][0] == 8
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import hodgemoments.cli as cli
-from hodgemoments import cyclo, hodge
+from hodgemoments import cyclo, hodge, weyl
 from hodgemoments.chains import DegenerateReduction, build_chain
 from hodgemoments.cli import main
 from hodgemoments.families import Family
@@ -203,6 +203,37 @@ def test_degenerate_reduction_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: reduction failed to reconstruct\n"
+
+
+def test_failed_projector_check_exits_1(capsys, monkeypatch):
+    # hodge --family v21 takes no input, so a projector that fails its
+    # commutation check is an internal fault, not bad input
+    tensor_columns = weyl._tensor_columns
+
+    def bad_shift(basis, pos, moves):
+        cols = tensor_columns(basis, pos, moves)
+        if moves == {0: (1, 1), 1: (2, 1)}:
+            j = next(j for j, col in enumerate(cols) if col)
+            cols[j][next(iter(cols[j]))] += 1
+        return cols
+
+    weyl.young_projector.cache_clear()
+    monkeypatch.setattr(weyl, "_tensor_columns", bad_shift)
+    try:
+        code, out, err = run_main(capsys, "hodge", "--family", "v21")
+    finally:
+        weyl.young_projector.cache_clear()
+    assert (code, out) == (1, "")
+    assert err == "error: projector does not commute with the shift\n"
+
+
+def test_non_integral_dimension_exits_1(capsys, monkeypatch):
+    # (2, 4) is valid input; a vanishing count that leaves (C(6, 2) - d_k) / 3
+    # fractional is an arithmetic fault
+    monkeypatch.setattr(hodge, "vanishing_tuple_count", lambda m, k: 1)
+    code, out, err = run_main(capsys, "dims", "--family", "kl", "--n", "2", "--k", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: (15 - 1) not divisible by 3\n"
 
 
 def test_failed_sl2_certificate_in_verify_exits_1(capsys, monkeypatch):

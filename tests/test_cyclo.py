@@ -97,7 +97,7 @@ def test_orbit_counts_bound_tuple_counts(m, k):
 
 @pytest.mark.parametrize("m,k", [(3, 3), (3, 6), (4, 4), (6, 6)])
 def test_orbit_reps_are_canonical_and_vanishing(m, k):
-    reps = vanishing_orbits(m, k).reps
+    reps = vanishing_orbits(m, k)
     seen = set()
     for rep in reps:
         assert tuple_vanishes(m, rep)
@@ -152,7 +152,7 @@ def test_prime_power_closed_forms_match_enumeration(m, k):
     tuples = brute_vanishing(m, k)
     reps = tuple(sorted({canonical_rotation(ix) for ix in tuples}))
     assert vanishing_tuple_count(m, k) == len(tuples)
-    assert vanishing_orbits(m, k).reps == reps
+    assert vanishing_orbits(m, k) == reps
     assert signed_orbit_count(m, k) == sum(1 for rep in reps if signed_shift_sum(rep))
 
 

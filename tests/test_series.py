@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
-from hodgemoments.series import BiSeries, NonIntegerCoefficient, expand_rational
+from hodgemoments.series import BiSeries, expand_rational
 
 
 def test_geometric_single_factor():
@@ -44,11 +42,6 @@ def test_coeff_bounds():
         s.coeff(0, 2)
     with pytest.raises(IndexError):
         s.coeff(-1, 0)
-
-
-def test_rejects_fractional_numerator():
-    with pytest.raises(NonIntegerCoefficient):
-        expand_rational([Fraction(1, 2)], [(1, 0)], 3, 1)
 
 
 def test_rejects_bad_factor():

@@ -1,9 +1,11 @@
 """Source-level rules for the package."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import hodgemoments
+from hodgemoments.chains import BasisSet, GradedChain
 
 SOURCES = sorted(Path(hodgemoments.__file__).parent.glob("*.py"))
 
@@ -53,8 +55,8 @@ def test_chain_operators_built_in_one_place():
 
 
 def test_integer_counting_layers_import_no_fractions():
-    # Q(t), Phi_m, the vanishing counts and the echelon are integer work
-    for name in ("counting.py", "cyclo.py", "linalg.py", "poly.py"):
+    # Q(t), the step series, Phi_m, the vanishing counts and the echelon are integer work
+    for name in ("counting.py", "cyclo.py", "linalg.py", "poly.py", "series.py"):
         path = next(p for p in SOURCES if p.name == name)
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -62,6 +64,19 @@ def test_integer_counting_layers_import_no_fractions():
         imported |= {node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module}
         assert "fractions" not in imported, name
+
+
+def test_every_chain_and_basis_field_is_read():
+    # a field that nothing in the package reads is dead weight on every chain
+    # and basis; the rule goes by attribute name, whatever the receiver
+    read = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.__name__}.{f.name}" for cls in (GradedChain, BasisSet)
+              for f in fields(cls) if f.name not in read]
+    assert unread == []
 
 
 def test_class_echelons_walked_in_one_place():
