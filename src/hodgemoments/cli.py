@@ -1,7 +1,8 @@
 """Command line interface.
 
-Every subcommand renders one canonical document: json (default, sorted keys,
-stable bytes), csv (flat rows), or md (human tables).  Exit codes:
+Every subcommand checks its input and returns (payload, exit code); `main`
+alone renders the canonical document: json (default, sorted keys, stable
+bytes), csv (flat rows), or md (human tables).  Exit codes:
 
     0  success
     1  a both-routes comparison or a verify run finds a mismatch, or an
@@ -12,10 +13,12 @@ stable bytes), csv (flat rows), or md (human tables).  Exit codes:
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
+from functools import partial
 
 from .chains import build_chain, cohomology_bases
-from .counting import block_multiplicity_poly, lattice_step
+from .counting import block_multiplicity, block_multiplicity_poly, lattice_step
 from .cyclo import signed_orbit_count, vanishing_orbits, vanishing_tuple_count
 from .families import Family, require_admissible
 from .hodge import (dims_airy, dims_kl, hodge_airy_closed, hodge_airy_from_basis,
@@ -45,16 +48,9 @@ def _diamond_payload(dm) -> dict:
 
 
 def _dims_payload(rep) -> dict:
-    return {
-        "family": rep.family.value,
-        "n": rep.n,
-        "k": rep.k,
-        "dim_h1": rep.dim_h1,
-        "dim_mid": rep.dim_mid,
-        "soln_zero": rep.soln_zero,
-        "soln_infty": rep.soln_infty,
-        "irregularity": rep.irregularity,
-    }
+    payload = {f.name: getattr(rep, f.name) for f in fields(rep)}
+    payload["family"] = rep.family.value
+    return payload
 
 
 def _report_payload(rep) -> dict:
@@ -104,8 +100,6 @@ def _csv_rows_for_payload(command: str, payload: dict) -> tuple[list[str], list[
             return header, rows
         return ["p", "q", "h"], [[lev["p"], lev["q"], lev["h"]]
                                  for lev in payload["levels"]]
-    if command == "dims":
-        return ["key", "value"], [[key, payload[key]] for key in sorted(payload)]
     if command == "counts":
         if "values" in payload:
             return ["d", "value"], [[d, v] for d, v in enumerate(payload["values"])]
@@ -187,96 +181,66 @@ def _forbid_nk(args):
         raise CliError("--family v21 takes no --n or --k")
 
 
-def _cmd_hodge(args) -> int:
+def _cmd_hodge(args) -> tuple[dict, int]:
     family = Family(args.family)
-    route = args.route
     if family is Family.V21:
         _forbid_nk(args)
-        if route is None:
-            route = "both"
-        closed = hodge_v21("closed")
-        basis = hodge_v21("basis") if route in ("basis", "both") else None
-        pick = {"closed": closed, "basis": basis}
-    elif family is Family.KL_TILDE_T:
-        _need_nk(args)
-        if args.n != 2:
-            raise CliError("the mixed tilde table is defined for n = 2")
-        if route in ("basis", "both"):
-            raise CliError("the mixed tilde table has a closed route only")
-        route = "closed"
-        pick = {"closed": mixed_hodge_tilde_kl3(args.k), "basis": None}
+        routes = {route: partial(hodge_v21, route) for route in ("closed", "basis")}
     else:
         _need_nk(args)
-        if route is None:
-            route = "both"
-        closed_route, basis_route = ((hodge_airy_closed, hodge_airy_from_basis)
-                                     if family is Family.AIRY_Z else
-                                     (hodge_kl_closed, hodge_kl_from_basis))
-        closed = closed_route(args.n, args.k) if route in ("closed", "both") else None
-        basis = basis_route(args.n, args.k) if route in ("basis", "both") else None
-        pick = {"closed": closed, "basis": basis}
-
-    if route == "both":
-        equal = pick["closed"].levels == pick["basis"].levels
-        payload = {
-            "closed": _diamond_payload(pick["closed"]),
-            "basis": _diamond_payload(pick["basis"]),
-            "equal": equal,
-        }
-        code = 0 if equal else 1
-    else:
-        payload = _diamond_payload(pick[route])
-        code = 0
-    _emit(_document("hodge", args, payload), args.format, args.out)
-    return code
+        n, k = args.n, args.k
+        if family is Family.KL_TILDE_T:
+            if n != 2:
+                raise CliError("the mixed tilde table is defined for n = 2")
+            routes = {"closed": partial(mixed_hodge_tilde_kl3, k)}
+        elif family is Family.AIRY_Z:
+            routes = {"closed": partial(hodge_airy_closed, n, k),
+                      "basis": partial(hodge_airy_from_basis, n, k)}
+        else:
+            routes = {"closed": partial(hodge_kl_closed, n, k),
+                      "basis": partial(hodge_kl_from_basis, n, k)}
+    route = args.route or ("both" if "basis" in routes else "closed")
+    if route != "closed" and "basis" not in routes:
+        raise CliError("the mixed tilde table has a closed route only")
+    if route != "both":
+        return _diamond_payload(routes[route]()), 0
+    closed, basis = routes["closed"](), routes["basis"]()
+    equal = closed.levels == basis.levels
+    return ({"closed": _diamond_payload(closed), "basis": _diamond_payload(basis),
+             "equal": equal}, 0 if equal else 1)
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args) -> tuple[dict, int]:
     family = Family(args.family)
     _need_nk(args)
-    if family is Family.AIRY_Z:
-        rep = dims_airy(args.n, args.k)
-    elif family in (Family.KL_Z, Family.KL_TILDE_T):
-        rep = dims_kl(args.n, args.k, family)
-    else:
-        raise CliError("dims covers kl, kl-tilde, and airy")
-    _emit(_document("dims", args, _dims_payload(rep)), args.format, args.out)
-    return 0
-
-
-def _cmd_counts(args) -> int:
-    _need_nk(args)
     n, k = args.n, args.k
+    rep = dims_airy(n, k) if family is Family.AIRY_Z else dims_kl(n, k, family)
+    return _dims_payload(rep), 0
+
+
+def _cmd_counts(args) -> tuple[dict, int]:
+    _need_nk(args)
+    n, k, d, what = args.n, args.k, args.d, args.what
     m = n + 1
-    what = args.what
-    if args.d is not None and what not in ("q", "n"):
+    if d is not None and what not in ("q", "n"):
         raise CliError("--d applies to --what q and --what n only")
+    if d is not None:
+        value = block_multiplicity if what == "q" else lattice_step
+        return {"n": n, "k": k, "d": d, "value": value(n, k, d)}, 0
     if what == "q":
-        coeffs = list(block_multiplicity_poly(n, k))
-        if args.d is not None:
-            payload = {"n": n, "k": k, "d": args.d,
-                       "value": coeffs[args.d] if 0 <= args.d < len(coeffs) else 0}
-        else:
-            payload = {"n": n, "k": k, "coefficients": coeffs}
-    elif what == "n":
-        if args.d is not None:
-            payload = {"n": n, "k": k, "d": args.d, "value": lattice_step(n, k, args.d)}
-        else:
-            payload = {"n": n, "k": k,
-                       "values": [lattice_step(n, k, d) for d in range(n * k + 2)]}
-    elif what == "d":
-        payload = {"n": n, "k": k, "m": m, "count": vanishing_tuple_count(m, k)}
-    elif what == "a":
+        return {"n": n, "k": k, "coefficients": list(block_multiplicity_poly(n, k))}, 0
+    if what == "n":
+        return {"n": n, "k": k, "values": [lattice_step(n, k, e) for e in range(n * k + 2)]}, 0
+    if what == "d":
+        return {"n": n, "k": k, "m": m, "count": vanishing_tuple_count(m, k)}, 0
+    if what == "a":
         orbits = vanishing_orbits(m, k)
-        payload = {"n": n, "k": k, "m": m, "count": len(orbits),
-                   "orbit_representatives": [list(rep) for rep in orbits]}
-    else:  # b
-        payload = {"n": n, "k": k, "m": m, "count": signed_orbit_count(m, k)}
-    _emit(_document("counts", args, payload), args.format, args.out)
-    return 0
+        return {"n": n, "k": k, "m": m, "count": len(orbits),
+                "orbit_representatives": [list(rep) for rep in orbits]}, 0
+    return {"n": n, "k": k, "m": m, "count": signed_orbit_count(m, k)}, 0
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args) -> tuple[dict, int]:
     family = Family(args.family)
     if family is Family.AIRY_Z and args.mid:
         raise CliError("--mid does not apply to airy: its middle part is the full "
@@ -304,11 +268,10 @@ def _cmd_basis(args) -> int:
             str(d): [_render_vector(vec, chain.labels) for vec in vecs]
             for d, vecs in sorted(basis.vectors.items()) if vecs
         }
-    _emit(_document("basis", args, payload), args.format, args.out)
-    return 0
+    return payload, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     for flag, value in (("--n", args.n), ("--k", args.k), ("--max-n", args.max_n),
                         ("--max-k", args.max_k)):
         if value is not None and value < 1:
@@ -317,30 +280,24 @@ def _cmd_verify(args) -> int:
         if args.n is not None or args.k is not None:
             raise CliError("--sweep is exclusive with --n/--k")
         reports = verify_sweep(args.max_n, args.max_k)
-        payload = {
-            "all_pass": all(r.all_pass for r in reports),
-            "reports": [_report_payload(r) for r in reports],
-        }
-        ok = payload["all_pass"]
+        ok = all(r.all_pass for r in reports)
+        payload = {"all_pass": ok, "reports": [_report_payload(r) for r in reports]}
     else:
         if args.n is None or args.k is None:
             raise CliError("provide --n and --k, or --sweep with --max-n/--max-k")
         rep = verify(args.n, args.k)
-        payload = _report_payload(rep)
-        ok = rep.all_pass
-    _emit(_document("verify", args, payload), args.format, args.out)
-    return 0 if ok else 1
+        payload, ok = _report_payload(rep), rep.all_pass
+    return payload, 0 if ok else 1
 
 
-def _document(command: str, args, payload) -> dict:
-    request = {}
-    for key in ("family", "n", "k", "route", "what", "d", "mid", "vectors",
-                "sweep", "max_n", "max_k"):
-        if hasattr(args, key) and getattr(args, key) not in (None, False):
-            request[key] = getattr(args, key)
+def _document(args, payload) -> dict:
+    """The canonical document: the command, every option that has a value, the payload."""
+    request = {key: value for key, value in vars(args).items()
+               if key not in ("command", "format", "out", "func")
+               and value is not None and value is not False}
     return {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "request": request,
         "payload": payload,
     }
@@ -397,16 +354,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        _emit(_document(args, payload), args.format, args.out)
     except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -4,22 +4,28 @@ A multi-index is a tuple of nonnegative integers (I_0, ..., I_{m-1}); its
 weight is sum_i i * I_i.
 """
 
+from itertools import combinations_with_replacement
+from operator import sub
+
 MultiIndex = tuple[int, ...]
 
 
 def weak_compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative integers summing to `total`, in
-    ascending lexicographic order."""
+    ascending lexicographic order.
+
+    The running sums of the first `parts - 1` entries form a nondecreasing
+    tuple of cuts in 0..total, and cuts in lexicographic order give the
+    tuples in lexicographic order.  No recursion, so any number of parts works.
+    """
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in weak_compositions(total - head, parts - 1):
-            yield (head,) + tail
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        # unpacked from a list, the tuple gets an exact-size block (tuple() on
+        # a map over-allocates): chains keep every label for their lifetime
+        yield (*map(sub, cuts + (total,), (0,) + cuts),)
 
 
 def weight(index: MultiIndex) -> int:

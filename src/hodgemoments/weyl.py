@@ -10,7 +10,6 @@ build time, so a wrong normalization cannot slip through.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -72,8 +71,6 @@ class ProjectedSpace:
     nmat: tuple           # induced shift columns over the projected basis, int entries
     emat: tuple           # induced corner columns, int entries
     fmat: tuple           # induced lowering columns, int entries
-    projector: tuple      # 81 columns, {row: Fraction}
-    idem_scalar: int      # S^2 = idem_scalar * S for the raw signed sum S
 
 
 @lru_cache(maxsize=None)
@@ -86,21 +83,15 @@ def young_projector() -> ProjectedSpace:
             i = pos[_apply_perm(perm, t)]
             raw[j][i] = raw[j].get(i, 0) + sign
     raw = [{i: c for i, c in col.items() if c} for col in raw]
-    # S^2 must be an exact scalar multiple of S
+    # S^2 must be a positive integer multiple c S of S; read c off the first entry
     square = [apply_columns(raw, col) for col in raw]
-    scalar = None
-    for j in range(dim):
-        for i, c in raw[j].items():
-            if scalar is None:
-                scalar = Fraction(square[j].get(i, 0), c)
-            elif Fraction(square[j].get(i, 0), c) != scalar:
-                raise DimensionMismatch("signed permutation sum is not quasi-idempotent")
-        if square[j].keys() != raw[j].keys():
-            raise DimensionMismatch("signed permutation sum is not quasi-idempotent")
-    if scalar is None or scalar <= 0 or scalar.denominator != 1:
-        raise DimensionMismatch(f"unusable idempotency scalar {scalar}")
-    scalar = int(scalar)
-    proj = [{i: Fraction(c, scalar) for i, c in col.items()} for col in raw]
+    j0, i0 = next((j, i) for j, col in enumerate(raw) for i in col)
+    scalar, rest = divmod(square[j0].get(i0, 0), raw[j0][i0])
+    if rest or scalar <= 0:
+        raise DimensionMismatch(f"unusable idempotency scalar "
+                                f"{square[j0].get(i0, 0)}/{raw[j0][i0]}")
+    if any(square[j] != {i: scalar * c for i, c in col.items()} for j, col in enumerate(raw)):
+        raise DimensionMismatch("signed permutation sum is not quasi-idempotent")
 
     shift_cols = _tensor_columns(basis, pos, {0: (1, 1), 1: (2, 1)})
     corner_cols = _tensor_columns(basis, pos, {2: (0, 1)})
@@ -168,8 +159,6 @@ def young_projector() -> ProjectedSpace:
         nmat=tuple(induced(shift_cols, +1)),
         emat=tuple(induced(corner_cols, -2)),
         fmat=tuple(induced(lower_cols, -1)),
-        projector=tuple(proj),
-        idem_scalar=scalar,
     )
 
 

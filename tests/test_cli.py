@@ -91,6 +91,28 @@ def test_v21_defaults_and_forbids_nk(capsys):
     assert "v21" in err
 
 
+def test_v21_basis_route_computes_no_closed_table(capsys, monkeypatch):
+    called = []
+
+    def hodge_v21(route):
+        called.append(route)
+        return real(route)
+
+    real = cli.hodge_v21
+    monkeypatch.setattr(cli, "hodge_v21", hodge_v21)
+    code, out, _ = run_main(capsys, "hodge", "--family", "v21", "--route", "basis")
+    assert (code, called) == (0, ["basis"])
+    assert json.loads(out)["payload"]["kind"] == "pure"
+
+
+def test_thousand_slot_chain_runs_both_routes(capsys):
+    # a chain on 1001 slots enumerates its labels without one recursion per slot
+    code, out, err = run_main(capsys, "hodge", "--family", "kl", "--n", "1000", "--k", "1",
+                              "--route", "both")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"]["equal"] is True
+
+
 def test_tilde_rejects_basis_route(capsys):
     code, _, err = run_main(capsys, "hodge", "--family", "kl-tilde", "--n", "2",
                             "--k", "3", "--route", "basis")
@@ -265,6 +287,14 @@ def test_counts_point_query(capsys):
                             "--d", "3")
     assert code == 0
     assert json.loads(out)["payload"]["value"] == 1
+
+
+@pytest.mark.parametrize("what", ["q", "n"])
+def test_request_echoes_d_zero(capsys, what):
+    code, out, _ = run_main(capsys, "counts", "--what", what, "--n", "2", "--k", "3",
+                            "--d", "0")
+    assert code == 0
+    assert json.loads(out)["request"] == {"what": what, "n": 2, "k": 3, "d": 0}
 
 
 def test_counts_point_query_far_past_the_top(capsys):

@@ -1,6 +1,7 @@
 """Cyclotomic arithmetic against sympy and against numeric evaluation."""
 
 import cmath
+from itertools import product
 from math import comb
 
 import pytest
@@ -63,6 +64,21 @@ def test_vanishing_agrees_with_numeric_evaluation(m):
     for index in weak_compositions(4, m):
         value = sum(c * zeta ** j for j, c in enumerate(index))
         assert tuple_vanishes(m, index) == (abs(value) < 1e-9), (m, index)
+
+
+def test_weak_compositions_in_lexicographic_order():
+    # product() runs in lexicographic order, so filtering it is the oracle
+    for total in range(7):
+        for parts in range(6):
+            want = [ix for ix in product(range(total + 1), repeat=parts) if sum(ix) == total]
+            assert list(weak_compositions(total, parts)) == want, (total, parts)
+
+
+def test_weak_compositions_take_any_number_of_parts():
+    units = list(weak_compositions(1, 1500))
+    assert len(units) == 1500
+    assert units == sorted(units)
+    assert units[0] == (0,) * 1499 + (1,) and units[-1] == (1,) + (0,) * 1499
 
 
 def test_mixed_orders_rejected():

@@ -117,3 +117,17 @@ def test_chains_never_names_cycloint():
     # packed group ring, so chains has no use for Z[zeta_m] arithmetic
     path = next(p for p in SOURCES if p.name == "chains.py")
     assert "CycloInt" not in path.read_text()
+
+
+def test_cli_renders_in_main_only():
+    # each subcommand returns (payload, exit code); main alone builds the
+    # document and emits it, inside the one try that maps errors to exit codes
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = {"_emit": [], "_document": []}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in callers):
+                callers[node.func.id].append(getattr(top, "name", ""))
+    assert callers == {"_emit": ["main"], "_document": ["main"]}

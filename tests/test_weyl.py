@@ -11,23 +11,38 @@ from hodgemoments.linalg import apply_columns
 from hodgemoments.weyl import DimensionMismatch, v21_chain, young_projector
 
 
+def _signed_sum():
+    """Test oracle: the columns of the raw signed permutation sum S."""
+    basis, pos = weyl._tensor_basis()
+    cols = [{} for _ in basis]
+    for perm, sign in weyl._signed_group_elements():
+        for j, t in enumerate(basis):
+            i = pos[weyl._apply_perm(perm, t)]
+            cols[j][i] = cols[j].get(i, 0) + sign
+    return [{i: c for i, c in col.items() if c} for col in cols]
+
+
+def _projector():
+    """Test oracle: the projector S / 8, with Fraction entries."""
+    return [{i: Fraction(c, 8) for i, c in col.items()} for col in _signed_sum()]
+
+
 def test_projector_dimension_and_scalar():
-    ps = young_projector()
-    assert ps.dim == 15
-    assert ps.idem_scalar == 8
+    assert young_projector().dim == 15
+    raw = _signed_sum()
+    assert [apply_columns(raw, col) for col in raw] == [
+        {i: 8 * c for i, c in col.items()} for col in raw]
 
 
 def test_projector_is_idempotent():
-    ps = young_projector()
-    proj = list(ps.projector)
+    proj = _projector()
     square = [apply_columns(proj, col) for col in proj]
     for got, want in zip(square, proj):
         assert {i: c for i, c in got.items() if c} == want
 
 
 def test_projector_trace_equals_rank():
-    ps = young_projector()
-    trace = sum(col.get(j, Fraction(0)) for j, col in enumerate(ps.projector))
+    trace = sum(col.get(j, Fraction(0)) for j, col in enumerate(_projector()))
     assert trace == 15
 
 
