@@ -25,7 +25,11 @@ from .series import BiSeries, expand_rational
 
 @lru_cache(maxsize=None)
 def block_multiplicity_poly(n: int, k: int) -> tuple[int, ...]:
-    """Coefficients of Q(t); antisymmetric around degree (n*k + 1) / 2."""
+    """Coefficients of Q(t); antisymmetric around degree (n*k + 1) / 2.
+
+    Paired from the right, the partial quotients are (1 - t) [n+i choose i]_t
+    for i = 1..k, so the work is O(n k^2) and no list outgrows degree nk + 1.
+    """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     return binomial_quotient(range(n + 1, n + k + 1), range(2, k + 1))
@@ -47,7 +51,8 @@ def _weight_counts(n: int, k: int) -> tuple[int, ...]:
 
     The row is the Gaussian binomial [n+k choose n]_t, symmetric in n and k:
     prod_{i=1..lo} (1 - t^{hi+i}) / (1 - t^i) with lo, hi = min, max of n, k.
-    Its numerator has degree at most 2nk, so the work and the list are O(nk).
+    Its partial quotients are the Gaussian binomials [hi+i choose i]_t, so
+    the list never has more than nk + 1 entries.
     """
     lo, hi = sorted((n, k))
     return binomial_quotient(range(hi + 1, hi + lo + 1), range(1, lo + 1))

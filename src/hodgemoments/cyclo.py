@@ -12,14 +12,15 @@ Hence sum_j I_j zeta^j = 0 iff every coset sum sum_r I_{s + r m/p} w^r is 0,
 i.e. (Phi_p has degree p - 1) iff I is constant on each coset s + (m/p)Z.  The
 vanishing tuples are the p-fold repeats J * p of the weak compositions J of
 k/p into m/p parts: whole regular p-gons, as in Lam-Leung.  Other m are
-enumerated, up to ENUMERATION_BUDGET exponent tuples.
+enumerated once per (m, k), up to ENUMERATION_BUDGET exponent tuples, into
+the cached orbit representatives that every count reads.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
 
-from .multiindex import MultiIndex, canonical_rotation, rotate, weak_compositions
+from .multiindex import MultiIndex, canonical_rotation, orbit, rotate, weak_compositions
 from .poly import _divmod_monic, div_exact_monic
 
 # most exponent tuples one count may enumerate when m is not a prime power;
@@ -120,23 +121,12 @@ def tuple_vanishes(m: int, index: MultiIndex) -> bool:
     return not CycloInt.from_exponents(m, index)
 
 
-def _enumerated_tuples(m: int, k: int):
-    """The weak compositions of k into m parts, for an m with no closed form."""
-    size = comb(k + m - 1, m - 1)
-    if size > ENUMERATION_BUDGET:
-        raise EnumerationTooLarge(
-            f"m={m} is not a prime power, so the vanishing sums for k={k} are found by "
-            f"enumeration, and its C({k + m - 1}, {m - 1}) = {size} exponent tuples "
-            f"exceed the budget of {ENUMERATION_BUDGET}")
-    return weak_compositions(k, m)
-
-
 def vanishing_tuple_count(m: int, k: int) -> int:
     """Number of weak compositions I of k with sum_j I_j zeta^j = 0."""
     p = _prime_power_base(m)
     if p is not None:
         return comb(k // p + m // p - 1, m // p - 1) if k % p == 0 else 0
-    return sum(1 for index in _enumerated_tuples(m, k) if tuple_vanishes(m, index))
+    return sum(len(orbit(rep)) for rep in vanishing_orbits(m, k))
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +138,13 @@ def vanishing_orbits(m: int, k: int) -> tuple[MultiIndex, ...]:
         blocks = weak_compositions(k // p, m // p) if k % p == 0 else ()
         reps = {canonical_rotation(block) * p for block in blocks}
     else:
-        reps = {canonical_rotation(index) for index in _enumerated_tuples(m, k)
+        size = comb(k + m - 1, m - 1)
+        if size > ENUMERATION_BUDGET:
+            raise EnumerationTooLarge(
+                f"m={m} is not a prime power, so the vanishing sums for k={k} are found by "
+                f"enumeration, and its C({k + m - 1}, {m - 1}) = {size} exponent tuples "
+                f"exceed the budget of {ENUMERATION_BUDGET}")
+        reps = {canonical_rotation(index) for index in weak_compositions(k, m)
                 if tuple_vanishes(m, index)}
     return tuple(sorted(reps))
 

@@ -100,6 +100,11 @@ def _pure_diamond(family: Family, n: int, k: int, weight: int, h) -> HodgeDiamon
                         {(p, weight - p): h(p) for p in range(weight + 1)})
 
 
+def _mirrored(weight: int, h_low):
+    """p -> h_low(min(p, weight - p)): a table read off its low half by Hodge symmetry."""
+    return lambda p: h_low(min(p, weight - p))
+
+
 def hodge_kl_closed(n: int, k: int) -> HodgeDiamond:
     """Closed-route Hodge numbers on weight n*k + 1 (the tower table if n = 2, 3 | k)."""
     require_admissible(Family.KL_Z, n, k)
@@ -107,24 +112,20 @@ def hodge_kl_closed(n: int, k: int) -> HodgeDiamond:
         return hodge_kl3_div3(k)
     w = n * k + 1
     series = lattice_step_series(n, w + 1, k + 1)
+    return _pure_diamond(Family.KL_Z, n, k, w, _mirrored(
+        w, lambda low: series.coeff(low - n - 1, k) if low >= n + 1 else 0))
 
-    def h(p: int) -> int:
-        low = min(p, w - p)
-        return series.coeff(low - n - 1, k) if low >= n + 1 else 0
 
-    return _pure_diamond(Family.KL_Z, n, k, w, h)
+def _kl3_low_half(k: int):
+    """h^{p, 2k+1-p} of the pure n = 2, 3 | k table as a function of p <= k."""
+    if k % 3:
+        raise ValueError("this table needs 3 | k")
+    return lambda low: low // 6 + (low % 6 in (3, 5)) - (low == k)
 
 
 def hodge_kl3_div3(k: int) -> HodgeDiamond:
     """Closed-route pure Hodge numbers for n = 2 with 3 | k."""
-    if k % 3:
-        raise ValueError("this table needs 3 | k")
-
-    def h(p: int) -> int:
-        low = min(p, 2 * k + 1 - p)
-        return low // 6 + (low % 6 in (3, 5)) - (low == k)
-
-    return _pure_diamond(Family.KL_Z, 2, k, 2 * k + 1, h)
+    return _pure_diamond(Family.KL_Z, 2, k, 2 * k + 1, _mirrored(2 * k + 1, _kl3_low_half(k)))
 
 
 def hodge_kl_from_basis(n: int, k: int) -> HodgeDiamond:
@@ -150,7 +151,7 @@ def _kl_diamond(chain, mid) -> HodgeDiamond:
         return _pure_diamond(chain.family, chain.n, k, w, lambda p: cards.get(w - p, 0))
     if 2 * sum(c for d, c in cards.items() if d <= k) != mid.total():
         raise DegenerateReduction("the low half of the middle basis is not half of it")
-    return _pure_diamond(chain.family, chain.n, k, w, lambda p: cards.get(min(p, w - p), 0))
+    return _pure_diamond(chain.family, chain.n, k, w, _mirrored(w, lambda d: cards.get(d, 0)))
 
 
 def _airy_diamond(n: int, k: int, h) -> HodgeDiamond:
@@ -193,12 +194,16 @@ def hodge_v21(route: str = "basis") -> HodgeDiamond:
         return _kl_diamond(chain, cohomology_bases(chain)[1])
     if route != "closed":
         raise ValueError(f"unknown route {route!r}")
-    return _pure_diamond(Family.V21, 2, 4, V21_WEIGHT, lambda p: int(p in (4, 5)))
+    return _pure_diamond(Family.V21, 2, 4, V21_WEIGHT,
+                         _mirrored(V21_WEIGHT, lambda low: int(low == 4)))
 
 
-def _mixed_diamond(family: Family, k: int, pure_at, diag_center: int) -> HodgeDiamond:
+def _mixed_diamond(family: Family, k: int, pure_low, extra: int) -> HodgeDiamond:
+    """An n = 2 mixed table: the pure weight-(2k+1) part read off its low half pure_low,
+    (k even) + extra at (k+1, k+1), and p % 2 at (p, p) for p = k+2..2k+1."""
     w = 2 * k + 1
-    levels = {**_pure_diamond(family, 2, k, w, pure_at).levels, (k + 1, k + 1): diag_center}
+    levels = {**_pure_diamond(family, 2, k, w, _mirrored(w, pure_low)).levels,
+              (k + 1, k + 1): (k % 2 == 0) + extra}
     levels.update({(p, p): p % 2 for p in range(k + 2, w + 1)})
     return HodgeDiamond(family, 2, k, w, "mixed", levels)
 
@@ -206,29 +211,13 @@ def _mixed_diamond(family: Family, k: int, pure_at, diag_center: int) -> HodgeDi
 def mixed_hodge_tilde_kl3(k: int) -> HodgeDiamond:
     """Mixed Hodge numbers of the full tilde cohomology for n = 2, any k."""
     dk = vanishing_tuple_count(3, k)
-
-    def pure_at(p: int) -> int:
-        q = 2 * k + 1 - p
-        val = (min(p, q) + 1) // 2
-        if p in (k, k + 1):
-            val -= dk
-        return val
-
-    center = (1 if k % 2 == 0 else 0) + dk
-    return _mixed_diamond(Family.KL_TILDE_T, k, pure_at, center)
+    # p = k and p = k + 1 share the low degree k, which loses the dk vanishing classes
+    return _mixed_diamond(Family.KL_TILDE_T, k, lambda low: (low + 1) // 2 - dk * (low == k), dk)
 
 
 def mixed_hodge_kl3(k: int) -> HodgeDiamond:
     """Mixed Hodge numbers of the full cohomology for n = 2 with 3 | k."""
-    if k % 3:
-        raise ValueError("this table needs 3 | k")
-    pure = hodge_kl3_div3(k)
-
-    def pure_at(p: int) -> int:
-        return pure.levels[(p, 2 * k + 1 - p)]
-
-    center = (1 if k % 2 == 0 else 0) + 1
-    return _mixed_diamond(Family.KL_Z, k, pure_at, center)
+    return _mixed_diamond(Family.KL_Z, k, _kl3_low_half(k), 1)
 
 
 @dataclass(frozen=True)
@@ -258,9 +247,19 @@ def verify(n: int, k: int) -> ConsistencyReport:
     def record(name, passed, detail=""):
         checks.append(CheckResult(name, bool(passed), detail if not passed else ""))
 
+    def record_route(name, closed, basis_route):
+        # a basis route that breaks down is a failed check, not an abort
+        try:
+            basis = basis_route()
+        except (RuntimeError, DegenerateReduction) as err:
+            record(name, False, str(err))
+        else:
+            record(name, closed.levels == basis.levels,
+                   f"closed={closed.nonzero()} basis={basis.nonzero()}")
+
     m = n + 1
     coprime = gcd(k, m) == 1
-    kl_ok = admissible(Family.KL_Z, n, k)
+    kl_ok, airy_ok = admissible(Family.KL_Z, n, k), admissible(Family.AIRY_Z, n, k)
     w = n * k + 1
     chain = build_chain(Family.KL_Z, n, k)
 
@@ -268,30 +267,28 @@ def verify(n: int, k: int) -> ConsistencyReport:
     # around nk-n (forced by the functional equation of the step series), and
     # the tighter bound nk-n-k+1 with its own mirror belongs to the rank-n
     # grading used by the Airy family (slots 0..n-1, z-weight n)
-    if coprime:
-        top = n * k - n
-        zero_beyond = all(lattice_step(n, k, d) == 0 for d in range(top + 1, w + 2))
-        mirror = all(lattice_step(n, k, d) == lattice_step(n, k, top - d)
+    def support_mirror(rank, top):
+        zero_beyond = all(lattice_step(rank, k, d) == 0 for d in range(top + 1, w + 2))
+        mirror = all(lattice_step(rank, k, d) == lattice_step(rank, k, top - d)
                      for d in range(top + 1))
+        return zero_beyond, mirror
+
+    if coprime:
+        zero_beyond, mirror = support_mirror(n, n * k - n)
         diff = all(lattice_step(n, k, d) - lattice_step(n, k, w - d)
                    == block_multiplicity(n, k, d) for d in range(w + 1))
         record("counting-clauses", zero_beyond and mirror and diff,
                f"zero_beyond={zero_beyond} mirror={mirror} diff={diff}")
-    if admissible(Family.AIRY_Z, n, k):
-        atop = n * k - n - k + 1
-        zero_beyond = all(lattice_step(n - 1, k, d) == 0
-                          for d in range(atop + 1, n * k + 2))
-        mirror = all(lattice_step(n - 1, k, d) == lattice_step(n - 1, k, atop - d)
-                     for d in range(atop + 1))
+    if airy_ok:
+        zero_beyond, mirror = support_mirror(n - 1, n * k - n - k + 1)
         record("counting-clauses-airy", zero_beyond and mirror,
                f"zero_beyond={zero_beyond} mirror={mirror}")
 
     if n == 2:
-        ok = all(lattice_step(2, k, d) == lattice_step_n2_closed(k, d)
-                 for d in range(k + 1))
-        ok = ok and all(block_multiplicity(2, k, d) == block_multiplicity_n2_closed(k, d)
-                        for d in range(k + 1))
-        record("counting-closed-n2", ok)
+        record("counting-closed-n2", all(
+            lattice_step(2, k, d) == lattice_step_n2_closed(k, d)
+            and block_multiplicity(2, k, d) == block_multiplicity_n2_closed(k, d)
+            for d in range(k + 1)))
 
     series = lattice_step_series(n, w + 1, k + 1)
     ok = all(series.coeff(d, k) == lattice_step(n, k, d) for d in range(w + 1))
@@ -343,16 +340,11 @@ def verify(n: int, k: int) -> ConsistencyReport:
             low = sum(c for d, c in cards.items() if d <= k)
             record("mid-low-half", 2 * low == mid.total(),
                    f"low={low} mid={cards}")
-        closed = hodge_kl_closed(n, k)
-        basis = _kl_diamond(chain, mid)
-        record("route-kl", closed.levels == basis.levels,
-               f"closed={closed.nonzero()} basis={basis.nonzero()}")
+        record_route("route-kl", hodge_kl_closed(n, k), lambda: _kl_diamond(chain, mid))
 
-    if admissible(Family.AIRY_Z, n, k):
+    if airy_ok:
         closed = hodge_airy_closed(n, k)
-        basis = hodge_airy_from_basis(n, k)
-        record("route-airy", closed.levels == basis.levels,
-               f"closed={closed.nonzero()} basis={basis.nonzero()}")
+        record_route("route-airy", closed, lambda: hodge_airy_from_basis(n, k))
         record("airy-dims", closed.total() == dims_airy(n, k).dim_h1,
                f"total={closed.total()}")
 
@@ -393,24 +385,19 @@ def verify(n: int, k: int) -> ConsistencyReport:
 
     # mixed tables
     if n == 2:
-        table = mixed_hodge_tilde_kl3(k)
-        expected_total = comb(k + 2, 2) - vanishing_tuple_count(3, k)
-        diag_total = sum(h for (p, q), h in table.levels.items() if p == q)
-        record("mixed-tilde", table.total() == expected_total
-               and diag_total == 1 + k // 2 + vanishing_tuple_count(3, k),
-               f"total={table.total()} expected={expected_total} diag={diag_total}")
+        dk3 = vanishing_tuple_count(3, k)
+        mixed = [("mixed-tilde", mixed_hodge_tilde_kl3(k), comb(k + 2, 2) - dk3, dk3)]
         if k % 3 == 0:
             # the tower case passes the gate, so rep is the kl report
-            table = mixed_hodge_kl3(k)
-            expected_total = rep.dim_h1
-            diag_total = sum(h for (p, q), h in table.levels.items() if p == q)
-            record("mixed-kl3", table.total() == expected_total
-                   and diag_total == 1 + k // 2 + 1,
-                   f"total={table.total()} expected={expected_total} diag={diag_total}")
+            mixed.append(("mixed-kl3", mixed_hodge_kl3(k), rep.dim_h1, 1))
             notes.append(
                 "convention note: the degree-k correction to the pure 3|k table is "
                 "applied before both congruence branches; applying it to only one "
                 "branch would break the k=3 vanishing and the total-dimension sums.")
+        for name, table, expected_total, extra in mixed:
+            diag_total = sum(h for (p, q), h in table.levels.items() if p == q)
+            record(name, table.total() == expected_total and diag_total == 1 + k // 2 + extra,
+                   f"total={table.total()} expected={expected_total} diag={diag_total}")
 
     return ConsistencyReport(n, k, tuple(checks), tuple(notes))
 

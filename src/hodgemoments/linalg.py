@@ -96,11 +96,7 @@ class SparseEchelon:
 
 
 def apply_columns(cols, vec) -> dict:
-    """The matrix with these sparse columns applied to vec: sum vec[j] * cols[j].
-
-    The entries of vec may lie in any commutative ring that multiplies by
-    the column entries (CycloInt included).
-    """
+    """The matrix with these sparse integer columns applied to vec: sum vec[j] * cols[j]."""
     out = {}
     for j, c in vec.items():
         for i, e in cols[j].items():

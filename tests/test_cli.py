@@ -227,6 +227,20 @@ def test_degenerate_reduction_exits_1(capsys, monkeypatch):
     assert err == "error: reduction failed to reconstruct\n"
 
 
+def test_broken_basis_route_exits_1_with_a_report(capsys, monkeypatch):
+    def broken(n, k):
+        raise RuntimeError("full basis still nonzero in degree 9, past the top degree 8")
+
+    monkeypatch.setattr(hodge, "hodge_airy_from_basis", broken)
+    code, out, err = run_main(capsys, "verify", "--n", "2", "--k", "5")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)["payload"]
+    assert payload["all_pass"] is False
+    assert [c for c in payload["checks"] if not c["pass"]] == [
+        {"detail": "full basis still nonzero in degree 9, past the top degree 8",
+         "name": "route-airy", "pass": False}]
+
+
 def test_failed_projector_check_exits_1(capsys, monkeypatch):
     # hodge --family v21 takes no input, so a projector that fails its
     # commutation check is an internal fault, not bad input

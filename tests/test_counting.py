@@ -185,6 +185,12 @@ def test_known_block_rows():
     assert block_multiplicity_poly(2, 6) == (1, 0, 1, 0, 1, 0, 1, -1, 0, -1, 0, -1, 0, -1)
 
 
+def test_block_row_for_n1_is_one_binomial():
+    # Q(1, k) = 1 - t^{k+1}; its numerator alone has degree k(k+3)/2 = 80 600
+    # at k = 400, which the paired quotient never multiplies out
+    assert block_multiplicity_poly(1, 400) == (1,) + (0,) * 400 + (-1,)
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_solution_dim_at_zero_n2(k):
     assert solution_dim_at_zero(2, k) == 1 + k // 2

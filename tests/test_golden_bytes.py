@@ -47,6 +47,12 @@ GOLDEN = [
      "4902a667b617f1f8340ade8ba9e72f37a7671cafc170fb8b0344567f04c1a1e4"),
     ("verify --n 2 --k 9", 0,
      "bdcc5883b646e028b68c826247effc8aae3a232d760acce96899b35c45af75ff"),
+    # n >= 4: no tilde checks, airy inside the gate
+    ("verify --n 4 --k 3", 0,
+     "c810e2611c41ec7018e2fb2033b2412481c674b54cf4aeecbd8f767422b757cd"),
+    # kl outside the gate: tilde-kernel-tail and route-airy
+    ("verify --n 3 --k 4", 0,
+     "fdb10d6ae112720033b86e0787b600594df890b1806261a7a8cb03465828f385"),
 ]
 
 

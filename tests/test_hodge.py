@@ -351,6 +351,28 @@ class TestVerify:
         check = next(c for c in verify(n, k).checks if c.name == "tilde-eigen-relation")
         assert check.passed, check.detail
 
+    @pytest.mark.parametrize("name, target, error", [
+        ("route-kl", "_kl_diamond",
+         DegenerateReduction("the low half of the middle basis is not half of it")),
+        ("route-airy", "hodge_airy_from_basis",
+         RuntimeError("full basis still nonzero in degree 9, past the top degree 8")),
+        ("route-airy", "hodge_airy_from_basis",
+         DegenerateReduction("airy classes in degrees [5] lie past the top degree 4")),
+    ])
+    def test_broken_basis_route_is_a_failed_check(self, monkeypatch, name, target, error):
+        # a basis route that breaks down is reported as data: the same checks
+        # in the same order, only its route check failed, the error as detail
+        names = [c.name for c in verify(2, 5).checks]
+
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr(hodge, target, broken)
+        report = verify(2, 5)
+        assert [c.name for c in report.checks] == names
+        assert [(c.name, c.detail) for c in report.checks if not c.passed] == [(name, str(error))]
+        assert not report.all_pass
+
     def test_check_names_stable(self):
         names = {c.name for c in verify(2, 4).checks}
         assert "counting-clauses" in names

@@ -50,7 +50,10 @@ def test_binomial_quotient_gaussian_binomial():
     assert sum(got) == 35 and got == tuple(reversed(got)) and len(got) == n * k + 1
 
 
-@pytest.mark.parametrize("ups,downs", [([3], [2]), ([2], [3]), ([4, 1], [3]), ([], [1])])
+@pytest.mark.parametrize("ups,downs", [([3], [2]), ([2], [3]), ([4, 1], [3]), ([], [1]),
+                                       # paired from the right, (1 - t) / (1 - t^2) comes
+                                       # first and is not a polynomial, though the whole is 1
+                                       ([1, 2], [2, 1])])
 def test_binomial_quotient_rejects_remainder(ups, downs):
     with pytest.raises(RemainderNonzero):
         binomial_quotient(ups, downs)

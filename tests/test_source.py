@@ -54,6 +54,30 @@ def test_chain_operators_built_in_one_place():
     }
 
 
+def test_hodge_symmetry_and_mixed_layout_stated_once():
+    # every table read off its low half goes through _mirrored, the one
+    # min(p, w - p) of the package, and both n = 2 mixed tables through
+    # _mixed_diamond; the non-tower branch of _kl_diamond reads every degree,
+    # so that mid-degree-mirror still checks the symmetry there
+    calls = {"_mirrored": [], "_mixed_diamond": [], "min": []}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in calls
+                        and (node.func.id != "min" or any(
+                            isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Sub)
+                            for arg in node.args))):
+                    calls[node.func.id].append(f"{path.name}:{getattr(top, 'name', '')}")
+    assert calls == {
+        "_mirrored": ["hodge.py:hodge_kl_closed", "hodge.py:hodge_kl3_div3",
+                      "hodge.py:_kl_diamond", "hodge.py:hodge_v21", "hodge.py:_mixed_diamond"],
+        "_mixed_diamond": ["hodge.py:mixed_hodge_tilde_kl3", "hodge.py:mixed_hodge_kl3"],
+        "min": ["hodge.py:_mirrored"],
+    }
+
+
 def test_integer_counting_layers_import_no_fractions():
     # Q(t), the step series, Phi_m, the vanishing counts and the echelon are integer work
     for name in ("counting.py", "cyclo.py", "linalg.py", "poly.py", "series.py"):
