@@ -6,14 +6,14 @@ multi-indices).  A third, the lowering F (weight -1), only certifies the
 Jordan type of N: (N, F) spans an sl2 on V, so the weight counts give it.
 The degree of z^a v is zweight * a + wt(v), and the degree-raising map is
 
-    theta_bar = scale * (N + z^e E),
+    theta_bar = N + z^e E,   times n+1 on KL_TILDE_T,
 
 with the z-shift e of E fixed by homogeneity of degree +1 in every family:
 
-    KL_Z        zweight n+1, e 1,   scale 1
-    KL_TILDE_T  zweight 1,   e n+1, scale n+1
-    AIRY_Z      zweight n,   e 1,   scale 1
-    V21         zweight 3,   e 1,   scale 1   (projected 15-dim V)
+    KL_Z        zweight n+1, e 1
+    KL_TILDE_T  zweight 1,   e n+1   (t = z^{1/(n+1)}: KL_Z's V, N, E, tower)
+    AIRY_Z      zweight n,   e 1
+    V21         zweight 3,   e 1     (projected 15-dim V)
 
 V is stored in slice order: weight descending, then label.  In one degree
 the index j of a monomial (z_power, j) fixes its z-power, and the monomials
@@ -29,10 +29,10 @@ representatives in the z^0 layer, and, in the tower case, the z^{k/3} v_0^k
 line in degree k; so the middle basis is a filter of the full one.  Both
 (cohomology_bases) and the kernel dims read one walk of the image echelons:
 the degree in which each column key first becomes an image pivot.  The walk
-reads only m, k, zweight, scale and whether there is a tower, never the
-family or n, so it is kept for the life of the process under those
-(_image_walk): the rank-n Airy chain is the rank-n Kloosterman chain with a
-longer range of degrees, and shares its walk.
+reads only m, k and whether there is a tower, never the family or n, so it
+is kept for the life of the process under those (_image_walk): the rank-n
+Airy chain is the rank-n Kloosterman chain with a longer range of degrees,
+and the kl-tilde chain is m copies of the kl chain, so both share its walk.
 
 The tower element eta = f_0 f_1 f_2 is the norm of f_0 from Q(zeta_3), an
 integer polynomial in four terms (eta_power_vector), so its powers are plain
@@ -45,7 +45,7 @@ Phi_m: alpha vanishes at zeta_m iff Psi_m alpha = 0 in Z[C_m], Psi_m =
 for the chain at hand (GroupRingPacking, eigen_relation_failure).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -106,14 +106,13 @@ class GradedChain:
     n: int
     k: int
     zweight: int
-    scale: int
     labels: list            # per index j of V, in slice order: a multi-index, or an int for V21
     weights: list[int]      # per j: descending, so each weight is one run of indices
     nmat: list[dict]        # column j -> {i: coeff}, raises weight by 1
     emat: list[dict]        # column j -> {i: coeff}
     tower: dict | None      # {j: int}: eta^{k/3}, of degree 2k, else None
     fmat: list | None = None  # lowering columns, weight -1; None: from the labels on first use
-    _by_weight: dict = field(default_factory=dict, repr=False)
+    _by_weight: dict = field(default_factory=dict, repr=False)  # weight -> its indices j
 
     @property
     def max_degree(self) -> int:
@@ -121,8 +120,9 @@ class GradedChain:
         return self.n * self.k + 2
 
     def __post_init__(self):
-        for j, w in enumerate(self.weights):
-            self._by_weight.setdefault(w, []).append(j)
+        if not self._by_weight:  # else shared with the chain whose V this is (tilde_chain)
+            for j, w in enumerate(self.weights):
+                self._by_weight.setdefault(w, []).append(j)
 
     @cached_property
     def _strings(self) -> tuple[int, dict[int, int]]:
@@ -137,13 +137,12 @@ class GradedChain:
                 for j in self._by_weight.get(d - self.zweight * a, ())]
 
     def _theta_bar_row(self, j: int) -> dict[int, int]:
-        """theta_bar of the source (0, j), keyed by index in V.
+        """N + z^e E of the source (0, j), keyed by index in V: theta_bar, up to kl-tilde's n+1.
 
         N and E land in different weights, so dropping the z-power keeps
         their keys apart; the row is the same for every source (a, j).
         """
-        scale = self.scale
-        return {i: scale * c for col in (self.nmat[j], self.emat[j]) for i, c in col.items()}
+        return {**self.nmat[j], **self.emat[j]}
 
 
 def _psi(m: int) -> tuple[int, ...]:
@@ -181,9 +180,10 @@ class GroupRingPacking:
         return not any(psi * v % modulus for v in values)
 
 
-def _slice_sorted(indices) -> list:
-    """The multi-indices in slice order: weight descending, then lexicographic."""
-    return sorted(indices, key=lambda ix: (-weight(ix), ix))
+def _slice_sorted(indices) -> tuple[list, list[int]]:
+    """(labels, weights): the multi-indices sorted by weight descending, then lexicographic."""
+    decorated = sorted((-weight(ix), ix) for ix in indices)
+    return [ix for _, ix in decorated], [-w for w, _ in decorated]
 
 
 def _raise_tables(m: int, k: int) -> list:
@@ -193,7 +193,7 @@ def _raise_tables(m: int, k: int) -> list:
     chain's label order; raises[s][p] is the position of levels[L][p] + e_s
     in levels[L + 1].
     """
-    levels = [_slice_sorted(weak_compositions(total, m)) for total in range(k + 1)]
+    levels = [_slice_sorted(weak_compositions(total, m))[0] for total in range(k + 1)]
     steps = []
     for low, high in zip(levels, levels[1:]):
         pos = {jj: p for p, jj in enumerate(high)}
@@ -265,7 +265,7 @@ def eigen_relation_failure(chain: GradedChain) -> MultiIndex | None:
     chain's own theta_bar (see GroupRingPacking):
 
         every coefficient of f_I is at most m^k, so |alpha_e| <= (l1 + mk) m^k,
-        with l1 the largest l1 norm of a theta_bar row into degree nk + 1;
+        with l1 the largest l1 norm of the theta_bar = m (N + t^m E) rows into degree nk + 1;
         bound = ||Psi_m||_1 (l1 + mk) m^k and B = bound.bit_length() + 2,
 
     so the coefficients of Psi_m alpha stay below 2^{B-2}, with a factor 2 to spare.
@@ -278,7 +278,7 @@ def eigen_relation_failure(chain: GradedChain) -> MultiIndex | None:
     rows = [[] for _ in chain.weights]  # target i -> [(source j, theta_bar coefficient)]
     for j in range(len(rows)):
         for i, c in chain._theta_bar_row(j).items():
-            rows[i].append((j, c))
+            rows[i].append((j, m * c))
     l1 = max(sum(abs(c) for _, c in row) for row in rows)
     bound = sum(map(abs, _psi(m))) * (l1 + m * k) * m ** k
     packing = GroupRingPacking(m, bound.bit_length() + 2)
@@ -318,71 +318,78 @@ def eta_power_vector(k: int) -> dict:
 
 def build_chain(family: Family, n: int, k: int) -> GradedChain:
     """Assemble the chain for a symmetric-power family."""
-    if family is Family.V21:
-        raise BadFamilyParams("the V21 chain is built by weyl.v21_chain")
     if family not in (Family.KL_Z, Family.KL_TILDE_T, Family.AIRY_Z):
-        raise BadFamilyParams(f"unknown family {family}")
+        raise BadFamilyParams(f"no symmetric-power chain for {family}; V21's is weyl.v21_chain")
     if n < 1 or k < 1:
         raise BadFamilyParams("n and k must be positive")
     if family is Family.AIRY_Z and n < 2:
         raise BadFamilyParams("the Airy family needs n >= 2")
-    m = n + 1 if family in (Family.KL_Z, Family.KL_TILDE_T) else n
-    labels = _slice_sorted(weak_compositions(k, m))
-    weights = [weight(ix) for ix in labels]
+    m = n if family is Family.AIRY_Z else n + 1
+    labels, weights = _slice_sorted(weak_compositions(k, m))
     pos = {ix: j for j, ix in enumerate(labels)}
     nmat = [{pos[t]: c for t, c in shift_action(ix).items()} for ix in labels]
     emat = [{pos[t]: c for t, c in corner_action(ix).items()} for ix in labels]
-    zweight, scale = {Family.KL_Z: (n + 1, 1), Family.KL_TILDE_T: (1, n + 1),
-                      Family.AIRY_Z: (n, 1)}[family]
     # eta^{k/3} is homogeneous of degree 2k, so J alone fixes each of its terms
     tower = ({pos[jj]: c for (_, jj), c in eta_power_vector(k).items()}
              if has_tower(family, n, k) else None)
-    chain = GradedChain(family, n, k, zweight, scale, labels, weights, nmat, emat, tower)
-    if family is Family.KL_TILDE_T:
-        stable = comb(n + k, n)
-        if len(chain.slice_monomials(chain.max_degree)) != stable:
-            raise RuntimeError("tilde slices failed to stabilize; bad construction")
-    return chain
+    chain = GradedChain(Family.AIRY_Z if family is Family.AIRY_Z else Family.KL_Z,
+                        n, k, m, labels, weights, nmat, emat, tower)
+    return tilde_chain(chain) if family is Family.KL_TILDE_T else chain
+
+
+def tilde_chain(chain: GradedChain) -> GradedChain:
+    """The kl-tilde chain in the t chart, z = t^{n+1}, on a kl chain's V, N, E and tower."""
+    tchain = replace(chain, family=Family.KL_TILDE_T, zweight=1)
+    if len(tchain.slice_monomials(tchain.max_degree)) != comb(chain.n + chain.k, chain.n):
+        raise RuntimeError("tilde slices failed to stabilize; bad construction")
+    return tchain
 
 
 _IMAGE_WALKS: dict = {}  # _walk_key -> (born, extra) of _walk_images, for the life of the process
 
 
 def _walk_key(chain: GradedChain) -> tuple:
-    """Exactly what theta_bar and the walk read of a chain from build_chain.
+    """Exactly what the walk reads of a chain from build_chain: (m, k, tower).
 
-    The labels and weights are the weak compositions of k on m slots in
-    slice order, and N, E and the tower follow from them; V21 has a space of
-    its own.  The family and n stay out: kl (n-1, k) and airy (n, k)
-    share one key.
+    V is the weak compositions of k on m slots, N, E and the tower follow, and
+    the walk runs on z-weight m; V21 has a space of its own.  So kl (n-1, k),
+    kl-tilde (n-1, k) and airy (n, k) share one key.
     """
     if chain.family is Family.V21:
         return (Family.V21,)
-    return (len(chain.labels[0]), chain.k, chain.zweight, chain.scale, chain.tower is not None)
+    return (len(chain.labels[0]), chain.k, chain.tower is not None)
 
 
 def _image_walk(chain: GradedChain) -> tuple:
-    """The walk of this chain's image echelons, taken once per walk key."""
+    """The walk of this chain's image echelons, taken once per walk key.
+
+    kl-tilde is m copies of kl, t^r C[z] for r < m: born is kl's, and each
+    kl tower extra (d, key) is also the extra of the tilde degrees d + r.
+    """
     key = _walk_key(chain)
     walk = _IMAGE_WALKS.get(key)
     if walk is None:
         walk = _IMAGE_WALKS[key] = _walk_images(chain)
-    return walk
+    if chain.family is not Family.KL_TILDE_T:
+        return walk
+    born, extra = walk
+    return born, tuple((d + r, key) for d, key in extra for r in range(chain.n + 1)
+                       if d + r <= chain.max_degree)
 
 
 def _walk_images(chain: GradedChain) -> tuple:
     """(born, extra) from the echelons of im theta_bar, one per class of the degree mod zweight.
 
+    On kl-tilde the degree and zweight are its kl chain's (see _image_walk).
     born[c] is the degree in which column key c first becomes an image pivot,
     0 if never; so c is a pivot in degree d exactly when 0 < born[c] <= d,
     for every d in its class.  extra holds (d, key) for each tower degree d
     whose tower row leaves a residual: key is the pivot that row adds.  Both
     are immutable, and neither holds a row or the chain.
 
-    Columns are the indices j of V, under which the theta_bar row of a
-    source j is the same in every degree.  Since theta_bar is C[z]-linear,
+    Since theta_bar is C[z]-linear and a row is the same in every degree,
     the image in degree d + zweight is z times the image in degree d plus the
-    rows of the weight d + zweight - 1 layer, so one echelon serves the whole
+    rows of the weight d + zweight - 1 layer: one echelon serves the whole
     class and each source of V is offered once.  Layers go in ascending
     weight with j descending inside a layer: the top z-power first, which
     keeps fill-in low.  A row offered in degree d lands in weights = d mod
@@ -392,7 +399,8 @@ def _walk_images(chain: GradedChain) -> tuple:
     range of degrees.  It runs on to max weight + 2, the top degree of the
     Kloosterman chains, which are the only ones with a tower.
     """
-    zweight, tower = chain.zweight, chain.tower
+    tower = chain.tower
+    zweight = chain.n + 1 if chain.family is Family.KL_TILDE_T else chain.zweight
     top = max(chain.weights) + 2
     born = [0] * len(chain.weights)
     extra = []

@@ -112,21 +112,15 @@ def _csv_rows_for_payload(command: str, payload: dict) -> tuple[list[str], list[
         return ["degree", "count"], [[ent["degree"], ent["count"]]
                                      for ent in payload["cardinalities"]]
     if command == "verify":
-        header = ["n", "k", "check", "pass"]
-        rows = []
-        for rep in payload.get("reports", [payload]):
-            for c in rep["checks"]:
-                rows.append([rep["n"], rep["k"], c["name"], c["pass"]])
-        return header, rows
+        return ["n", "k", "check", "pass"], [[rep["n"], rep["k"], c["name"], c["pass"]]
+                                             for rep in payload.get("reports", [payload])
+                                             for c in rep["checks"]]
     return ["key", "value"], [[key, payload[key]] for key in sorted(payload)]
 
 
 def _to_csv(doc: dict) -> str:
     header, rows = _csv_rows_for_payload(doc["command"], doc["payload"])
-    lines = [",".join(str(x) for x in header)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def _md_diamond(payload: dict) -> list[str]:
@@ -158,10 +152,8 @@ def _to_md(doc: dict) -> str:
             lines = _md_diamond(payload)
     else:
         header, rows = _csv_rows_for_payload(command, payload)
-        lines = ["| " + " | ".join(str(h) for h in header) + " |",
-                 "| " + " | ".join("-" for _ in header) + " |"]
-        for row in rows:
-            lines.append("| " + " | ".join(str(x) for x in row) + " |")
+        lines = ["| " + " | ".join(map(str, row)) + " |"
+                 for row in [header, ["-"] * len(header), *rows]]
     return "\n".join(lines) + "\n"
 
 

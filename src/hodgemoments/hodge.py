@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .chains import (DegenerateReduction, build_chain, cohomology_bases, eigen_relation_failure,
-                     jordan_block_sizes, kernel_slice_dims, shift_coker_dims)
+                     jordan_block_sizes, kernel_slice_dims, shift_coker_dims, tilde_chain)
 from .counting import (block_multiplicity, block_multiplicity_n2_closed,
                        bottom_multiplicity, lattice_step, lattice_step_n2_closed,
                        lattice_step_series, solution_dim_at_infinity,
@@ -262,6 +262,7 @@ def verify(n: int, k: int) -> ConsistencyReport:
     kl_ok, airy_ok = admissible(Family.KL_Z, n, k), admissible(Family.AIRY_Z, n, k)
     w = n * k + 1
     chain = build_chain(Family.KL_Z, n, k)
+    tchain = tilde_chain(chain)  # on the kl chain's V, and so its walk
 
     # counting clauses; the step counts are supported on [0, nk-n] and mirror
     # around nk-n (forced by the functional equation of the step series), and
@@ -349,8 +350,6 @@ def verify(n: int, k: int) -> ConsistencyReport:
                f"total={closed.total()}")
 
     # tilde chain
-    if kl_ok or n <= 3:
-        tchain = build_chain(Family.KL_TILDE_T, n, k)
     if kl_ok:
         tfull, tmid = cohomology_bases(tchain)
         record("basis-totals-tilde",

@@ -175,6 +175,6 @@ def v21_chain() -> GradedChain:
     def permuted(cols):
         return [{pos[i]: c for i, c in cols[t].items()} for t in order]
 
-    return GradedChain(family=Family.V21, n=2, k=4, zweight=3, scale=1, labels=order,
+    return GradedChain(family=Family.V21, n=2, k=4, zweight=3, labels=order,
                        weights=[ps.weights[t] for t in order], nmat=permuted(ps.nmat),
                        emat=permuted(ps.emat), tower=None, fmat=permuted(ps.fmat))

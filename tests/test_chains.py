@@ -26,6 +26,7 @@ from hodgemoments.chains import (
     kernel_slice_dims,
     shift_action,
     shift_coker_dims,
+    tilde_chain,
 )
 from hodgemoments.counting import (
     block_multiplicity,
@@ -46,15 +47,21 @@ def ezshift(chain):
     return chain.n + 1 if chain.family is Family.KL_TILDE_T else 1
 
 
+def theta_scale(chain):
+    """The factor of theta_bar over N + z^e E: n + 1 on kl-tilde, else 1."""
+    return chain.n + 1 if chain.family is Family.KL_TILDE_T else 1
+
+
 def theta_bar_mono(chain, mono):
     """theta_bar of a chain monomial (a, j), as chain monomials one degree up."""
     a, j = mono
+    scale = theta_scale(chain)
     out = {}
     for i, c in chain.nmat[j].items():
-        out[(a, i)] = out.get((a, i), 0) + chain.scale * c
+        out[(a, i)] = out.get((a, i), 0) + scale * c
     for i, c in chain.emat[j].items():
         key = (a + ezshift(chain), i)
-        out[key] = out.get(key, 0) + chain.scale * c
+        out[key] = out.get(key, 0) + scale * c
     return out
 
 
@@ -618,18 +625,23 @@ def test_full_basis_offers_each_source_once(monkeypatch, family, n, k):
                          ids=[f"{f.value}-{n}-{k}" for f, n, k in OFFER_CASES])
 def test_theta_bar_row_rekeys_theta_bar_mono(family, n, k):
     # the class row read straight off N and E is theta_bar of any source
-    # (a, j) with each monomial (b, i) keyed by its index i in V: every scale
-    # (kl-tilde multiplies by n + 1) and the tower case included
+    # (a, j) with each monomial (b, i) keyed by its index i in V, over its
+    # factor (kl-tilde multiplies by n + 1); the tower case included
     chain = _chain(family, n, k)
+    scale = theta_scale(chain)
     for j in range(len(chain.weights)):
         for a in (0, 2):
             image = theta_bar_mono(chain, (a, j))
             assert len({i for _, i in image}) == len(image)
-            assert chain._theta_bar_row(j) == {i: c for (_, i), c in image.items()}
+            assert {i: scale * c for i, c in chain._theta_bar_row(j).items()} == {
+                i: c for (_, i), c in image.items()}
 
 
-# the slice cases, and two long walks, whose degrees pass 255
-WALK_CASES = SLICE_CASES + [(Family.KL_Z, 1, 255), (Family.KL_TILDE_T, 1, 255)]
+# the slice cases, two long walks, whose degrees pass 255, and a kl-tilde grid,
+# admissible or not: the oracle walks kl-tilde in one class, the library reads kl's walk
+WALK_CASES = SLICE_CASES + [(Family.KL_Z, 1, 255), (Family.KL_TILDE_T, 1, 255)] + [
+    (Family.KL_TILDE_T, n, k) for n in range(1, 4) for k in range(1, 9)
+    if (Family.KL_TILDE_T, n, k) not in SLICE_CASES]
 
 
 @pytest.mark.parametrize("family,n,k", WALK_CASES,
@@ -673,28 +685,36 @@ AIRY_KL_GRID = [(n, k) for n in range(1, 8) for k in range(1, 13) if comb(n + k,
 
 
 def test_rank_n_airy_chain_is_the_rank_n_kloosterman_chain():
-    # airy (n + 1, k) and kl (n, k) share m = n + 1 slots, zweight n + 1 and
-    # scale 1, so their walks are one; kl's tower parts them
+    # airy (n + 1, k) and kl (n, k) share m = n + 1 slots and zweight n + 1,
+    # so their walks are one; kl's tower parts them
     for n, k in AIRY_KL_GRID:
         airy, kl = build_chain(Family.AIRY_Z, n + 1, k), build_chain(Family.KL_Z, n, k)
-        for name in ("labels", "weights", "nmat", "emat", "zweight", "scale"):
+        for name in ("labels", "weights", "nmat", "emat", "zweight"):
             assert getattr(airy, name) == getattr(kl, name), (n, k, name)
         assert (_walk_key(airy) == _walk_key(kl)) == (kl.tower is None), (n, k)
+
+
+def test_tilde_walks_on_the_kl_grading():
+    # the kl-tilde chain's own walk is its kl chain's, tower degrees included,
+    # so the one they share does not depend on which of them takes it first
+    for n, k in [(1, 5), (2, 5), (2, 6), (2, 9), (3, 5)]:
+        kl = build_chain(Family.KL_Z, n, k)
+        assert chains._walk_images(tilde_chain(kl)) == chains._walk_images(kl), (n, k)
 
 
 def test_walk_keys_part_what_the_walk_reads():
     # the tower: kl (2, 3) has one, airy (3, 3) has the same slots and none
     assert _walk_key(build_chain(Family.KL_Z, 2, 3)) != _walk_key(build_chain(Family.AIRY_Z, 3, 3))
-    # the chart: kl-tilde has zweight 1 and scale n + 1
+    # not the chart: kl-tilde is m copies of kl in the t chart, tower included
     for n, k in AIRY_KL_GRID:
         assert (_walk_key(build_chain(Family.KL_Z, n, k))
-                != _walk_key(build_chain(Family.KL_TILDE_T, n, k))), (n, k)
+                == _walk_key(build_chain(Family.KL_TILDE_T, n, k))), (n, k)
     # the space: V21 lives in a projected space, kl (2, 4) on the same m, k
     assert _walk_key(v21_chain()) != _walk_key(build_chain(Family.KL_Z, 2, 4))
 
 
-# every admissible point with dim V <= 300, kl first, so that airy (n + 1, k)
-# finds the walk of kl (n, k); and V21
+# every admissible point with dim V <= 300, kl first, so that kl-tilde (n, k)
+# and airy (n + 1, k) find the walk of kl (n, k); and V21
 MEMO_POINTS = [(family, n, k) for family in (Family.KL_Z, Family.KL_TILDE_T, Family.AIRY_Z)
                for n in range(1, 8) for k in range(1, 13)
                if admissible(family, n, k)
@@ -735,11 +755,15 @@ def test_memo_hit_gives_the_cold_answers(monkeypatch):
         assert _answers(chain) == cold[point], point
         assert bool(offered) != hit, point
         shared += hit
-    # the hits are the airy points (n + 1, k) after a kl (n, k) without a tower
+    # the hits are every kl-tilde point, after its kl point (the gate is one),
+    # and the airy points (n + 1, k) after a kl (n, k) without a tower
+    tildes = sum(family is Family.KL_TILDE_T for family, _, _ in built)
+    assert all((Family.KL_Z, n, k) in built for family, n, k in built
+               if family is Family.KL_TILDE_T)
     partners = sum(built.get((Family.KL_Z, n - 1, k)) is not None
                    and built[(Family.KL_Z, n - 1, k)].tower is None
                    for family, n, k in built if family is Family.AIRY_Z)
-    assert shared == partners > 0
+    assert shared == tildes + partners and tildes > 0 and partners > 0
     offered.clear()
     for point, chain in built.items():
         assert _answers(chain) == cold[point], point

@@ -31,6 +31,11 @@ GOLDEN = [
      "9fb50ac4f1cda4c83a0256ec2640e78b6a257a295741814c41ed21fa3c9c9a9c"),
     ("basis --family kl-tilde --n 3 --k 3 --vectors", 0,
      "251031d65fc509a0e2365e6a17a67a615c7a6737d3a47f29ed618c407f30de18"),
+    # the kl-tilde tower's extra pivots in the full basis
+    ("basis --family kl-tilde --n 2 --k 6 --vectors", 0,
+     "b439821a7f82710472013751ea0806bb83b7f7fc464ec1f90126bacd40584689"),
+    ("basis --family kl-tilde --n 2 --k 9 --vectors", 0,
+     "5b3f7e73f08a372b88b03ff41feb9b65a219348d02a1e630b2b730a0a581503d"),
     ("basis --family airy --n 3 --k 5 --vectors", 0,
      "8117219fda8406d770a047eda476f9fc0536507d57aff582fdd940587e07217e"),
     ("basis --family v21 --vectors", 0,

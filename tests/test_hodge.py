@@ -261,7 +261,7 @@ class TestVerify:
 
     def test_one_basis_walk_per_chain(self, monkeypatch):
         # kl: both bases, which also give the coker dims; kl-tilde: both
-        # bases and the kernel dims, read off one walk.  The kl chain at
+        # bases and the kernel dims, read off the kl walk.  The kl chain at
         # (2, 5) is the airy chain at (3, 5), so verify (2, 5) finds its walk
         seen = []
         walk = chains._walk_images
@@ -272,10 +272,36 @@ class TestVerify:
 
         monkeypatch.setattr(chains, "_walk_images", counted)
         assert verify(3, 5).all_pass
-        assert Counter(seen) == {Family.KL_Z: 1, Family.KL_TILDE_T: 1, Family.AIRY_Z: 1}
+        assert Counter(seen) == {Family.KL_Z: 1, Family.AIRY_Z: 1}
         seen.clear()
         assert verify(2, 5).all_pass
-        assert Counter(seen) == {Family.KL_TILDE_T: 1, Family.AIRY_Z: 1}
+        assert Counter(seen) == {Family.AIRY_Z: 1}
+
+    @pytest.mark.parametrize("n,k", [(3, 5), (2, 6)])
+    def test_one_v_per_point(self, monkeypatch, n, k):
+        # the kl-tilde chain stands on the kl chain's own V, N, E and tower
+        # (at (2, 6) the tower case); build_chain never builds a tilde V
+        built, tilde = [], []
+        build, share = hodge.build_chain, hodge.tilde_chain
+
+        def counted_build(family, n_, k_):
+            built.append(build(family, n_, k_))
+            return built[-1]
+
+        def counted_share(chain):
+            tilde.append((chain, share(chain)))
+            return tilde[-1][1]
+
+        monkeypatch.setattr(hodge, "build_chain", counted_build)
+        monkeypatch.setattr(hodge, "tilde_chain", counted_share)
+        assert verify(n, k).all_pass
+        assert Family.KL_TILDE_T not in {chain.family for chain in built}
+        (kl, tchain), = tilde
+        assert kl is built[0] and kl.family is Family.KL_Z
+        assert tchain.family is Family.KL_TILDE_T and tchain.zweight == 1
+        for name in ("labels", "weights", "nmat", "emat", "tower", "_by_weight"):
+            assert getattr(tchain, name) is getattr(kl, name), name
+        assert (tchain.tower is None) == (k % 3 != 0)
 
     def test_one_dimension_report_per_family(self, monkeypatch):
         # at (2, 6) basis-totals, dims-consistent and mixed-kl3 all read a report
@@ -318,22 +344,32 @@ class TestVerify:
         (n, k, corrupt) for n, k in [(1, 3), (2, 4), (2, 6), (3, 5), (3, 6)]
         for corrupt in (_bump_first_e, _bump_last_n, _cancelling_n_pair)
         if n > 1 or corrupt is not _cancelling_n_pair])
-    def test_eigen_relation_fails_where_cycloint_oracle_fails(self, monkeypatch, n, k,
-                                                               corrupt):
-        def corrupted_build(family, n_, k_):
-            chain = build_chain(family, n_, k_)
-            if family is Family.KL_TILDE_T:
-                corrupt(chain)
-            return chain
-
-        want = cycloint_first_eigen_failure(corrupted_build(Family.KL_TILDE_T, n, k), n, k)
+    def test_eigen_relation_fails_where_cycloint_oracle_fails(self, n, k, corrupt):
+        # a private copy of the tilde chain's N and E, corrupted: inside verify
+        # a corrupted N is shared with the kl chain and fails the sl2 certificate first
+        chain = build_chain(Family.KL_TILDE_T, n, k)
+        chain = replace(chain, nmat=[dict(col) for col in chain.nmat],
+                        emat=[dict(col) for col in chain.emat])
+        corrupt(chain)
+        want = cycloint_first_eigen_failure(chain, n, k)
         assert want is not None
         if corrupt is _cancelling_n_pair:
             assert want != (0,) * n + (k,)
-        monkeypatch.setattr(hodge, "build_chain", corrupted_build)
-        check = next(c for c in verify(n, k).checks if c.name == "tilde-eigen-relation")
-        assert not check.passed
-        assert check.detail == f"first failure at {want}"
+        assert chains.eigen_relation_failure(chain) == want
+
+    def test_eigen_relation_failure_is_reported(self, monkeypatch):
+        # verify reports the first failure the eigen check returns, on the tilde chain
+        seen = []
+
+        def failing(chain):
+            seen.append(chain.family)
+            return (1, 0, 4)
+
+        monkeypatch.setattr(hodge, "eigen_relation_failure", failing)
+        report = verify(2, 5)
+        assert seen == [Family.KL_TILDE_T]
+        assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+            ("tilde-eigen-relation", "first failure at (1, 0, 4)")]
 
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 5)])
     def test_eigen_relation_is_decided_modulo_phi(self, monkeypatch, n, k):
