@@ -6,9 +6,8 @@ floating point anywhere in the computational path.
 
 from .chains import (BasisSet, DegenerateReduction, GradedChain, build_chain,
                      cohomology_bases, jordan_block_sizes, shift_coker_dims)
-from .counting import (block_multiplicity, block_multiplicity_poly,
-                       bottom_multiplicity, lattice_count, lattice_step,
-                       solution_dim_at_infinity, solution_dim_at_zero)
+from .counting import (block_multiplicity, block_multiplicity_poly, bottom_multiplicity,
+                       lattice_step, solution_dim_at_infinity, solution_dim_at_zero)
 from .cyclo import (CycloInt, signed_orbit_count, vanishing_orbit_count,
                     vanishing_orbits, vanishing_tuple_count)
 from .families import BadFamilyParams, Family
@@ -45,7 +44,6 @@ __all__ = [
     "hodge_kl_from_basis",
     "hodge_v21",
     "jordan_block_sizes",
-    "lattice_count",
     "lattice_step",
     "mixed_hodge_kl3",
     "mixed_hodge_tilde_kl3",

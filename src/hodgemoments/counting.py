@@ -1,20 +1,22 @@
-"""Lattice point counts and the block multiplicity polynomial.
+"""Weight characters, slice steps and the block multiplicity polynomial.
 
 Two generating functions drive every closed formula downstream:
+
+  * the weight character of V, by the hook-content formula (Stanley EC2 7.21)
+        s_shape(1, t, .., t^{m-1}) = t^{n(shape)} prod_u (1 - t^{m+c(u)}) / (1 - t^{h(u)});
+    the slice steps s(d) of C[z] (x) V read off it give every pure closed table;
 
   * the block multiplicity polynomial
         Q(t) = prod_{i=1..k} (1 - t^{n+i}) / prod_{i=2..k} (1 - t^i),
     an integer polynomial of degree n*k + 1 whose low-degree coefficients
-    are the multiplicities of the nilpotent-string bottoms;
+    are the multiplicities of the nilpotent-string bottoms.
 
-  * the step series
-        (1 - t) / ((1 - t^{n+1}) (1-x)(1-tx)...(1-t^n x)),
-    whose t^d x^k coefficient equals lattice_count(n,k,d) - lattice_count(n,k,d-1).
-
-lattice_count(n, k, d) is the number of tuples (a, I_0..I_n) of nonnegative
-integers with sum(I) = k and (n+1) a + sum_i i*I_i = d.
+lattice_step(n, k, d) is s(d) for Sym^k on n+1 slots, z of weight n+1.  The
+step series (1 - t) / ((1 - t^{n+1}) (1-x)(1-tx)...(1-t^n x)) holds it in its
+x^k column and serves only as verify's step-series check.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 from .cyclo import signed_orbit_count, vanishing_orbit_count, vanishing_tuple_count
@@ -46,28 +48,31 @@ def bottom_multiplicity(n: int, k: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _weight_counts(n: int, k: int) -> tuple[int, ...]:
-    """#{I : |I| = k, wt(I) = w} for w = 0..n*k, over n+1 slots.
+def weight_character(shape: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Entry w counts the semistandard tableaux of a partition shape, entries 0..m-1, of sum w.
 
-    The row is the Gaussian binomial [n+k choose n]_t, symmetric in n and k:
-    prod_{i=1..lo} (1 - t^{hi+i}) / (1 - t^i) with lo, hi = min, max of n, k.
-    Its partial quotients are the Gaussian binomials [hi+i choose i]_t, so
-    the list never has more than nk + 1 entries.
+    Equal up and down factors cancel first; the rest pair in ascending order
+    in binomial_quotient, which raises RemainderNonzero if a partial quotient
+    is not a polynomial.  For shape (k) the pairs left give [hi+i choose i]_t,
+    i = 1..lo (lo, hi = min, max of m-1 and k): no list outgrows (m-1)k + 1.
     """
-    lo, hi = sorted((n, k))
-    return binomial_quotient(range(hi + 1, hi + lo + 1), range(1, lo + 1))
+    if len(shape) > m:
+        return ()
+    cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
+    ups = Counter(m + j - i for i, j in cells)
+    downs = Counter(shape[i] - j + sum(r > j for r in shape[i + 1:]) for i, j in cells)
+    quotient = binomial_quotient(sorted((ups - downs).elements()), sorted((downs - ups).elements()))
+    return (0,) * sum(i * row for i, row in enumerate(shape)) + quotient
 
 
-def lattice_count(n: int, k: int, d: int) -> int:
-    """Solutions of (n+1) a + wt(I) = d with |I| = k, all entries >= 0."""
-    if d < 0:
-        return 0
-    # the weights w = d - (n+1) a that V carries: w = d mod n+1, 0 <= w <= min(d, n*k)
-    return sum(_weight_counts(n, k)[d % (n + 1):min(d, n * k) + 1:n + 1])
+def _slice_step(counts, zweight: int, d: int) -> int:
+    """dim slice(d) - dim slice(d-1) of C[z] (x) V: z of weight zweight, V's weight counts given."""
+    return (sum(counts[d % zweight:max(d + 1, 0):zweight])
+            - sum(counts[(d - 1) % zweight:max(d, 0):zweight]))
 
 
 def lattice_step(n: int, k: int, d: int) -> int:
-    return lattice_count(n, k, d) - lattice_count(n, k, d - 1)
+    return _slice_step(weight_character((k,), n + 1), n + 1, d)
 
 
 def lattice_step_series(n: int, trunc_t: int, trunc_x: int) -> BiSeries:

@@ -11,10 +11,10 @@ from math import comb, gcd
 
 from .chains import (DegenerateReduction, build_chain, cohomology_bases, eigen_relation_failure,
                      jordan_block_sizes, kernel_slice_dims, shift_coker_dims, tilde_chain)
-from .counting import (block_multiplicity, block_multiplicity_n2_closed,
+from .counting import (_slice_step, block_multiplicity, block_multiplicity_n2_closed,
                        bottom_multiplicity, lattice_step, lattice_step_n2_closed,
                        lattice_step_series, solution_dim_at_infinity,
-                       solution_dim_at_zero)
+                       solution_dim_at_zero, weight_character)
 from .cyclo import vanishing_tuple_count
 from .families import Family, admissible, has_tower, require_admissible
 from .weyl import v21_chain
@@ -105,15 +105,19 @@ def _mirrored(weight: int, h_low):
     return lambda p: h_low(min(p, weight - p))
 
 
+def _character_diamond(family: Family, n: int, k: int, counts) -> HodgeDiamond:
+    """The pure weight-(nk+1) table of V on n+1 slots: h(low) = s(low - n - 1), z of weight n+1."""
+    w = n * k + 1
+    return _pure_diamond(family, n, k, w, _mirrored(
+        w, lambda low: _slice_step(counts, n + 1, low - n - 1)))
+
+
 def hodge_kl_closed(n: int, k: int) -> HodgeDiamond:
     """Closed-route Hodge numbers on weight n*k + 1 (the tower table if n = 2, 3 | k)."""
     require_admissible(Family.KL_Z, n, k)
     if has_tower(Family.KL_Z, n, k):
         return hodge_kl3_div3(k)
-    w = n * k + 1
-    series = lattice_step_series(n, w + 1, k + 1)
-    return _pure_diamond(Family.KL_Z, n, k, w, _mirrored(
-        w, lambda low: series.coeff(low - n - 1, k) if low >= n + 1 else 0))
+    return _character_diamond(Family.KL_Z, n, k, weight_character((k,), n + 1))
 
 
 def _kl3_low_half(k: int):
@@ -162,11 +166,10 @@ def _airy_diamond(n: int, k: int, h) -> HodgeDiamond:
 
 
 def hodge_airy_closed(n: int, k: int) -> HodgeDiamond:
-    """Closed-route Airy Hodge numbers, from the step series of rank n - 1."""
+    """Closed-route Airy Hodge numbers: h(p) = s(p) for Sym^k on n slots, z of weight n."""
     require_admissible(Family.AIRY_Z, n, k)
-    top = n * k - n - k + 1
-    series = lattice_step_series(n - 1, max(top + 1, 1), k + 1)
-    return _airy_diamond(n, k, lambda p: series.coeff(p, k))
+    counts = weight_character((k,), n)
+    return _airy_diamond(n, k, lambda p: _slice_step(counts, n, p))
 
 
 def hodge_airy_from_basis(n: int, k: int) -> HodgeDiamond:
@@ -184,18 +187,14 @@ def hodge_airy_from_basis(n: int, k: int) -> HodgeDiamond:
     return diamond
 
 
-V21_WEIGHT = 9
-
-
 def hodge_v21(route: str = "basis") -> HodgeDiamond:
-    """Hodge numbers of the 15-dimensional family on weight 9 (n = 2, k = 4: no tower)."""
+    """Hodge numbers of the 15-dimensional family on weight 9: V of shape (3, 1) on 3 slots."""
     if route == "basis":
         chain = v21_chain()
         return _kl_diamond(chain, cohomology_bases(chain)[1])
     if route != "closed":
         raise ValueError(f"unknown route {route!r}")
-    return _pure_diamond(Family.V21, 2, 4, V21_WEIGHT,
-                         _mirrored(V21_WEIGHT, lambda low: int(low == 4)))
+    return _character_diamond(Family.V21, 2, 4, weight_character((3, 1), 3))
 
 
 def _mixed_diamond(family: Family, k: int, pure_low, extra: int) -> HodgeDiamond:
@@ -292,13 +291,11 @@ def verify(n: int, k: int) -> ConsistencyReport:
             for d in range(k + 1)))
 
     series = lattice_step_series(n, w + 1, k + 1)
-    ok = all(series.coeff(d, k) == lattice_step(n, k, d) for d in range(w + 1))
-    record("step-series", ok)
+    record("step-series", all(series.coeff(d, k) == lattice_step(n, k, d) for d in range(w + 1)))
 
     if coprime:
         ok = all(lattice_step(n, k, p) - bottom_multiplicity(n, k, p)
-                 == lattice_step(n, k, p - n - 1)
-                 for p in range(w + 1) if 2 * p <= w)
+                 == lattice_step(n, k, p - n - 1) for p in range(w // 2 + 1))
         record("hidden-step-identity", ok)
 
     # shift operator structure

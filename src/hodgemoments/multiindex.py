@@ -5,7 +5,7 @@ weight is sum_i i * I_i.
 """
 
 from itertools import combinations_with_replacement
-from operator import sub
+from operator import mul, sub
 
 MultiIndex = tuple[int, ...]
 
@@ -29,7 +29,7 @@ def weak_compositions(total: int, parts: int):
 
 
 def weight(index: MultiIndex) -> int:
-    return sum(i * e for i, e in enumerate(index))
+    return sum(map(mul, range(len(index)), index))
 
 
 def rotate(index: MultiIndex) -> MultiIndex:

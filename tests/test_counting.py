@@ -1,8 +1,9 @@
 """Counting layer against brute-force enumeration.
 
-The enumeration oracle below recounts lattice points by direct iteration
-over weak compositions, with no generating functions involved, so the two
-routes share nothing but the answer.
+The enumeration oracles below recount lattice points by direct iteration
+over weak compositions, and weight characters over semistandard tableaux,
+with no generating functions involved, so the two routes share nothing but
+the answer.
 """
 
 from collections import Counter
@@ -13,17 +14,16 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hodgemoments.counting import (
-    _weight_counts,
     block_multiplicity,
     block_multiplicity_n2_closed,
     block_multiplicity_poly,
     bottom_multiplicity,
-    lattice_count,
     lattice_step,
     lattice_step_n2_closed,
     lattice_step_series,
     solution_dim_at_infinity,
     solution_dim_at_zero,
+    weight_character,
 )
 from hodgemoments.cyclo import (
     signed_orbit_count,
@@ -32,6 +32,8 @@ from hodgemoments.cyclo import (
 )
 from hodgemoments.families import Family
 from hodgemoments.multiindex import weak_compositions, weight
+from hodgemoments.poly import RemainderNonzero
+from hodgemoments.weyl import v21_chain
 
 
 def brute_lattice_count(n, k, d):
@@ -50,27 +52,91 @@ def brute_weight_count(n, k, w):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_lattice_count_against_enumeration(n, k):
-    # far past n*k the count is periodic in d, and it needs no loop over a
-    far = [10 ** 12 + r for r in range(n + 1)] + [10 ** 15]
-    for d in [*range(n * k + 4), *far]:
-        assert lattice_count(n, k, d) == brute_lattice_count(n, k, d), (n, k, d)
+    # the running sums of the steps are the lattice counts, zero below degree 0
+    near = n * k + 4
+    running = 0
+    for d in range(-3, near + n + 1):
+        running += lattice_step(n, k, d)
+        assert running == brute_lattice_count(n, k, d), (n, k, d)
+    # past n*k the count depends on d mod n+1 only, so a far count is a near
+    # one and a far step, read with no loop over a, is a near step
+    for d in [10 ** 12 + r for r in range(n + 1)] + [10 ** 15]:
+        base = near + (d - near) % (n + 1)
+        assert brute_lattice_count(n, k, d) == brute_lattice_count(n, k, base), (n, k, d)
+        assert lattice_step(n, k, d) == lattice_step(n, k, base), (n, k, d)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_weight_counts_against_enumeration(n):
     for k in range(1, 9):
         counts = Counter(weight(ix) for ix in weak_compositions(k, n + 1))
-        assert _weight_counts(n, k) == tuple(counts[w] for w in range(n * k + 1)), (n, k)
+        assert weight_character((k,), n + 1) == tuple(counts[w] for w in range(n * k + 1)), (n, k)
 
 
 def test_weight_counts_of_two_slots_at_large_k():
-    # min(n, k) = 1 factor: the old (k+1) x (nk+1) table held nine million cells here
-    assert _weight_counts(1, 3000) == (1,) * 3001
+    # one Gaussian-binomial pair: the old (k+1) x (nk+1) table held nine million cells here
+    assert weight_character((3000,), 2) == (1,) * 3001
 
 
 def test_lattice_count_negative_degree():
-    assert lattice_count(2, 3, -1) == 0
-    assert lattice_step(2, 3, 0) == 1
+    assert lattice_step(2, 3, -1) == 0
+    assert lattice_step(2, 3, 0) == brute_lattice_count(2, 3, 0) == 1
+
+
+def partitions(total, largest=None):
+    """The partitions of total, parts descending."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest or total), 0, -1):
+        for rest in partitions(total - part, part):
+            yield (part,) + rest
+
+
+def tableau_weights(shape, m):
+    """Counts by entry sum of the semistandard tableaux of shape, entries 0..m-1."""
+    cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
+    sums = Counter()
+
+    def fill(at, filled, total):
+        if at == len(cells):
+            sums[total] += 1
+            return
+        i, j = cells[at]
+        low = max(filled.get((i, j - 1), 0), filled.get((i - 1, j), -1) + 1)
+        for entry in range(low, m):
+            fill(at + 1, {**filled, (i, j): entry}, total + entry)
+
+    fill(0, {}, 0)
+    return tuple(sums[w] for w in range(max(sums, default=-1) + 1))
+
+
+SCHUR_CASES = [(shape, m) for size in range(6) for shape in partitions(size)
+               for m in range(1, 6)] + [((3, 3), 4)]
+
+
+@pytest.mark.parametrize("shape,m", SCHUR_CASES)
+def test_weight_character_is_the_tableau_count_or_raises(shape, m):
+    # a partial quotient that is not a polynomial raises; no wrong table comes back
+    try:
+        got = weight_character(shape, m)
+    except RemainderNonzero:
+        return
+    assert got == tableau_weights(shape, m)
+
+
+@pytest.mark.parametrize("shape,m", [((k,), m) for m in range(1, 7) for k in range(1, 9)]
+                         + [((3, 1), 3), ((2, 2), 3)])
+def test_weight_character_never_raises_on_rows_or_v21(shape, m):
+    # (2, 2) on 3 slots raises unless equal factors cancel before the pairing
+    assert weight_character(shape, m) == tableau_weights(shape, m)
+
+
+def test_v21_character_is_the_young_projector_grading():
+    # the closed V21 table reads this character; the basis route reads the chain
+    hist = Counter(v21_chain().weights)
+    assert weight_character((3, 1), 3) == tuple(hist[w] for w in range(max(hist) + 1))
+    assert weight_character((3, 1), 3) == (0, 1, 2, 3, 3, 3, 2, 1)
 
 
 @pytest.mark.parametrize("n,k", [(1, 4), (2, 5), (3, 4), (4, 3)])

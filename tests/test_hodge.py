@@ -11,7 +11,8 @@ from hodgemoments import hodge
 from hodgemoments import chains
 from hodgemoments.chains import DegenerateReduction, Sl2CertificateFailed, build_chain
 from hodgemoments.cyclo import CycloInt
-from hodgemoments.families import BadFamilyParams, Family
+from hodgemoments.counting import lattice_step_series
+from hodgemoments.families import BadFamilyParams, Family, admissible, has_tower
 from hodgemoments.hodge import (
     dims_airy,
     dims_kl,
@@ -141,6 +142,29 @@ class TestAiry:
         dm = hodge_airy_closed(2, 5)
         kinds = {type(p) for p, q in dm.levels}
         assert kinds <= {int, Fraction}
+
+
+def series_column_levels(family, n, k):
+    """The closed kl or airy levels read off the x^k column of the step series."""
+    if family is Family.AIRY_Z:
+        top = n * k - n - k + 1
+        series = lattice_step_series(n - 1, max(top + 1, 1), k + 1)
+        return {(Fraction(p + n + k, n + 1), Fraction(n * k + 1 - p, n + 1)): series.coeff(p, k)
+                for p in range(top + 1)}
+    w = n * k + 1
+    series = lattice_step_series(n, w + 1, k + 1)
+    lows = {p: min(p, w - p) - n - 1 for p in range(w + 1)}
+    return {(p, w - p): series.coeff(low, k) if low >= 0 else 0 for p, low in lows.items()}
+
+
+@pytest.mark.parametrize("family", [Family.KL_Z, Family.AIRY_Z])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_routes_equal_the_step_series_column(family, n):
+    # the series column is the oracle: the closed routes read weight characters
+    closed = {Family.KL_Z: hodge_kl_closed, Family.AIRY_Z: hodge_airy_closed}[family]
+    for k in range(1, 26):
+        if admissible(family, n, k) and not has_tower(family, n, k):
+            assert closed(n, k).levels == series_column_levels(family, n, k), (n, k)
 
 
 def test_diamond_layouts_put_h_of_p_at_p():

@@ -10,6 +10,19 @@ from hodgemoments.chains import BasisSet, GradedChain
 SOURCES = sorted(Path(hodgemoments.__file__).parent.glob("*.py"))
 
 
+def callers(names):
+    """{name: ["file.py:top-level def", ...]} for every plain call of each name."""
+    calls = {name: [] for name in names}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in calls):
+                    calls[node.func.id].append(f"{path.name}:{getattr(top, 'name', '')}")
+    return calls
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"chains.py", "linalg.py", "cli.py"}
 
@@ -35,16 +48,8 @@ def test_chain_operators_built_in_one_place():
     # F from _lowering_action in the sl2 certificate only; each is the one
     # Leibniz helper of its module on a per-slot move.  weyl's tensor
     # derivations come from its own helper, in young_projector only
-    calls = {"shift_action": [], "corner_action": [], "_lowering_action": [],
-             "_leibniz": [], "_tensor_columns": []}
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for top in tree.body:
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id in calls):
-                    calls[node.func.id].append(f"{path.name}:{getattr(top, 'name', '')}")
-    assert calls == {
+    assert callers(["shift_action", "corner_action", "_lowering_action", "_leibniz",
+                    "_tensor_columns"]) == {
         "shift_action": ["chains.py:build_chain"],
         "corner_action": ["chains.py:build_chain"],
         "_lowering_action": ["chains.py:_sl2_strings"],
@@ -71,10 +76,22 @@ def test_hodge_symmetry_and_mixed_layout_stated_once():
                             for arg in node.args))):
                     calls[node.func.id].append(f"{path.name}:{getattr(top, 'name', '')}")
     assert calls == {
-        "_mirrored": ["hodge.py:hodge_kl_closed", "hodge.py:hodge_kl3_div3",
-                      "hodge.py:_kl_diamond", "hodge.py:hodge_v21", "hodge.py:_mixed_diamond"],
+        "_mirrored": ["hodge.py:_character_diamond", "hodge.py:hodge_kl3_div3",
+                      "hodge.py:_kl_diamond", "hodge.py:_mixed_diamond"],
         "_mixed_diamond": ["hodge.py:mixed_hodge_tilde_kl3", "hodge.py:mixed_hodge_kl3"],
         "min": ["hodge.py:_mirrored"],
+    }
+
+
+def test_closed_tables_read_one_slice_step_of_one_character():
+    # the kl, v21 and airy closed tables are slice steps of a weight character,
+    # and the step series is only verify's second computation of those steps
+    assert callers(["_slice_step", "weight_character", "lattice_step_series"]) == {
+        "_slice_step": ["counting.py:lattice_step", "hodge.py:_character_diamond",
+                        "hodge.py:hodge_airy_closed"],
+        "weight_character": ["counting.py:lattice_step", "hodge.py:hodge_kl_closed",
+                             "hodge.py:hodge_airy_closed", "hodge.py:hodge_v21"],
+        "lattice_step_series": ["hodge.py:verify"],
     }
 
 
@@ -106,17 +123,11 @@ def test_every_chain_and_basis_field_is_read():
 def test_class_echelons_walked_in_one_place():
     # one walker builds the class echelons, behind the memo that both the
     # bases and the kernel dims read
-    callers = {"_walk_images": [], "_image_walk": [], "SparseEchelon": []}
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for top in tree.body:
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id in callers):
-                    callers[node.func.id].append(f"{path.name}:{getattr(top, 'name', '')}")
-    assert callers == {"_walk_images": ["chains.py:_image_walk"],
-                       "_image_walk": ["chains.py:kernel_slice_dims", "chains.py:cohomology_bases"],
-                       "SparseEchelon": ["chains.py:_walk_images", "weyl.py:young_projector"]}
+    assert callers(["_walk_images", "_image_walk", "SparseEchelon"]) == {
+        "_walk_images": ["chains.py:_image_walk"],
+        "_image_walk": ["chains.py:kernel_slice_dims", "chains.py:cohomology_bases"],
+        "SparseEchelon": ["chains.py:_walk_images", "weyl.py:young_projector"],
+    }
 
 
 def test_test_oracles_stay_out_of_the_library():
