@@ -13,7 +13,7 @@ from .cyclo import (CycloInt, signed_orbit_count, vanishing_orbit_count,
 from .families import BadFamilyParams, Family
 from .hodge import (ConsistencyReport, DimReport, HodgeDiamond, NonIntegralDimension,
                     dims_airy, dims_kl, hodge_airy_closed, hodge_airy_from_basis,
-                    hodge_kl3_div3, hodge_kl_closed, hodge_kl_from_basis, hodge_v21,
+                    hodge_kl_closed, hodge_kl_from_basis, hodge_v21,
                     mixed_hodge_kl3, mixed_hodge_tilde_kl3, verify, verify_sweep)
 from .weyl import v21_chain, young_projector
 
@@ -39,7 +39,6 @@ __all__ = [
     "dims_kl",
     "hodge_airy_closed",
     "hodge_airy_from_basis",
-    "hodge_kl3_div3",
     "hodge_kl_closed",
     "hodge_kl_from_basis",
     "hodge_v21",

@@ -29,12 +29,14 @@ from .series import BiSeries, expand_rational
 def block_multiplicity_poly(n: int, k: int) -> tuple[int, ...]:
     """Coefficients of Q(t); antisymmetric around degree (n*k + 1) / 2.
 
-    Paired from the right, the partial quotients are (1 - t) [n+i choose i]_t
-    for i = 1..k, so the work is O(n k^2) and no list outgrows degree nk + 1.
+    Q(t) = (1 - t) [n+k choose k]_t.  With lo, hi = min, max of n and k the
+    partial quotients are (1 - t) [hi+i choose i]_t for i = 1..lo, so the work
+    is O(lo n k) and no list outgrows degree nk + 1.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    return binomial_quotient(range(n + 1, n + k + 1), range(2, k + 1))
+    lo, hi = sorted((n, k))
+    return binomial_quotient([1, *range(hi + 1, hi + lo + 1)], range(1, lo + 1))
 
 
 def block_multiplicity(n: int, k: int, d: int) -> int:

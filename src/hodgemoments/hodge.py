@@ -1,8 +1,10 @@
 """Hodge diamonds, dimension reports, and the consistency verifier.
 
-Every table exists twice: a closed route (generating function or explicit
-formula) and a basis route (linear algebra over the graded chains).  The
-verifier runs both and reports disagreements as data instead of raising.
+Every pure table exists twice: a closed route, the slice steps of the weight
+character of V, and a basis route (linear algebra over the graded chains).
+The two n = 2 mixed tables have the closed route only: the character diamond
+is their pure part, and the string bottoms of Q(t) fill their diagonal.  The
+verifier runs both routes and reports disagreements as data instead of raising.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from .counting import (_slice_step, block_multiplicity, block_multiplicity_n2_cl
                        lattice_step_series, solution_dim_at_infinity,
                        solution_dim_at_zero, weight_character)
 from .cyclo import vanishing_tuple_count
-from .families import Family, admissible, has_tower, require_admissible
+from .families import BadFamilyParams, Family, admissible, has_tower, require_admissible
 from .weyl import v21_chain
 
 
@@ -105,31 +107,21 @@ def _mirrored(weight: int, h_low):
     return lambda p: h_low(min(p, weight - p))
 
 
-def _character_diamond(family: Family, n: int, k: int, counts) -> HodgeDiamond:
-    """The pure weight-(nk+1) table of V on n+1 slots: h(low) = s(low - n - 1), z of weight n+1."""
-    w = n * k + 1
+def _character_diamond(family: Family, n: int, k: int, counts, zweight: int) -> HodgeDiamond:
+    """The pure weight-(nk+1) table of V on n+1 slots, z of weight zweight.
+
+    h(low) = s(low - zweight), less one at low = k in the tower case: there the
+    z^{k/3} v_0^k line of degree k lies on the diagonal of the mixed table.
+    """
+    w, line = n * k + 1, has_tower(family, n, k)
     return _pure_diamond(family, n, k, w, _mirrored(
-        w, lambda low: _slice_step(counts, n + 1, low - n - 1)))
+        w, lambda low: _slice_step(counts, zweight, low - zweight) - (line and low == k)))
 
 
 def hodge_kl_closed(n: int, k: int) -> HodgeDiamond:
-    """Closed-route Hodge numbers on weight n*k + 1 (the tower table if n = 2, 3 | k)."""
+    """Closed-route Hodge numbers on weight n*k + 1."""
     require_admissible(Family.KL_Z, n, k)
-    if has_tower(Family.KL_Z, n, k):
-        return hodge_kl3_div3(k)
-    return _character_diamond(Family.KL_Z, n, k, weight_character((k,), n + 1))
-
-
-def _kl3_low_half(k: int):
-    """h^{p, 2k+1-p} of the pure n = 2, 3 | k table as a function of p <= k."""
-    if k % 3:
-        raise ValueError("this table needs 3 | k")
-    return lambda low: low // 6 + (low % 6 in (3, 5)) - (low == k)
-
-
-def hodge_kl3_div3(k: int) -> HodgeDiamond:
-    """Closed-route pure Hodge numbers for n = 2 with 3 | k."""
-    return _pure_diamond(Family.KL_Z, 2, k, 2 * k + 1, _mirrored(2 * k + 1, _kl3_low_half(k)))
+    return _character_diamond(Family.KL_Z, n, k, weight_character((k,), n + 1), n + 1)
 
 
 def hodge_kl_from_basis(n: int, k: int) -> HodgeDiamond:
@@ -194,29 +186,31 @@ def hodge_v21(route: str = "basis") -> HodgeDiamond:
         return _kl_diamond(chain, cohomology_bases(chain)[1])
     if route != "closed":
         raise ValueError(f"unknown route {route!r}")
-    return _character_diamond(Family.V21, 2, 4, weight_character((3, 1), 3))
+    return _character_diamond(Family.V21, 2, 4, weight_character((3, 1), 3), 3)
 
 
-def _mixed_diamond(family: Family, k: int, pure_low, extra: int) -> HodgeDiamond:
-    """An n = 2 mixed table: the pure weight-(2k+1) part read off its low half pure_low,
-    (k even) + extra at (k+1, k+1), and p % 2 at (p, p) for p = k+2..2k+1."""
-    w = 2 * k + 1
-    levels = {**_pure_diamond(family, 2, k, w, _mirrored(w, pure_low)).levels,
-              (k + 1, k + 1): (k % 2 == 0) + extra}
-    levels.update({(p, p): p % 2 for p in range(k + 2, w + 1)})
-    return HodgeDiamond(family, 2, k, w, "mixed", levels)
+def _mixed_diamond(family: Family, k: int, zweight: int) -> HodgeDiamond:
+    """An n = 2 mixed table on weight w = 2k+1: the character diamond is its pure part, and
+    h(p, p) counts the Q(t) string bottoms in degree w - p, plus the tower line at p = k + 1."""
+    require_admissible(family, 2, k)
+    w, line = 2 * k + 1, has_tower(family, 2, k)
+    pure = _character_diamond(family, 2, k, weight_character((k,), 3), zweight)
+    diagonal = {(p, p): bottom_multiplicity(2, k, w - p) + (line and p == k + 1)
+                for p in range(k + 1, w + 1)}
+    return HodgeDiamond(family, 2, k, w, "mixed", {**pure.levels, **diagonal})
 
 
 def mixed_hodge_tilde_kl3(k: int) -> HodgeDiamond:
-    """Mixed Hodge numbers of the full tilde cohomology for n = 2, any k."""
-    dk = vanishing_tuple_count(3, k)
-    # p = k and p = k + 1 share the low degree k, which loses the dk vanishing classes
-    return _mixed_diamond(Family.KL_TILDE_T, k, lambda low: (low + 1) // 2 - dk * (low == k), dk)
+    """Mixed Hodge numbers of the full tilde cohomology for n = 2, any k >= 1; t has weight 1."""
+    return _mixed_diamond(Family.KL_TILDE_T, k, 1)
 
 
 def mixed_hodge_kl3(k: int) -> HodgeDiamond:
-    """Mixed Hodge numbers of the full cohomology for n = 2 with 3 | k."""
-    return _mixed_diamond(Family.KL_Z, k, _kl3_low_half(k), 1)
+    """Mixed Hodge numbers of the full cohomology for n = 2 with 3 | k: hodge_kl_closed(2, k)
+    plus the Q(t) bottoms and the line on the diagonal."""
+    if k % 3:
+        raise BadFamilyParams(f"the kl mixed table at k={k} needs 3 | k")
+    return _mixed_diamond(Family.KL_Z, k, 3)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .families import Family
-from .chains import GradedChain
+from .chains import GradedChain, _slot_moves
 from .linalg import SparseEchelon, apply_columns
 
 EXPECTED_DIM = 15
@@ -93,9 +93,8 @@ def young_projector() -> ProjectedSpace:
     if any(square[j] != {i: scalar * c for i, c in col.items()} for j, col in enumerate(raw)):
         raise DimensionMismatch("signed permutation sum is not quasi-idempotent")
 
-    shift_cols = _tensor_columns(basis, pos, {0: (1, 1), 1: (2, 1)})
-    corner_cols = _tensor_columns(basis, pos, {2: (0, 1)})
-    lower_cols = _tensor_columns(basis, pos, {1: (0, 2), 2: (1, 2)})
+    shift_cols, corner_cols, lower_cols = (
+        _tensor_columns(basis, pos, {i: (t, c) for i, t, c in moves}) for moves in _slot_moves(3))
     # the projector is S / scalar with scalar > 0, so it commutes with a
     # derivation exactly when S does: check that over Z
     for name, cols in (("shift", shift_cols), ("corner", corner_cols),

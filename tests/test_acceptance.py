@@ -27,7 +27,6 @@ from hodgemoments.hodge import (
     dims_kl,
     hodge_airy_closed,
     hodge_airy_from_basis,
-    hodge_kl3_div3,
     hodge_kl_closed,
     hodge_kl_from_basis,
     hodge_v21,
@@ -128,7 +127,7 @@ def test_criterion_04_route_equality():
     for n, k in KL_SWEEP:
         assert hodge_kl_closed(n, k).levels == hodge_kl_from_basis(n, k).levels, (n, k)
     for k in TOWER_KS:
-        assert hodge_kl3_div3(k).levels == hodge_kl_from_basis(2, k).levels, k
+        assert hodge_kl_closed(2, k).levels == hodge_kl_from_basis(2, k).levels, k
     for n, k in AIRY_SWEEP:
         assert hodge_airy_closed(n, k).levels == hodge_airy_from_basis(n, k).levels, (n, k)
 
@@ -136,7 +135,7 @@ def test_criterion_04_route_equality():
 @criterion(5, "degenerate pair (2,3) vanishes through both routes")
 def test_criterion_05_degenerate():
     assert dims_kl(2, 3).dim_mid == 0
-    closed = hodge_kl3_div3(3)
+    closed = hodge_kl_closed(2, 3)
     basis = hodge_kl_from_basis(2, 3)
     assert closed.levels == basis.levels
     assert closed.total() == basis.total() == 0

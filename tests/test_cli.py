@@ -134,6 +134,16 @@ def test_no_closed_table_reports_usage_error(capsys):
         assert "closed" in err
 
 
+def test_composite_closed_table_runs_no_enumeration(capsys):
+    # m = 35 is composite, and 23 is not in 5N + 7N, so (34, 23) passes the gate;
+    # vanishing_tuple_count(35, 23) would raise EnumerationTooLarge, so the closed
+    # table must read its tower line off the gate, not off a vanishing count
+    code, out, err = run_main(capsys, "hodge", "--family", "kl", "--n", "34", "--k", "23",
+                              "--route", "closed")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"]["weight"] == 34 * 23 + 1
+
+
 def test_non_coprime_airy_dims_exit_2(capsys):
     code, _, err = run_main(capsys, "dims", "--family", "airy", "--n", "2", "--k", "4")
     assert code == 2

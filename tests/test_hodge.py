@@ -3,6 +3,7 @@
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from hodgemoments import hodge
 from hodgemoments import chains
 from hodgemoments.chains import DegenerateReduction, Sl2CertificateFailed, build_chain
-from hodgemoments.cyclo import CycloInt
+from hodgemoments.cyclo import CycloInt, vanishing_tuple_count
 from hodgemoments.counting import lattice_step_series
 from hodgemoments.families import BadFamilyParams, Family, admissible, has_tower
 from hodgemoments.hodge import (
@@ -18,7 +19,6 @@ from hodgemoments.hodge import (
     dims_kl,
     hodge_airy_closed,
     hodge_airy_from_basis,
-    hodge_kl3_div3,
     hodge_kl_closed,
     hodge_kl_from_basis,
     hodge_v21,
@@ -42,7 +42,8 @@ class TestKloostermanPure:
         assert hodge_kl_from_basis(2, 10).anti_diagonal() == GOLDEN_2_10
 
     def test_closed_rejects_non_coprime(self):
-        assert hodge_kl_closed(2, 6) == hodge_kl3_div3(6)
+        # the tower case passes the gate
+        assert hodge_kl_closed(2, 6).nonzero() == {(3, 10): 1, (5, 8): 1, (8, 5): 1, (10, 3): 1}
         for n, k in [(3, 4), (5, 5)]:
             with pytest.raises(BadFamilyParams):
                 hodge_kl_closed(n, k)
@@ -57,7 +58,7 @@ class TestKloostermanPure:
 
     @pytest.mark.parametrize("k", [3, 6, 9])
     def test_routes_agree_tower(self, k):
-        assert hodge_kl3_div3(k).levels == hodge_kl_from_basis(2, k).levels
+        assert hodge_kl_closed(2, k).levels == hodge_kl_from_basis(2, k).levels
 
     def test_symmetry_and_weight(self):
         dm = hodge_kl_closed(2, 5)
@@ -68,7 +69,7 @@ class TestKloostermanPure:
 
     def test_degenerate_2_3_is_all_zero(self):
         assert dims_kl(2, 3).dim_mid == 0
-        closed = hodge_kl3_div3(3)
+        closed = hodge_kl_closed(2, 3)
         basis = hodge_kl_from_basis(2, 3)
         assert closed.total() == 0
         assert basis.total() == 0
@@ -83,7 +84,6 @@ class TestKloostermanPure:
 class TestDims:
     @pytest.mark.parametrize("n,k", [(1, 2), (2, 3), (2, 8), (3, 5), (4, 3)])
     def test_h1_from_ambient_count(self, n, k):
-        from hodgemoments.cyclo import vanishing_tuple_count
         rep = dims_kl(n, k)
         ambient = comb(n + k, n)
         assert rep.dim_h1 == (ambient - vanishing_tuple_count(n + 1, k)) // (n + 1)
@@ -212,7 +212,6 @@ class TestMixedTables:
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_tilde_total(self, k):
-        from hodgemoments.cyclo import vanishing_tuple_count
         assert mixed_hodge_tilde_kl3(k).total() == comb(k + 2, 2) - vanishing_tuple_count(3, k)
 
     @pytest.mark.parametrize("k", [3, 6, 9, 12])
@@ -225,6 +224,43 @@ class TestMixedTables:
     def test_kl3_rejects_non_divisible(self):
         with pytest.raises(ValueError):
             mixed_hodge_kl3(4)
+
+    @pytest.mark.parametrize("table", [mixed_hodge_tilde_kl3, mixed_hodge_kl3])
+    @pytest.mark.parametrize("k", [0, -2, -3])
+    def test_mixed_tables_gate_k(self, table, k):
+        # k < 1 defines no mixed table, so it may not read one off the rule
+        with pytest.raises(BadFamilyParams):
+            table(k)
+
+
+def kl3_low_half(k, low):
+    """The pure n = 2, 3 | k table as a hand formula in low = min(p, w - p)."""
+    return low // 6 + (low % 6 in (3, 5)) - (low == k)
+
+
+def mixed_oracle(family, k):
+    """An n = 2 mixed table from the hand formulas: pure part, then the diagonal p % 2."""
+    w, dk = 2 * k + 1, vanishing_tuple_count(3, k)
+    if family is Family.KL_Z:
+        pure_low, extra = partial(kl3_low_half, k), 1
+    else:
+        pure_low, extra = (lambda low: (low + 1) // 2 - dk * (low == k)), dk
+    levels = {(p, w - p): pure_low(min(p, w - p)) for p in range(w + 1)}
+    levels[(k + 1, k + 1)] = (k % 2 == 0) + extra
+    levels.update({(p, p): p % 2 for p in range(k + 2, w + 1)})
+    return levels
+
+
+def test_n2_closed_tables_equal_the_hand_formulas():
+    # the closed route reads the weight character and Q(t); the hand formulas
+    # of the three n = 2 tables are its oracle at every k <= 300
+    for k in range(1, 301):
+        w = 2 * k + 1
+        if k % 3 == 0:
+            assert hodge_kl_closed(2, k).levels == {
+                (p, w - p): kl3_low_half(k, min(p, w - p)) for p in range(w + 1)}, k
+            assert mixed_hodge_kl3(k).levels == mixed_oracle(Family.KL_Z, k), k
+        assert mixed_hodge_tilde_kl3(k).levels == mixed_oracle(Family.KL_TILDE_T, k), k
 
 
 def cycloint_first_eigen_failure(chain, n, k):

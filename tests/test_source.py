@@ -47,15 +47,18 @@ def test_chain_operators_built_in_one_place():
     # N and E come from shift_action / corner_action in build_chain only, and
     # F from _lowering_action in the sl2 certificate only; each is the one
     # Leibniz helper of its module on a per-slot move.  weyl's tensor
-    # derivations come from its own helper, in young_projector only
+    # derivations come from its own helper, in young_projector only, on the
+    # same slot moves as the chains
     assert callers(["shift_action", "corner_action", "_lowering_action", "_leibniz",
-                    "_tensor_columns"]) == {
+                    "_tensor_columns", "_slot_moves"]) == {
         "shift_action": ["chains.py:build_chain"],
         "corner_action": ["chains.py:build_chain"],
         "_lowering_action": ["chains.py:_sl2_strings"],
         "_leibniz": ["chains.py:shift_action", "chains.py:corner_action",
                      "chains.py:_lowering_action"],
-        "_tensor_columns": ["weyl.py:young_projector"] * 3,
+        "_tensor_columns": ["weyl.py:young_projector"],
+        "_slot_moves": ["chains.py:shift_action", "chains.py:corner_action",
+                        "chains.py:_lowering_action", "weyl.py:young_projector"],
     }
 
 
@@ -76,22 +79,35 @@ def test_hodge_symmetry_and_mixed_layout_stated_once():
                             for arg in node.args))):
                     calls[node.func.id].append(f"{path.name}:{getattr(top, 'name', '')}")
     assert calls == {
-        "_mirrored": ["hodge.py:_character_diamond", "hodge.py:hodge_kl3_div3",
-                      "hodge.py:_kl_diamond", "hodge.py:_mixed_diamond"],
+        "_mirrored": ["hodge.py:_character_diamond", "hodge.py:_kl_diamond"],
         "_mixed_diamond": ["hodge.py:mixed_hodge_tilde_kl3", "hodge.py:mixed_hodge_kl3"],
         "min": ["hodge.py:_mirrored"],
     }
 
 
 def test_closed_tables_read_one_slice_step_of_one_character():
-    # the kl, v21 and airy closed tables are slice steps of a weight character,
-    # and the step series is only verify's second computation of those steps
-    assert callers(["_slice_step", "weight_character", "lattice_step_series"]) == {
+    # the kl (tower case included), v21 and airy closed tables are slice steps
+    # of a weight character, and so is the pure part of both n = 2 mixed
+    # tables, whose diagonal reads the string bottoms of Q(t) (in hodge, only
+    # verify reads them besides); the step series is only verify's second
+    # computation of those steps.  The tower line comes from the gate: hodge
+    # counts vanishing tuples for dims_kl and verify only, since the count
+    # enumerates for composite m
+    found = callers(["_slice_step", "weight_character", "lattice_step_series",
+                     "_character_diamond", "bottom_multiplicity", "vanishing_tuple_count"])
+    for name in ("bottom_multiplicity", "vanishing_tuple_count"):
+        found[name] = sorted({c for c in found[name] if c.startswith("hodge.py:")})
+    assert found == {
         "_slice_step": ["counting.py:lattice_step", "hodge.py:_character_diamond",
                         "hodge.py:hodge_airy_closed"],
         "weight_character": ["counting.py:lattice_step", "hodge.py:hodge_kl_closed",
-                             "hodge.py:hodge_airy_closed", "hodge.py:hodge_v21"],
+                             "hodge.py:hodge_airy_closed", "hodge.py:hodge_v21",
+                             "hodge.py:_mixed_diamond"],
         "lattice_step_series": ["hodge.py:verify"],
+        "_character_diamond": ["hodge.py:hodge_kl_closed", "hodge.py:hodge_v21",
+                               "hodge.py:_mixed_diamond"],
+        "bottom_multiplicity": ["hodge.py:_mixed_diamond", "hodge.py:verify"],
+        "vanishing_tuple_count": ["hodge.py:dims_kl", "hodge.py:verify"],
     }
 
 
