@@ -1,15 +1,13 @@
 """Weight characters, slice steps and the block multiplicity polynomial.
 
-Two generating functions drive every closed formula downstream:
-
-  * the weight character of V, by the hook-content formula (Stanley EC2 7.21)
-        s_shape(1, t, .., t^{m-1}) = t^{n(shape)} prod_u (1 - t^{m+c(u)}) / (1 - t^{h(u)});
-    the slice steps s(d) of C[z] (x) V read off it give every pure closed table;
-
-  * the block multiplicity polynomial
-        Q(t) = prod_{i=1..k} (1 - t^{n+i}) / prod_{i=2..k} (1 - t^i),
-    an integer polynomial of degree n*k + 1 whose low-degree coefficients
-    are the multiplicities of the nilpotent-string bottoms.
+One generating function drives every closed formula downstream: the weight
+character c(t) of V, by the hook-content formula (Stanley EC2 7.21)
+    s_shape(1, t, .., t^{m-1}) = t^{n(shape)} prod_u (1 - t^{m+c(u)}) / (1 - t^{h(u)}),
+the Gaussian binomial [n+k choose k]_t for Sym^k on n+1 slots.  Every count
+reads it through one map: the block multiplicity polynomial Q(t) = (1 - t) c(t),
+whose low-degree coefficients count the nilpotent-string bottoms, and the
+slice steps s(t) = Q(t) / (1 - t^z) of C[z] (x) V, z of weight z, which give
+every pure closed table.
 
 lattice_step(n, k, d) is s(d) for Sym^k on n+1 slots, z of weight n+1.  The
 step series (1 - t) / ((1 - t^{n+1}) (1-x)(1-tx)...(1-t^n x)) holds it in its
@@ -27,16 +25,11 @@ from .series import BiSeries, expand_rational
 
 @lru_cache(maxsize=None)
 def block_multiplicity_poly(n: int, k: int) -> tuple[int, ...]:
-    """Coefficients of Q(t); antisymmetric around degree (n*k + 1) / 2.
-
-    Q(t) = (1 - t) [n+k choose k]_t.  With lo, hi = min, max of n and k the
-    partial quotients are (1 - t) [hi+i choose i]_t for i = 1..lo, so the work
-    is O(lo n k) and no list outgrows degree nk + 1.
-    """
+    """Coefficients of Q(t) = (1 - t) c(t); antisymmetric around degree (n*k + 1) / 2."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    lo, hi = sorted((n, k))
-    return binomial_quotient([1, *range(hi + 1, hi + lo + 1)], range(1, lo + 1))
+    c = weight_character((k,), n + 1)
+    return tuple(b - a for a, b in zip((0, *c), (*c, 0)))
 
 
 def block_multiplicity(n: int, k: int, d: int) -> int:
@@ -53,10 +46,10 @@ def bottom_multiplicity(n: int, k: int, d: int) -> int:
 def weight_character(shape: tuple[int, ...], m: int) -> tuple[int, ...]:
     """Entry w counts the semistandard tableaux of a partition shape, entries 0..m-1, of sum w.
 
-    Equal up and down factors cancel first; the rest pair in ascending order
-    in binomial_quotient, which raises RemainderNonzero if a partial quotient
-    is not a polynomial.  For shape (k) the pairs left give [hi+i choose i]_t,
-    i = 1..lo (lo, hi = min, max of m-1 and k): no list outgrows (m-1)k + 1.
+    Equal up and down factors cancel, leaving as many of each; they pair in
+    ascending order in binomial_quotient, which raises RemainderNonzero if a
+    partial quotient is not a polynomial.  For shape (k) the pairs left give
+    [hi+i choose i]_t, i = 1..lo (lo, hi = min, max of m-1 and k).
     """
     if len(shape) > m:
         return ()
@@ -67,14 +60,27 @@ def weight_character(shape: tuple[int, ...], m: int) -> tuple[int, ...]:
     return (0,) * sum(i * row for i, row in enumerate(shape)) + quotient
 
 
-def _slice_step(counts, zweight: int, d: int) -> int:
-    """dim slice(d) - dim slice(d-1) of C[z] (x) V: z of weight zweight, V's weight counts given."""
-    return (sum(counts[d % zweight:max(d + 1, 0):zweight])
-            - sum(counts[(d - 1) % zweight:max(d, 0):zweight]))
+def _slice_steps(counts, zweight: int):
+    """Reader d -> dim slice(d) - dim slice(d-1) of C[z] (x) V, z of weight zweight, V's counts c.
+
+    s = (1 - t) c(t) / (1 - t^zweight) in one pass: running sums per residue class
+    mod zweight, then their first difference.  From top = len(c) on, s has period zweight.
+    """
+    top = len(counts)
+    sums = list(counts) + [0] * zweight
+    for i in range(zweight, len(sums)):
+        sums[i] += sums[i - zweight]
+    steps = [b - a for a, b in zip([0] + sums, sums)]
+    return lambda d: 0 if d < 0 else steps[d if d < top else top + (d - top) % zweight]
+
+
+@lru_cache(maxsize=None)
+def _lattice_steps(n: int, k: int):
+    return _slice_steps(weight_character((k,), n + 1), n + 1)
 
 
 def lattice_step(n: int, k: int, d: int) -> int:
-    return _slice_step(weight_character((k,), n + 1), n + 1, d)
+    return _lattice_steps(n, k)(d)
 
 
 def lattice_step_series(n: int, trunc_t: int, trunc_x: int) -> BiSeries:
@@ -99,8 +105,8 @@ def lattice_step_n2_closed(k: int, d: int) -> int:
 
 
 def solution_dim_at_zero(n: int, k: int) -> int:
-    """Dimension of the local solution space at 0: the string bottoms."""
-    return sum(block_multiplicity(n, k, d) for d in range((n * k) // 2 + 1))
+    """Dimension of the local solution space at 0: the string bottoms, summing to c(nk // 2)."""
+    return weight_character((k,), n + 1)[(n * k) // 2]
 
 
 def solution_dim_at_infinity(n: int, k: int, family: Family) -> int:

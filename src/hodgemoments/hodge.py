@@ -13,7 +13,7 @@ from math import comb, gcd
 
 from .chains import (DegenerateReduction, build_chain, cohomology_bases, eigen_relation_failure,
                      jordan_block_sizes, kernel_slice_dims, shift_coker_dims, tilde_chain)
-from .counting import (_slice_step, block_multiplicity, block_multiplicity_n2_closed,
+from .counting import (_slice_steps, block_multiplicity, block_multiplicity_n2_closed,
                        bottom_multiplicity, lattice_step, lattice_step_n2_closed,
                        lattice_step_series, solution_dim_at_infinity,
                        solution_dim_at_zero, weight_character)
@@ -114,8 +114,9 @@ def _character_diamond(family: Family, n: int, k: int, counts, zweight: int) -> 
     z^{k/3} v_0^k line of degree k lies on the diagonal of the mixed table.
     """
     w, line = n * k + 1, has_tower(family, n, k)
+    step = _slice_steps(counts, zweight)
     return _pure_diamond(family, n, k, w, _mirrored(
-        w, lambda low: _slice_step(counts, zweight, low - zweight) - (line and low == k)))
+        w, lambda low: step(low - zweight) - (line and low == k)))
 
 
 def hodge_kl_closed(n: int, k: int) -> HodgeDiamond:
@@ -160,8 +161,7 @@ def _airy_diamond(n: int, k: int, h) -> HodgeDiamond:
 def hodge_airy_closed(n: int, k: int) -> HodgeDiamond:
     """Closed-route Airy Hodge numbers: h(p) = s(p) for Sym^k on n slots, z of weight n."""
     require_admissible(Family.AIRY_Z, n, k)
-    counts = weight_character((k,), n)
-    return _airy_diamond(n, k, lambda p: _slice_step(counts, n, p))
+    return _airy_diamond(n, k, _slice_steps(weight_character((k,), n), n))
 
 
 def hodge_airy_from_basis(n: int, k: int) -> HodgeDiamond:
@@ -293,11 +293,8 @@ def verify(n: int, k: int) -> ConsistencyReport:
         record("hidden-step-identity", ok)
 
     # shift operator structure
-    expected_blocks = {}
-    for d in range((n * k) // 2 + 1):
-        q = block_multiplicity(n, k, d)
-        if q:
-            expected_blocks[n * k - 2 * d + 1] = expected_blocks.get(n * k - 2 * d + 1, 0) + q
+    expected_blocks = {n * k - 2 * d + 1: block_multiplicity(n, k, d)
+                       for d in range((n * k) // 2 + 1) if block_multiplicity(n, k, d)}
     got_blocks = jordan_block_sizes(chain)
     record("jordan-blocks", got_blocks == expected_blocks,
            f"got={got_blocks} expected={expected_blocks}")

@@ -8,9 +8,11 @@ import hodgemoments.cli as cli
 from hodgemoments import cyclo, hodge, weyl
 from hodgemoments.chains import DegenerateReduction, build_chain
 from hodgemoments.cli import main
+from hodgemoments.counting import weight_character
 from hodgemoments.families import Family
 from hodgemoments.hodge import HodgeDiamond
 from conftest import run_module
+from test_counting import strided_slice_step
 
 
 def run_main(capsys, *argv):
@@ -327,6 +329,17 @@ def test_counts_point_query_far_past_the_top(capsys):
                             "--d", "1000000000000")
     assert code == 0
     assert json.loads(out)["payload"]["value"] == 0
+
+
+@pytest.mark.parametrize("n,k", [(3, 5), (2, 3)])
+def test_counts_point_query_far_past_the_top_reads_the_period(capsys, n, k):
+    # past n*k the steps repeat with period n+1 (at (2, 3) not all 0); the
+    # reader folds d back into one period
+    code, out, _ = run_main(capsys, "counts", "--what", "n", "--n", str(n), "--k", str(k),
+                            "--d", "1000000000000")
+    assert code == 0
+    want = strided_slice_step(weight_character((k,), n + 1), n + 1, 10 ** 12)
+    assert json.loads(out)["payload"]["value"] == want
 
 
 def test_counts_orbit_representatives(capsys):

@@ -14,6 +14,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hodgemoments.counting import (
+    _slice_steps,
     block_multiplicity,
     block_multiplicity_n2_closed,
     block_multiplicity_poly,
@@ -76,6 +77,30 @@ def test_weight_counts_against_enumeration(n):
 def test_weight_counts_of_two_slots_at_large_k():
     # one Gaussian-binomial pair: the old (k+1) x (nk+1) table held nine million cells here
     assert weight_character((3000,), 2) == (1,) * 3001
+
+
+def strided_slice_step(counts, zweight, d):
+    """dim slice(d) - dim slice(d-1), each slice summed afresh over its residue class."""
+    return (sum(counts[d % zweight:max(d + 1, 0):zweight])
+            - sum(counts[(d - 1) % zweight:max(d, 0):zweight]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_step_reader_matches_strided_sums(n):
+    # the one-pass reader, its tail read by period, against the per-d sums
+    for k in range(1, 21):
+        counts = weight_character((k,), n + 1)
+        for d in [*range(-5, 3 * (n * k + 2) + 1), 10 ** 12]:
+            assert lattice_step(n, k, d) == strided_slice_step(counts, n + 1, d), (n, k, d)
+
+
+@pytest.mark.parametrize("shape,m", [((3, 1), 3), ((2, 1), 3), ((2, 2), 3), ((2, 1), 4)])
+@pytest.mark.parametrize("zweight", [1, 2, 3, 4, 7])
+def test_slice_steps_of_schur_shapes_match_strided_sums(shape, m, zweight):
+    counts = weight_character(shape, m)
+    step = _slice_steps(counts, zweight)
+    for d in [*range(-5, 3 * len(counts) + 20), 10 ** 12 + 1]:
+        assert step(d) == strided_slice_step(counts, zweight, d), d
 
 
 def test_lattice_count_negative_degree():

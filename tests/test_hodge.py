@@ -253,8 +253,9 @@ def mixed_oracle(family, k):
 
 def test_n2_closed_tables_equal_the_hand_formulas():
     # the closed route reads the weight character and Q(t); the hand formulas
-    # of the three n = 2 tables are its oracle at every k <= 300
-    for k in range(1, 301):
+    # of the three n = 2 tables are its oracle at every k <= 300, and at two
+    # large k, which stay cheap because a table costs O(w)
+    for k in [*range(1, 301), 1000, 3000]:
         w = 2 * k + 1
         if k % 3 == 0:
             assert hodge_kl_closed(2, k).levels == {

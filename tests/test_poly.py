@@ -9,7 +9,6 @@ from hodgemoments.poly import RemainderNonzero, _divmod_monic, binomial_quotient
 t = sympy.symbols("t")
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=7)
-exponents = st.lists(st.integers(1, 6), max_size=5)
 
 
 def to_sympy(f):
@@ -24,23 +23,19 @@ def times(f, g):
     return out
 
 
-def test_one_minus():
-    # a single factor and no divisor: 1 - t^a itself
-    assert binomial_quotient([3], []) == (1, 0, 0, -1)
-    assert binomial_quotient([1], []) == (1, -1)
-    assert binomial_quotient([], []) == (1,)
+@given(st.integers(0, 6), st.integers(0, 6))
+def test_paired_quotient_matches_sympy(a, b):
+    # prod_{i<=b} (1 - t^{a+i}) / (1 - t^i) is the Gaussian binomial [a+b, b]_t
+    want = sympy.prod([(1 - t ** (a + i)) / (1 - t ** i) for i in range(1, b + 1)])
+    got = binomial_quotient(range(a + 1, a + b + 1), range(1, b + 1))
+    assert to_sympy(list(got)) == sympy.Poly(sympy.cancel(want), t)
 
 
-@given(exponents)
-def test_mul_matches_sympy(ups):
-    want = sympy.prod([1 - t ** a for a in ups])
-    assert to_sympy(list(binomial_quotient(ups, []))) == sympy.Poly(want, t)
-
-
-@given(exponents, exponents)
-def test_binomial_quotient_recovers_factor(ups, downs):
-    # (prod over ups and downs) / (prod over downs) is the product over ups
-    assert binomial_quotient(ups + downs, downs) == binomial_quotient(ups, [])
+@pytest.mark.parametrize("ups,downs", [([3], []), ([1], []), ([], [2]), ([1, 2], [3])])
+def test_binomial_quotient_needs_as_many_downs_as_ups(ups, downs):
+    # no unpaired up: 1 - t^3 alone is not a quotient of paired binomials
+    with pytest.raises(RemainderNonzero):
+        binomial_quotient(ups, downs)
 
 
 def test_binomial_quotient_gaussian_binomial():
@@ -51,7 +46,7 @@ def test_binomial_quotient_gaussian_binomial():
 
 
 @pytest.mark.parametrize("ups,downs", [([3], [2]), ([2], [3]), ([4, 1], [3]), ([], [1]),
-                                       # paired from the right, (1 - t) / (1 - t^2) comes
+                                       # paired in order, (1 - t) / (1 - t^2) comes
                                        # first and is not a polynomial, though the whole is 1
                                        ([1, 2], [2, 1])])
 def test_binomial_quotient_rejects_remainder(ups, downs):

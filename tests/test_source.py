@@ -87,22 +87,27 @@ def test_hodge_symmetry_and_mixed_layout_stated_once():
 
 def test_closed_tables_read_one_slice_step_of_one_character():
     # the kl (tower case included), v21 and airy closed tables are slice steps
-    # of a weight character, and so is the pure part of both n = 2 mixed
-    # tables, whose diagonal reads the string bottoms of Q(t) (in hodge, only
-    # verify reads them besides); the step series is only verify's second
-    # computation of those steps.  The tower line comes from the gate: hodge
-    # counts vanishing tuples for dims_kl and verify only, since the count
-    # enumerates for composite m
-    found = callers(["_slice_step", "weight_character", "lattice_step_series",
-                     "_character_diamond", "bottom_multiplicity", "vanishing_tuple_count"])
+    # of a weight character, each table through one step reader, and so is the
+    # pure part of both n = 2 mixed tables, whose diagonal reads the string
+    # bottoms of Q(t) (in hodge, only verify reads them besides); Q(t), the
+    # cached lattice reader and the solution count at 0 read the same
+    # character, and the character alone pairs binomials.  The step series is
+    # only verify's second computation of those steps.  The tower line comes
+    # from the gate: hodge counts vanishing tuples for dims_kl and verify
+    # only, since the count enumerates for composite m
+    found = callers(["_slice_steps", "weight_character", "binomial_quotient",
+                     "lattice_step_series", "_character_diamond", "bottom_multiplicity",
+                     "vanishing_tuple_count"])
     for name in ("bottom_multiplicity", "vanishing_tuple_count"):
         found[name] = sorted({c for c in found[name] if c.startswith("hodge.py:")})
     assert found == {
-        "_slice_step": ["counting.py:lattice_step", "hodge.py:_character_diamond",
-                        "hodge.py:hodge_airy_closed"],
-        "weight_character": ["counting.py:lattice_step", "hodge.py:hodge_kl_closed",
+        "_slice_steps": ["counting.py:_lattice_steps", "hodge.py:_character_diamond",
+                         "hodge.py:hodge_airy_closed"],
+        "weight_character": ["counting.py:block_multiplicity_poly", "counting.py:_lattice_steps",
+                             "counting.py:solution_dim_at_zero", "hodge.py:hodge_kl_closed",
                              "hodge.py:hodge_airy_closed", "hodge.py:hodge_v21",
                              "hodge.py:_mixed_diamond"],
+        "binomial_quotient": ["counting.py:weight_character"],
         "lattice_step_series": ["hodge.py:verify"],
         "_character_diamond": ["hodge.py:hodge_kl_closed", "hodge.py:hodge_v21",
                                "hodge.py:_mixed_diamond"],
@@ -151,10 +156,11 @@ def test_test_oracles_stay_out_of_the_library():
     # walk are oracles in the tests; the library certifies N with an sl2 triple.
     # The eigenvector products in Z[zeta_m], the balanced unpacker of the
     # packed group ring and the rationality test of CycloInt are test-only too,
-    # and so are theta_bar and the tower on chain monomials, z-powers kept
+    # and so are theta_bar and the tower on chain monomials, z-powers kept, and
+    # the slice step summed afresh per degree
     oracles = {"jordan_type", "matrix_rank", "coker_slice_dims", "eigenvector_product",
                "cycloint_eigenvector_product", "unpack", "is_rational", "rational_part",
-               "theta_bar_mono", "tower_slice"}
+               "theta_bar_mono", "tower_slice", "_slice_step", "strided_slice_step"}
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
