@@ -4,6 +4,9 @@ A chain is the module C[z] (x) V for a weight-graded space V carrying two
 derivations: the shift N (weight +1) and the corner E (weight -(dim-1) on
 multi-indices).  A third, the lowering F (weight -1), only certifies the
 Jordan type of N: (N, F) spans an sl2 on V, so the weight counts give it.
+On V = Sym^k C^m they and the eigenvector products below move a monomial
+v^J only to a neighbour J - e_s + e_t or J + e_s, and all of them read those
+off one raise table, the position of J' + e_s for each J' a level down (_raises).
 The degree of z^a v is zweight * a + wt(v), and the degree-raising map is
 
     theta_bar = N + z^e E,   times n+1 on KL_TILDE_T,
@@ -67,37 +70,36 @@ class Sl2CertificateFailed(ArithmeticError):
 
 
 @lru_cache(maxsize=None)
-def _slot_moves(m: int) -> tuple[tuple, tuple, tuple]:
-    """Slot moves (i, t, c), v_i -> c * v_t, of the shift, corner and lowering on m slots."""
-    return (tuple((i, i + 1, 1) for i in range(m - 1)), ((m - 1, 0, 1),),
-            tuple((i, i - 1, i * (m - i)) for i in range(1, m)))
+def _slot_moves(m: int) -> tuple[dict, dict, dict]:
+    """Slot moves {i: (t, c)}, v_i -> c * v_t, of the shift, corner and lowering on m slots."""
+    return ({i: (i + 1, 1) for i in range(m - 1)}, {m - 1: (0, 1)},
+            {i: (i - 1, i * (m - i)) for i in range(1, m)})
 
 
-def _leibniz(index: MultiIndex, moves: tuple) -> dict[MultiIndex, int]:
-    """The derivation with these slot moves on a monomial v^I."""
-    out = {}
-    for i, t, c in moves:
-        if index[i]:
-            tgt = list(index)
-            tgt[i] -= 1
-            tgt[t] += 1
-            out[tuple(tgt)] = index[i] * c
+def _raises(low, pos: dict) -> list[list[int]]:
+    """raises[s][p] = pos[low[p] + e_s], reading low once: a generator serves, no level is kept."""
+    raises = [[] for _ in next(iter(pos))]  # one list per slot of the labels
+    for jj in low:
+        for s, out in enumerate(raises):
+            out.append(pos[jj[:s] + (jj[s] + 1,) + jj[s + 1:]])
+    return raises
+
+
+def _derivation_columns(labels: list, pos: dict, move_sets) -> list[list[dict]]:
+    """Columns j -> {i: coeff} on Sym^k of the derivation with each set of slot moves.
+
+    Every v^J with J_s > 0 is v^J' v_s for one J' of degree k - 1, and v_s ->
+    c v_t sends it to J_s c v^{J' + e_t}: both ends are raises of J'.
+    """
+    raises = _raises(weak_compositions(sum(labels[0]) - 1, len(labels[0])), pos)
+    out = []
+    for moves in move_sets:
+        cols = [{} for _ in labels]
+        for s, (t, c) in moves.items():
+            for source, target in zip(raises[s], raises[t]):
+                cols[source][target] = labels[source][s] * c
+        out.append(cols)
     return out
-
-
-def shift_action(index: MultiIndex) -> dict[MultiIndex, int]:
-    """Leibniz action of the shift v_i -> v_{i+1} on a monomial v^I."""
-    return _leibniz(index, _slot_moves(len(index))[0])
-
-
-def corner_action(index: MultiIndex) -> dict[MultiIndex, int]:
-    """Leibniz action of the corner v_{m-1} -> v_0 on a monomial v^I."""
-    return _leibniz(index, _slot_moves(len(index))[1])
-
-
-def _lowering_action(index: MultiIndex) -> dict[MultiIndex, int]:
-    """Leibniz action of the lowering v_i -> i(m-i) v_{i-1}, so that NF - FN = 2wt - k(m-1)."""
-    return _leibniz(index, _slot_moves(len(index))[2])
 
 
 @dataclass
@@ -111,7 +113,7 @@ class GradedChain:
     nmat: list[dict]        # column j -> {i: coeff}, raises weight by 1
     emat: list[dict]        # column j -> {i: coeff}
     tower: dict | None      # {j: int}: eta^{k/3}, of degree 2k, else None
-    fmat: list | None = None  # lowering columns, weight -1; None: from the labels on first use
+    fmat: list | None = None  # lowering columns, weight -1; None: the certificate builds its own
     _by_weight: dict = field(default_factory=dict, repr=False)  # weight -> its indices j
 
     @property
@@ -180,26 +182,16 @@ class GroupRingPacking:
         return not any(psi * v % modulus for v in values)
 
 
-def _slice_sorted(indices) -> tuple[list, list[int]]:
-    """(labels, weights): the multi-indices sorted by weight descending, then lexicographic."""
-    decorated = sorted((-weight(ix), ix) for ix in indices)
-    return [ix for _, ix in decorated], [-w for w, _ in decorated]
+def _raise_tables(labels: list) -> list:
+    """steps[L] = (len(levels[L + 1]), _raises of levels[L] into levels[L + 1]) for k eigenvectors.
 
-
-def _raise_tables(m: int, k: int) -> list:
-    """steps[L] = (len(levels[L + 1]), raises) for the products of k eigenvectors on m slots.
-
-    levels[L] lists the weak compositions of L in slice order, which is the
-    chain's label order; raises[s][p] is the position of levels[L][p] + e_s
-    in levels[L + 1].
+    Level k is the chain's labels, whose order the products take; the lower
+    levels of weak compositions come as weak_compositions yields them.
     """
-    levels = [_slice_sorted(weak_compositions(total, m))[0] for total in range(k + 1)]
-    steps = []
-    for low, high in zip(levels, levels[1:]):
-        pos = {jj: p for p, jj in enumerate(high)}
-        steps.append((len(high), [[pos[jj[:s] + (jj[s] + 1,) + jj[s + 1:]] for jj in low]
-                                  for s in range(m)]))
-    return steps
+    m, k = len(labels[0]), sum(labels[0])
+    levels = [list(weak_compositions(total, m)) for total in range(k)] + [labels]
+    return [(len(high), _raises(low, {jj: p for p, jj in enumerate(high)}))
+            for low, high in zip(levels, levels[1:])]
 
 
 def _packed_times_eigenvector(prod: list, step: tuple, packing: GroupRingPacking,
@@ -227,19 +219,21 @@ def _packed_times_eigenvector(prod: list, step: tuple, packing: GroupRingPacking
     return out
 
 
-def group_ring_eigenvector_products(n: int, k: int, packing: GroupRingPacking):
+def group_ring_eigenvector_products(labels: list, packing: GroupRingPacking):
     """Yield (I, f_I in Z[C_m]) for the weak compositions I of k, in lexicographic order.
 
-    f_I is a list of packed coefficients, one per weak composition J of k in
-    the chain's label order, as in _packed_times_eigenvector.  Its
-    coefficients are nonnegative and sum to m^k, so the packing needs
-    m^k < 2^{B-1}.  Each f_I is the product of its parent (I minus one unit
-    in its last nonzero slot) and one f_i, so the products share their
-    prefixes; the walk is depth first and holds one product per slot.
+    labels are the weak compositions of k on m slots, as a chain orders them.
+    f_I is a list of packed coefficients, one per label J, as in
+    _packed_times_eigenvector.  Its coefficients are nonnegative and sum to
+    m^k, so the packing needs m^k < 2^{B-1}.  Each f_I is the product of its
+    parent (I minus one unit in its last nonzero slot) and one f_i, so the
+    products share their prefixes; the walk is depth first and holds one
+    product per slot.
     """
-    if packing.m != n + 1 or (n + 1) ** k >> (packing.width - 1):
-        raise ValueError(f"the packing cannot hold products of {k} eigenvectors on {n + 1} slots")
-    steps = _raise_tables(n + 1, k)
+    m, k = len(labels[0]), sum(labels[0])
+    if packing.m != m or m ** k >> (packing.width - 1):
+        raise ValueError(f"the packing cannot hold products of {k} eigenvectors on {m} slots")
+    n, steps = m - 1, _raise_tables(labels)
 
     def walk(prefix, prod, slot, left):
         if slot == n:
@@ -272,7 +266,7 @@ def eigen_relation_failure(chain: GradedChain) -> MultiIndex | None:
     """
     if chain.family is not Family.KL_TILDE_T:
         raise BadFamilyParams("the eigen relation is stated on the kl-tilde chain")
-    n, k, m = chain.n, chain.k, chain.n + 1
+    k, m = chain.k, chain.n + 1
     # zweight is 1, so a degree nk + 1 monomial is fixed by its index in V, and
     # the theta_bar rows name the targets of the sources (nk - wt(j), j)
     rows = [[] for _ in chain.weights]  # target i -> [(source j, theta_bar coefficient)]
@@ -282,7 +276,7 @@ def eigen_relation_failure(chain: GradedChain) -> MultiIndex | None:
     l1 = max(sum(abs(c) for _, c in row) for row in rows)
     bound = sum(map(abs, _psi(m))) * (l1 + m * k) * m ** k
     packing = GroupRingPacking(m, bound.bit_length() + 2)
-    for index, prod in group_ring_eigenvector_products(n, k, packing):
+    for index, prod in group_ring_eigenvector_products(chain.labels, packing):
         lam = m * packing.pack(index)
         # m lambda_I t f_I has its v^J term at the monomial (nk + 1 - wt(J), J)
         alphas = []
@@ -325,10 +319,12 @@ def build_chain(family: Family, n: int, k: int) -> GradedChain:
     if family is Family.AIRY_Z and n < 2:
         raise BadFamilyParams("the Airy family needs n >= 2")
     m = n if family is Family.AIRY_Z else n + 1
-    labels, weights = _slice_sorted(weak_compositions(k, m))
+    labels, weights = [], []  # slice order, each weight computed once
+    for w, ix in sorted((-weight(ix), ix) for ix in weak_compositions(k, m)):
+        labels.append(ix)
+        weights.append(-w)
     pos = {ix: j for j, ix in enumerate(labels)}
-    nmat = [{pos[t]: c for t, c in shift_action(ix).items()} for ix in labels]
-    emat = [{pos[t]: c for t, c in corner_action(ix).items()} for ix in labels]
+    nmat, emat = _derivation_columns(labels, pos, _slot_moves(m)[:2])
     # eta^{k/3} is homogeneous of degree 2k, so J alone fixes each of its terms
     tower = ({pos[jj]: c for (_, jj), c in eta_power_vector(k).items()}
              if has_tower(family, n, k) else None)
@@ -507,11 +503,11 @@ def _sl2_strings(chain: GradedChain) -> tuple[int, dict[int, int]]:
     Then V is a finite-dimensional sl2-module, hence a sum of strings, and
     the strings starting at weight w <= D/2 number dim V_w - dim V_{w-1}.
     """
-    if chain.fmat is None:
-        pos = {ix: j for j, ix in enumerate(chain.labels)}
-        chain.fmat = [{pos[t]: c for t, c in _lowering_action(ix).items()}
-                      for ix in chain.labels]
     wts, nmat, fmat = chain.weights, chain.nmat, chain.fmat
+    if fmat is None:
+        pos = {ix: j for j, ix in enumerate(chain.labels)}
+        lowering = _slot_moves(len(chain.labels[0]))[2]
+        fmat = _derivation_columns(chain.labels, pos, [lowering])[0]
     top = min(wts) + max(wts)
     for j, w in enumerate(wts):
         if any(wts[i] != w + 1 for i in nmat[j]) or any(wts[i] != w - 1 for i in fmat[j]):

@@ -53,9 +53,12 @@ def weight_character(shape: tuple[int, ...], m: int) -> tuple[int, ...]:
     """
     if len(shape) > m:
         return ()
-    cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
-    ups = Counter(m + j - i for i, j in cells)
-    downs = Counter(shape[i] - j + sum(r > j for r in shape[i + 1:]) for i, j in cells)
+    ups, downs = Counter(), Counter()
+    for i, (row, below) in enumerate(zip(shape, (*shape[1:], 0))):
+        ups.update(range(m - i, m - i + row))  # m + content
+        # the hooks of the cells past the next row's length, then the rest cell by cell
+        downs.update(range(1, row - below + 1))
+        downs.update(row - j + sum(r > j for r in shape[i + 1:]) for j in range(below))
     quotient = binomial_quotient(sorted((ups - downs).elements()), sorted((downs - ups).elements()))
     return (0,) * sum(i * row for i, row in enumerate(shape)) + quotient
 

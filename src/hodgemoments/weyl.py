@@ -94,7 +94,7 @@ def young_projector() -> ProjectedSpace:
         raise DimensionMismatch("signed permutation sum is not quasi-idempotent")
 
     shift_cols, corner_cols, lower_cols = (
-        _tensor_columns(basis, pos, {i: (t, c) for i, t, c in moves}) for moves in _slot_moves(3))
+        _tensor_columns(basis, pos, moves) for moves in _slot_moves(3))
     # the projector is S / scalar with scalar > 0, so it commutes with a
     # derivation exactly when S does: check that over Z
     for name, cols in (("shift", shift_cols), ("corner", corner_cols),

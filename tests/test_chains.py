@@ -11,20 +11,19 @@ from hodgemoments.chains import (
     GradedChain,
     GroupRingPacking,
     Sl2CertificateFailed,
+    _derivation_columns,
     _image_walk,
-    _lowering_action,
     _packed_times_eigenvector,
     _psi,
     _raise_tables,
+    _slot_moves,
     _walk_key,
     build_chain,
     cohomology_bases,
-    corner_action,
     eta_power_vector,
     group_ring_eigenvector_products,
     jordan_block_sizes,
     kernel_slice_dims,
-    shift_action,
     shift_coker_dims,
     tilde_chain,
 )
@@ -93,6 +92,49 @@ def coker_slice_dims(chain):
     for d, image in class_image_echelons(chain):
         out[d] = len(chain.slice_monomials(d)) - image.rank
     return out
+
+
+def _leibniz(index, move):
+    """The derivation v_i -> c * v_t, (t, c) = move(i, m) or None, on one monomial v^I.
+
+    The per-label oracle of the library's raise-table columns: each nonzero
+    slot of I moves on its own, with coefficient I_i * c.
+    """
+    out = {}
+    for i in [i for i, e in enumerate(index) if e]:
+        if (tc := move(i, len(index))) is not None:
+            tgt = list(index)
+            tgt[i] -= 1
+            tgt[tc[0]] += 1
+            out[tuple(tgt)] = index[i] * tc[1]
+    return out
+
+
+def shift_action(index):
+    """The shift v_i -> v_{i+1} on a monomial v^I."""
+    return _leibniz(index, lambda i, m: (i + 1, 1) if i < m - 1 else None)
+
+
+def corner_action(index):
+    """The corner v_{m-1} -> v_0 on a monomial v^I."""
+    return _leibniz(index, lambda i, m: (0, 1) if i == m - 1 else None)
+
+
+def _lowering_action(index):
+    """The lowering v_i -> i(m-i) v_{i-1}, so that NF - FN = 2wt - k(m-1)."""
+    return _leibniz(index, lambda i, m: (i - 1, i * (m - i)) if i else None)
+
+
+@pytest.mark.parametrize("m,k", [(m, k) for m in range(2, 7) for k in range(1, 9)]
+                         + [(1001, 1), (201, 2)])
+def test_derivation_columns_match_the_leibniz_oracle(m, k):
+    # N, E and F read off one raise table equal the per-label Leibniz rule; the
+    # labels come reversed, so that no order of the library's is assumed
+    labels = list(weak_compositions(k, m))[::-1]
+    pos = {ix: j for j, ix in enumerate(labels)}
+    got = _derivation_columns(labels, pos, _slot_moves(m))
+    for cols, action in zip(got, (shift_action, corner_action, _lowering_action), strict=True):
+        assert cols == [{pos[t]: c for t, c in action(ix).items()} for ix in labels]
 
 
 def test_shift_action_leibniz_hand_cases():
@@ -213,10 +255,10 @@ class TestEigenvectors:
             m = n + 1
             for k in range(1, 7):
                 packing = GroupRingPacking(m, (m ** k).bit_length() + 1)
-                shared = dict(group_ring_eigenvector_products(n, k, packing))
+                labels = build_chain(Family.KL_TILDE_T, n, k).labels
+                shared = dict(group_ring_eigenvector_products(labels, packing))
                 # the I come lexicographically, each f_I in the chain's label order
                 assert list(shared) == list(weak_compositions(k, m))
-                labels = build_chain(Family.KL_TILDE_T, n, k).labels
                 for index in shared:
                     want = cycloint_eigenvector_product(n, index)
                     reduced = {(n * k - weight(jj), jj):
@@ -226,11 +268,12 @@ class TestEigenvectors:
 
     def test_products_need_room_in_the_packing(self):
         # 3^4 = 81 needs 2^{B-1} > 81, so B = 8 is the least width
-        assert len(dict(group_ring_eigenvector_products(2, 4, GroupRingPacking(3, 8)))) == 15
+        labels = build_chain(Family.KL_TILDE_T, 2, 4).labels
+        assert len(dict(group_ring_eigenvector_products(labels, GroupRingPacking(3, 8)))) == 15
         with pytest.raises(ValueError):
-            next(group_ring_eigenvector_products(2, 4, GroupRingPacking(3, 7)))
+            next(group_ring_eigenvector_products(labels, GroupRingPacking(3, 7)))
         with pytest.raises(ValueError):
-            next(group_ring_eigenvector_products(2, 4, GroupRingPacking(4, 8)))
+            next(group_ring_eigenvector_products(labels, GroupRingPacking(4, 8)))
 
     def test_eta_power_is_integral(self):
         vec = eta_power_vector(3)
@@ -357,7 +400,8 @@ class TestGroupRingPacking:
         m, width, coeffs = case
         packing = GroupRingPacking(m, width)
         value = packing.pack(coeffs)
-        out = _packed_times_eigenvector([value], _raise_tables(m, 1)[0], packing, i)
+        out = _packed_times_eigenvector([value], _raise_tables(list(weak_compositions(1, m)))[0],
+                                        packing, i)
         for s in range(m):
             e = i * (m - 1 - s) % m
             x_power = packing.pack([int(r == e) for r in range(m)])

@@ -439,9 +439,9 @@ class TestVerify:
         # nonzero before the reduction, and the relation must still hold
         shared = chains.group_ring_eigenvector_products
 
-        def padded(n_, k_, packing):
-            norm = sum(1 << e * packing.width for e in range(n_ + 1))
-            for index, product in shared(n_, k_, packing):
+        def padded(labels, packing):
+            norm = sum(1 << e * packing.width for e in range(packing.m))
+            for index, product in shared(labels, packing):
                 yield index, [v + norm for v in product]
 
         monkeypatch.setattr(chains, "group_ring_eigenvector_products", padded)

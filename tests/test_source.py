@@ -44,22 +44,40 @@ def test_one_elimination_loop():
 
 
 def test_chain_operators_built_in_one_place():
-    # N and E come from shift_action / corner_action in build_chain only, and
-    # F from _lowering_action in the sl2 certificate only; each is the one
-    # Leibniz helper of its module on a per-slot move.  weyl's tensor
-    # derivations come from its own helper, in young_projector only, on the
-    # same slot moves as the chains
-    assert callers(["shift_action", "corner_action", "_lowering_action", "_leibniz",
-                    "_tensor_columns", "_slot_moves"]) == {
-        "shift_action": ["chains.py:build_chain"],
-        "corner_action": ["chains.py:build_chain"],
-        "_lowering_action": ["chains.py:_sl2_strings"],
-        "_leibniz": ["chains.py:shift_action", "chains.py:corner_action",
-                     "chains.py:_lowering_action"],
+    # N and E come from the derivation columns in build_chain, and F in the
+    # sl2 certificate only.  Those columns and the eigenvector products find
+    # a monomial's neighbours through the one raise table, _raises.  weyl's
+    # tensor derivations come from its own helper, in young_projector only,
+    # on the same slot moves as the chains
+    assert callers(["_derivation_columns", "_raises", "_tensor_columns", "_slot_moves"]) == {
+        "_derivation_columns": ["chains.py:build_chain", "chains.py:_sl2_strings"],
+        "_raises": ["chains.py:_derivation_columns", "chains.py:_raise_tables"],
         "_tensor_columns": ["weyl.py:young_projector"],
-        "_slot_moves": ["chains.py:shift_action", "chains.py:corner_action",
-                        "chains.py:_lowering_action", "weyl.py:young_projector"],
+        "_slot_moves": ["chains.py:build_chain", "chains.py:_sl2_strings",
+                        "weyl.py:young_projector"],
     }
+
+
+def test_chains_sets_attributes_only_in_constructors():
+    # a chain is filled in when it is made; a certificate or a walk never
+    # writes into the chain it reads
+    path = next(p for p in SOURCES if p.name == "chains.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        stores = (isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)
+                  or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("setattr", "delattr"))
+        if stores and where not in ("__init__", "__post_init__"):
+            found.append(f"{where}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    assert found == []
 
 
 def test_hodge_symmetry_and_mixed_layout_stated_once():
@@ -156,11 +174,13 @@ def test_test_oracles_stay_out_of_the_library():
     # walk are oracles in the tests; the library certifies N with an sl2 triple.
     # The eigenvector products in Z[zeta_m], the balanced unpacker of the
     # packed group ring and the rationality test of CycloInt are test-only too,
-    # and so are theta_bar and the tower on chain monomials, z-powers kept, and
-    # the slice step summed afresh per degree
+    # and so are theta_bar and the tower on chain monomials, z-powers kept,
+    # the slice step summed afresh per degree, and the per-label Leibniz rule
+    # that the raise-table columns of N, E and F are checked against
     oracles = {"jordan_type", "matrix_rank", "coker_slice_dims", "eigenvector_product",
                "cycloint_eigenvector_product", "unpack", "is_rational", "rational_part",
-               "theta_bar_mono", "tower_slice", "_slice_step", "strided_slice_step"}
+               "theta_bar_mono", "tower_slice", "_slice_step", "strided_slice_step",
+               "_leibniz", "shift_action", "corner_action", "_lowering_action"}
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
