@@ -3,28 +3,31 @@
     python3 scripts/show_basis.py --family kl --n 2 --k 6 --mid
     python3 scripts/show_basis.py --family kl-tilde --n 2 --k 3
 
-Input outside the admissible range is one `error:` line on stderr with exit
-2; a failed internal check is one `error:` line with exit 1.
+The basis comes from `hodgemoments basis --vectors`, so input and exit codes
+are the command line's: input outside the admissible range is one `error:`
+line on stderr with exit 2, and a failed internal check is one `error:` line
+with exit 1.
 """
 
 import argparse
+import io
+import json
 import sys
+from contextlib import redirect_stdout
 
-from hodgemoments.chains import build_chain, cohomology_bases
-from hodgemoments.families import Family, require_admissible
-from hodgemoments.weyl import v21_chain
+from hodgemoments import cli
+from hodgemoments.families import Family
 
 
-def fmt_mono(chain, mono, var):
-    a, j = mono
+def fmt_term(term, var):
+    a = term["z"]
     parts = []
     if a:
         parts.append(var if a == 1 else f"{var}^{a}")
-    label = chain.labels[j]
-    if isinstance(label, int):
-        parts.append(f"u{label}")
+    if "u" in term:
+        parts.append(f"u{term['u']}")
     else:
-        for slot, e in enumerate(label):
+        for slot, e in enumerate(term["v"]):
             if e:
                 parts.append(f"v{slot}" if e == 1 else f"v{slot}^{e}")
     return " ".join(parts) if parts else "1"
@@ -39,34 +42,27 @@ def main():
     ap.add_argument("--mid", action="store_true")
     args = ap.parse_args()
 
-    fam = Family(args.family)
-    if fam is not Family.V21 and (args.n is None or args.k is None):
-        ap.error("--n and --k are required for this family")
-    try:
-        if fam is Family.V21:
-            chain = v21_chain()
-        else:
-            require_admissible(fam, args.n, args.k)
-            chain = build_chain(fam, args.n, args.k)
-        full, mid = cohomology_bases(chain)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (RuntimeError, ArithmeticError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    var = "t" if fam is Family.KL_TILDE_T else "z"
-    basis = mid if args.mid else full
+    argv = ["basis", "--family", args.family, "--vectors"]
+    for flag, value in (("--n", args.n), ("--k", args.k)):
+        if value is not None:
+            argv += [flag, str(value)]
+    if args.mid:
+        argv.append("--mid")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    if code:
+        return code
+    basis = json.loads(out.getvalue())["payload"]
+    var = "t" if args.family == Family.KL_TILDE_T.value else "z"
 
-    print(f"family={fam.value} n={chain.n} k={chain.k} kind={basis.kind} "
-          f"total={basis.total()}")
-    for d in sorted(basis.vectors):
-        vecs = basis.vectors[d]
-        if not vecs:
-            continue
+    print(f"family={basis['family']} n={basis['n']} k={basis['k']} kind={basis['kind']} "
+          f"total={basis['total']}")
+    # the degrees are JSON keys, strings, so sort them as ints
+    for d in sorted(basis["vectors"], key=int):
         print(f"degree {d}:")
-        for mono in vecs:
-            print(f"  {fmt_mono(chain, mono, var)}")
+        for vec in basis["vectors"][d]:
+            print(f"  {fmt_term(vec[0], var)}")
     return 0
 
 

@@ -15,7 +15,7 @@ from .hodge import (ConsistencyReport, DimReport, HodgeDiamond, NonIntegralDimen
                     dims_airy, dims_kl, hodge_airy_closed, hodge_airy_from_basis,
                     hodge_kl_closed, hodge_kl_from_basis, hodge_v21,
                     mixed_hodge_kl3, mixed_hodge_tilde_kl3, verify, verify_sweep)
-from .weyl import v21_chain, young_projector
+from .weyl import v21_chain
 
 __version__ = "0.1.0"
 
@@ -56,5 +56,4 @@ __all__ = [
     "vanishing_tuple_count",
     "verify",
     "verify_sweep",
-    "young_projector",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
 
-from .multiindex import MultiIndex, canonical_rotation, orbit, rotate, weak_compositions
+from .multiindex import MultiIndex, canonical_rotation, orbit, weak_compositions
 from .poly import _divmod_monic, div_exact_monic
 
 # most exponent tuples one count may enumerate when m is not a prime power;
@@ -153,24 +153,15 @@ def vanishing_orbit_count(m: int, k: int) -> int:
     return len(vanishing_orbits(m, k))
 
 
-def signed_shift_sum(index: MultiIndex) -> dict:
-    """Formal sum over i of (-1)^{s_i} sigma^i(index), as tuple -> coefficient.
-
-    s_i adds up the last i entries of the original tuple (s_0 = 0), matching
-    the sign picked up by moving those entries past the rest one step at a
-    time.
-    """
-    m = len(index)
-    out = {}
-    cur = index
-    for i in range(m):
-        s_i = sum(index[m - i:]) if i else 0
-        sign = -1 if s_i % 2 else 1
-        out[cur] = out.get(cur, 0) + sign
-        cur = rotate(cur)
-    return {t: c for t, c in out.items() if c}
-
-
 def signed_orbit_count(m: int, k: int) -> int:
-    """Orbits of vanishing tuples whose signed shift sum is nonzero."""
-    return sum(1 for rep in vanishing_orbits(m, k) if signed_shift_sum(rep))
+    """Orbits of vanishing tuples I whose signed shift sum is nonzero.
+
+    The signed shift sum is sum over i of (-1)^{s_i} sigma^i(I), with s_i the
+    sum of the last i entries of I (s_0 = 0), the sign picked up by moving
+    those entries past the rest one step at a time.  An orbit of length o
+    repeats r = m/o times, each period summing to k/r, so the sum meets each
+    member r times with signs alternating by (-1)^{k/r}: it vanishes exactly
+    when r is even and k/r is odd.
+    """
+    repeats = (m // len(orbit(rep)) for rep in vanishing_orbits(m, k))
+    return sum(1 for r in repeats if r % 2 or k // r % 2 == 0)

@@ -1,16 +1,15 @@
 """The 15-dimensional SL(3) representation inside the fourth tensor power.
 
-The space is cut from (C^3)^(x4) by a hook-shape Young symmetrizer:
-symmetrize over the row group (all permutations of slots 0,1,2) and
-antisymmetrize over the column group (identity and the swap of slots 0,3).
-The raw sum S of signed permutation operators satisfies S^2 = c S for a
-scalar c; the projector is S / c.  Idempotency, the rank, and commutation
-with the shift, corner and lowering derivations are all checked exactly at
-build time, so a wrong normalization cannot slip through.
+The space is cut from (C^3)^(x4) by the Young symmetrizer S of the (3, 1)
+tableau with rows {0, 1, 2}, {3} and column {0, 3}: S e_t is the sum over the
+orderings of t's slots 0-2, minus the same sum for t with slots 0 and 3
+swapped.  S satisfies S^2 = c S for a scalar c > 0, so its image is the image
+of the projector S / c.  The scalar, the commutation with the shift, corner and
+lowering derivations, the grading, the rank and the integrality of the induced
+operators are all checked exactly at build time, so a wrong tableau or a wrong
+normalization cannot slip through.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 
 from .families import Family
@@ -22,31 +21,6 @@ EXPECTED_DIM = 15
 
 class DimensionMismatch(ArithmeticError):
     """The projected space does not have the expected dimension or grading."""
-
-
-def _tensor_basis():
-    basis = list(product(range(3), repeat=4))
-    return basis, {t: i for i, t in enumerate(basis)}
-
-
-def _apply_perm(perm, tup):
-    out = [0] * len(tup)
-    for s, v in enumerate(tup):
-        out[perm[s]] = v
-    return tuple(out)
-
-
-def _compose(g, h):
-    # apply h first, then g
-    return tuple(g[h[s]] for s in range(len(g)))
-
-
-def _signed_group_elements():
-    rows = [p + (3,) for p in permutations((0, 1, 2))]
-    cols = [((0, 1, 2, 3), 1), ((3, 1, 2, 0), -1)]
-    for g in rows:
-        for h, sign in cols:
-            yield _compose(g, h), sign
 
 
 def _tensor_columns(basis, pos, moves):
@@ -62,27 +36,24 @@ def _tensor_columns(basis, pos, moves):
     return cols
 
 
-@dataclass(frozen=True)
-class ProjectedSpace:
-    """Image of the symmetrizer: graded basis and induced derivations."""
+def v21_chain() -> GradedChain:
+    """The graded chain over the 15-dimensional image of S, with the induced N, E and F.
 
-    dim: int
-    weights: tuple[int, ...]
-    nmat: tuple           # induced shift columns over the projected basis, int entries
-    emat: tuple           # induced corner columns, int entries
-    fmat: tuple           # induced lowering columns, int entries
-
-
-@lru_cache(maxsize=None)
-def young_projector() -> ProjectedSpace:
-    basis, pos = _tensor_basis()
+    Its index j holds the image basis vector labels[j], in slice order like
+    every chain: weight descending, then projected index.  The projected index
+    numbers the image basis weight ascending, then by tensor index.
+    """
+    basis = list(product(range(3), repeat=4))
+    pos = {t: i for i, t in enumerate(basis)}
     dim = len(basis)
-    raw = [dict() for _ in range(dim)]  # columns of S
-    for perm, sign in _signed_group_elements():
-        for j, t in enumerate(basis):
-            i = pos[_apply_perm(perm, t)]
-            raw[j][i] = raw[j].get(i, 0) + sign
-    raw = [{i: c for i, c in col.items() if c} for col in raw]
+    raw = []  # columns of S
+    for t in basis:
+        col = {}
+        for u, sign in ((t, 1), ((t[3], t[1], t[2], t[0]), -1)):
+            for head in permutations(u[:3]):
+                i = pos[head + u[3:]]
+                col[i] = col.get(i, 0) + sign
+        raw.append({i: c for i, c in col.items() if c})
     # S^2 must be a positive integer multiple c S of S; read c off the first entry
     square = [apply_columns(raw, col) for col in raw]
     j0, i0 = next((j, i) for j, col in enumerate(raw) for i in col)
@@ -103,15 +74,16 @@ def young_projector() -> ProjectedSpace:
             if apply_columns(cols, raw[j]) != apply_columns(raw, cols[j]):
                 raise DimensionMismatch(f"projector does not commute with the {name}")
 
-    # graded image basis: independent columns of S, weight by weight; each is
+    # graded image basis: independent columns of S, weight by weight, highest
+    # weight first, so that the j-th chosen column is chain index j; each is
     # scalar times a projector column, so the choice and coordinates agree.
-    # Basis vector t carries a unit tag in column dim + t, and a probe carries
+    # Chosen column j carries a unit tag in column dim + j, and a probe carries
     # a unit marker in column -1, which no row touches: the residual of a
     # probe in the span holds its coordinates as -residual[tag] / residual[-1]
     wt = [sum(t) for t in basis]
     chosen = []
     solvers = {}
-    for w in range(9):
+    for w in range(8, -1, -1):
         solver = SparseEchelon()
         solvers[w] = solver
         for j in range(dim):
@@ -152,28 +124,9 @@ def young_projector() -> ProjectedSpace:
             out.append(col)
         return out
 
-    return ProjectedSpace(
-        dim=EXPECTED_DIM,
-        weights=tuple(w for w, _ in chosen),
-        nmat=tuple(induced(shift_cols, +1)),
-        emat=tuple(induced(corner_cols, -2)),
-        fmat=tuple(induced(lower_cols, -1)),
-    )
-
-
-def v21_chain() -> GradedChain:
-    """The graded chain over the projected 15-dimensional space.
-
-    Its index j holds the projected basis vector labels[j], in slice order
-    like every chain: weight descending, then projected index.
-    """
-    ps = young_projector()
-    order = sorted(range(ps.dim), key=lambda t: (-ps.weights[t], t))
-    pos = {t: j for j, t in enumerate(order)}
-
-    def permuted(cols):
-        return [{pos[i]: c for i, c in cols[t].items()} for t in order]
-
-    return GradedChain(family=Family.V21, n=2, k=4, zweight=3, labels=order,
-                       weights=[ps.weights[t] for t in order], nmat=permuted(ps.nmat),
-                       emat=permuted(ps.emat), tower=None, fmat=permuted(ps.fmat))
+    weights = [w for w, _ in chosen]
+    # the projected index of chain index j counts the image vectors of lower weight first
+    labels = [sum(v < w for v in weights) + j - weights.index(w) for j, w in enumerate(weights)]
+    return GradedChain(family=Family.V21, n=2, k=4, zweight=3, labels=labels, weights=weights,
+                       nmat=induced(shift_cols, +1), emat=induced(corner_cols, -2),
+                       tower=None, fmat=induced(lower_cols, -1))

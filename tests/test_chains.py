@@ -37,8 +37,9 @@ from hodgemoments.families import Family, admissible
 from hodgemoments.hodge import dims_kl
 from hodgemoments.linalg import SparseEchelon
 from hodgemoments.multiindex import weak_compositions, weight
-from hodgemoments.weyl import v21_chain, young_projector
+from hodgemoments.weyl import v21_chain
 from test_linalg import jordan_type, matrix_rank
+from test_weyl import SLOT_MOVES, projected_space, tensor_derivation
 
 
 def ezshift(chain):
@@ -328,14 +329,20 @@ def test_chains_are_stored_in_slice_order(family, n, k):
 
 def test_v21_labels_are_projected_indices():
     # the V21 chain permutes the projected basis, keeping each vector's
-    # weight and its N, E and F columns
-    chain, space = v21_chain(), young_projector()
-    assert sorted(chain.labels) == list(range(space.dim))
-    assert chain.weights == [space.weights[t] for t in chain.labels]
-    for mat, projected in ((chain.nmat, space.nmat), (chain.emat, space.emat),
-                           (chain.fmat, space.fmat)):
-        assert [{chain.labels[i]: c for i, c in col.items()} for col in mat] == [
-            projected[t] for t in chain.labels]
+    # weight, and its N, E and F columns are the tensor derivations on the
+    # image vectors that its labels name
+    chain = v21_chain()
+    vectors, weights = projected_space()
+    assert sorted(chain.labels) == list(range(len(vectors)))
+    assert chain.weights == [weights[t] for t in chain.labels]
+    for mat, moves in zip((chain.nmat, chain.emat, chain.fmat), SLOT_MOVES):
+        for j, col in enumerate(mat):
+            combined = {}
+            for i, c in col.items():
+                for u, a in vectors[chain.labels[i]].items():
+                    combined[u] = combined.get(u, 0) + c * a
+            assert {u: a for u, a in combined.items() if a} == tensor_derivation(
+                vectors[chain.labels[j]], moves), (moves, j)
 
 
 def test_tower_slice_degrees():

@@ -13,7 +13,6 @@ from hodgemoments.cyclo import (
     CycloInt,
     cyclotomic_poly,
     signed_orbit_count,
-    signed_shift_sum,
     tuple_vanishes,
     vanishing_orbit_count,
     vanishing_orbits,
@@ -126,6 +125,24 @@ def test_orbit_reps_are_canonical_and_vanishing(m, k):
                             if tuple_vanishes(m, ix))
 
 
+def signed_shift_sum(index):
+    """Test oracle: formal sum over i of (-1)^{s_i} sigma^i(index), as tuple -> coefficient.
+
+    s_i adds up the last i entries of the original tuple (s_0 = 0), matching
+    the sign picked up by moving those entries past the rest one step at a
+    time.
+    """
+    m = len(index)
+    out = {}
+    cur = index
+    for i in range(m):
+        s_i = sum(index[m - i:]) if i else 0
+        sign = -1 if s_i % 2 else 1
+        out[cur] = out.get(cur, 0) + sign
+        cur = rotate(cur)
+    return {t: c for t, c in out.items() if c}
+
+
 def test_signed_shift_sum_balanced_tuple_cancels():
     # the fully balanced triple is shift-invariant with alternating signs
     assert signed_shift_sum((1, 1, 1)) == {(1, 1, 1): 1}
@@ -170,6 +187,24 @@ def test_prime_power_closed_forms_match_enumeration(m, k):
     assert vanishing_tuple_count(m, k) == len(tuples)
     assert vanishing_orbits(m, k) == reps
     assert signed_orbit_count(m, k) == sum(1 for rep in reps if signed_shift_sum(rep))
+
+
+# composite m at small k, enumerated, where orbits of every period occur
+COMPOSITE_PAIRS = [(m, k) for m in (6, 10, 12, 14, 15) for k in range(1, 9)
+                   if comb(k + m - 1, m - 1) <= 5000]
+
+
+@pytest.mark.parametrize("m,k", COMPOSITE_PAIRS, ids=lambda v: str(v))
+def test_signed_orbit_count_matches_the_signed_sums_on_composite_m(m, k):
+    reps = vanishing_orbits(m, k)
+    assert signed_orbit_count(m, k) == sum(1 for rep in reps if signed_shift_sum(rep))
+
+
+def test_composite_pairs_cancel_and_keep_orbits():
+    # some composite orbit cancels (an even repeat of an odd period sum), and some survives
+    kept = {(m, k): signed_orbit_count(m, k) for m, k in COMPOSITE_PAIRS}
+    assert any(kept[mk] < vanishing_orbit_count(*mk) for mk in kept)
+    assert any(kept.values())
 
 
 def test_closed_form_pairs_cover_the_grid():

@@ -47,14 +47,14 @@ def test_chain_operators_built_in_one_place():
     # N and E come from the derivation columns in build_chain, and F in the
     # sl2 certificate only.  Those columns and the eigenvector products find
     # a monomial's neighbours through the one raise table, _raises.  weyl's
-    # tensor derivations come from its own helper, in young_projector only,
-    # on the same slot moves as the chains
+    # tensor derivations come from its own helper, in v21_chain only, on the
+    # same slot moves as the chains
     assert callers(["_derivation_columns", "_raises", "_tensor_columns", "_slot_moves"]) == {
         "_derivation_columns": ["chains.py:build_chain", "chains.py:_sl2_strings"],
         "_raises": ["chains.py:_derivation_columns", "chains.py:_raise_tables"],
-        "_tensor_columns": ["weyl.py:young_projector"],
+        "_tensor_columns": ["weyl.py:v21_chain"],
         "_slot_moves": ["chains.py:build_chain", "chains.py:_sl2_strings",
-                        "weyl.py:young_projector"],
+                        "weyl.py:v21_chain"],
     }
 
 
@@ -165,7 +165,7 @@ def test_class_echelons_walked_in_one_place():
     assert callers(["_walk_images", "_image_walk", "SparseEchelon"]) == {
         "_walk_images": ["chains.py:_image_walk"],
         "_image_walk": ["chains.py:kernel_slice_dims", "chains.py:cohomology_bases"],
-        "SparseEchelon": ["chains.py:_walk_images", "weyl.py:young_projector"],
+        "SparseEchelon": ["chains.py:_walk_images", "weyl.py:v21_chain"],
     }
 
 
@@ -176,11 +176,15 @@ def test_test_oracles_stay_out_of_the_library():
     # packed group ring and the rationality test of CycloInt are test-only too,
     # and so are theta_bar and the tower on chain monomials, z-powers kept,
     # the slice step summed afresh per degree, and the per-label Leibniz rule
-    # that the raise-table columns of N, E and F are checked against
+    # that the raise-table columns of N, E and F are checked against.  The
+    # group composition behind the V21 symmetrizer, the projected space read
+    # off it and the formal signed shift sum are oracles too
     oracles = {"jordan_type", "matrix_rank", "coker_slice_dims", "eigenvector_product",
                "cycloint_eigenvector_product", "unpack", "is_rational", "rational_part",
                "theta_bar_mono", "tower_slice", "_slice_step", "strided_slice_step",
-               "_leibniz", "shift_action", "corner_action", "_lowering_action"}
+               "_leibniz", "shift_action", "corner_action", "_lowering_action",
+               "young_projector", "ProjectedSpace", "_signed_group_elements", "_apply_perm",
+               "_compose", "signed_shift_sum"}
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -2,22 +2,52 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
 from hodgemoments import weyl
 from hodgemoments.chains import cohomology_bases, jordan_block_sizes
-from hodgemoments.linalg import apply_columns
-from hodgemoments.weyl import DimensionMismatch, v21_chain, young_projector
+from hodgemoments.linalg import SparseEchelon, apply_columns
+from hodgemoments.weyl import DimensionMismatch, v21_chain
+
+# slot moves {i: (t, c)}, v_i -> c * v_t, of the shift, corner and lowering on 3 slots
+SLOT_MOVES = ({0: (1, 1), 1: (2, 1)}, {2: (0, 1)}, {1: (0, 2), 2: (1, 2)})
+
+
+def _tensor_basis():
+    basis = list(product(range(3), repeat=4))
+    return basis, {t: i for i, t in enumerate(basis)}
+
+
+def _apply_perm(perm, tup):
+    out = [0] * len(tup)
+    for s, v in enumerate(tup):
+        out[perm[s]] = v
+    return tuple(out)
+
+
+def _compose(g, h):
+    # apply h first, then g
+    return tuple(g[h[s]] for s in range(len(g)))
+
+
+def _signed_group_elements():
+    """The row group of the (3, 1) tableau times its signed column group {1, (0 3)}."""
+    rows = [p + (3,) for p in permutations((0, 1, 2))]
+    cols = [((0, 1, 2, 3), 1), ((3, 1, 2, 0), -1)]
+    for g in rows:
+        for h, sign in cols:
+            yield _compose(g, h), sign
 
 
 def _signed_sum():
     """Test oracle: the columns of the raw signed permutation sum S."""
-    basis, pos = weyl._tensor_basis()
+    basis, pos = _tensor_basis()
     cols = [{} for _ in basis]
-    for perm, sign in weyl._signed_group_elements():
+    for perm, sign in _signed_group_elements():
         for j, t in enumerate(basis):
-            i = pos[weyl._apply_perm(perm, t)]
+            i = pos[_apply_perm(perm, t)]
             cols[j][i] = cols[j].get(i, 0) + sign
     return [{i: c for i, c in col.items() if c} for col in cols]
 
@@ -27,8 +57,38 @@ def _projector():
     return [{i: Fraction(c, 8) for i, c in col.items()} for col in _signed_sum()]
 
 
+def tensor_derivation(vec, moves):
+    """Test oracle: the derivation v_i -> c * v_t, moves = {i: (t, c)}, on a tensor vector."""
+    basis, pos = _tensor_basis()
+    out = Counter()
+    for j, a in vec.items():
+        t = basis[j]
+        for s, i in enumerate(t):
+            if i in moves:
+                out[pos[t[:s] + (moves[i][0],) + t[s + 1:]]] += a * moves[i][1]
+    return {i: c for i, c in out.items() if c}
+
+
+def projected_space():
+    """Test oracle: the image basis of S by projected index, and the weight of each vector.
+
+    The projected index numbers the independent columns of S weight
+    ascending, then by tensor index.
+    """
+    basis, _ = _tensor_basis()
+    raw = _signed_sum()
+    vectors, weights = [], []
+    for w in range(9):
+        ech = SparseEchelon()
+        for j, t in enumerate(basis):
+            if sum(t) == w and ech.add_row(raw[j]) is not None:
+                vectors.append(raw[j])
+                weights.append(w)
+    return vectors, weights
+
+
 def test_projector_dimension_and_scalar():
-    assert young_projector().dim == 15
+    assert len(v21_chain().labels) == 15
     raw = _signed_sum()
     assert [apply_columns(raw, col) for col in raw] == [
         {i: 8 * c for i, c in col.items()} for col in raw]
@@ -47,32 +107,31 @@ def test_projector_trace_equals_rank():
 
 
 def test_graded_dimensions():
-    ps = young_projector()
-    assert Counter(ps.weights) == {1: 1, 2: 2, 3: 3, 4: 3, 5: 3, 6: 2, 7: 1}
+    assert Counter(v21_chain().weights) == {1: 1, 2: 2, 3: 3, 4: 3, 5: 3, 6: 2, 7: 1}
 
 
 def test_induced_shift_raises_weight():
-    ps = young_projector()
-    for j, col in enumerate(ps.nmat):
+    chain = v21_chain()
+    for j, col in enumerate(chain.nmat):
         for i in col:
-            assert ps.weights[i] == ps.weights[j] + 1
+            assert chain.weights[i] == chain.weights[j] + 1
 
 
 def test_induced_lowering_drops_weight_by_one():
-    ps = young_projector()
-    assert any(ps.fmat)
-    for j, col in enumerate(ps.fmat):
+    chain = v21_chain()
+    assert any(chain.fmat)
+    for j, col in enumerate(chain.fmat):
         for i in col:
-            assert ps.weights[i] == ps.weights[j] - 1
+            assert chain.weights[i] == chain.weights[j] - 1
 
 
 def test_induced_corner_drops_weight_by_two():
-    ps = young_projector()
+    chain = v21_chain()
     any_nonzero = False
-    for j, col in enumerate(ps.emat):
+    for j, col in enumerate(chain.emat):
         for i in col:
             any_nonzero = True
-            assert ps.weights[i] == ps.weights[j] - 2
+            assert chain.weights[i] == chain.weights[j] - 2
     assert any_nonzero
 
 
@@ -85,13 +144,20 @@ def test_chain_operators_are_integral():
 
 
 def test_induced_operators_in_the_chosen_basis():
-    # N b_t and E b_t written in the basis by the tag-column solve
-    ps = young_projector()
-    assert ps.nmat == (
+    # N b_t and E b_t written in the basis by the tag-column solve, keyed by
+    # the projected index t that the chain keeps as its labels
+    chain = v21_chain()
+
+    def by_label(mat):
+        cols = {chain.labels[j]: {chain.labels[i]: c for i, c in col.items()}
+                for j, col in enumerate(mat)}
+        return tuple(cols[t] for t in range(len(cols)))
+
+    assert by_label(chain.nmat) == (
         {1: 1, 2: 2}, {3: 3, 4: -1}, {3: 1, 4: 1, 5: 1}, {6: 1, 7: 2, 8: -1}, {6: 1, 8: 1},
         {7: 1, 8: 2}, {9: 2, 10: -1}, {9: 2, 11: 1}, {9: 1, 10: 1}, {12: 1, 13: 1}, {12: 1},
         {13: 2}, {14: 1}, {14: 1}, {})
-    assert ps.emat == (
+    assert by_label(chain.emat) == (
         {}, {}, {}, {}, {0: 1}, {}, {1: 1}, {}, {2: 1}, {3: 1}, {4: 2}, {5: -1}, {6: 2},
         {7: 1, 8: -2}, {9: 2, 10: -3})
 
@@ -129,10 +195,6 @@ def test_commutation_check_rejects_a_bad_shift(monkeypatch):
             cols[j][i] += 1
         return cols
 
-    young_projector.cache_clear()
     monkeypatch.setattr(weyl, "_tensor_columns", bad_shift)
-    try:
-        with pytest.raises(DimensionMismatch, match="does not commute with the shift"):
-            young_projector()
-    finally:
-        young_projector.cache_clear()
+    with pytest.raises(DimensionMismatch, match="does not commute with the shift"):
+        v21_chain()
