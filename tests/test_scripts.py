@@ -22,32 +22,25 @@ def test_show_basis_prints_the_middle_basis():
         "degree 8:", "  z^2 v0^5 v2", "degree 9:", "  z^3 v0^6"]
 
 
-def test_show_basis_prints_v21_by_projected_index():
-    proc = run_script("show_basis.py", "--family", "v21")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+@pytest.mark.parametrize("argv,lines", [
+    (("--family", "v21"), [
         "family=v21 n=2 k=4 kind=full total=5",
         "degree 1:", "  u0", "degree 2:", "  u2", "degree 3:", "  u5",
-        "degree 4:", "  z u0", "degree 5:", "  z u2"]
-
-
-def test_show_basis_names_the_t_variable_of_kl_tilde():
-    proc = run_script("show_basis.py", "--family", "kl-tilde", "--n", "2", "--k", "3")
+        "degree 4:", "  z u0", "degree 5:", "  z u2"]),
+    # the t variable, and degree 10 after 9: the degrees are sorted as numbers
+    (("--family", "kl-tilde", "--n", "2", "--k", "5", "--mid"), [
+        "family=kl-tilde n=2 k=5 kind=mid total=18",
+        "degree 1:", "  t v0^5", "degree 2:", "  t^2 v0^5",
+        "degree 3:", "  t v0^4 v2", "  t^3 v0^5", "degree 4:", "  t^2 v0^4 v2", "  t^4 v0^5",
+        "degree 5:", "  t v0^3 v2^2", "  t^3 v0^4 v2", "  t^5 v0^5",
+        "degree 6:", "  t^2 v0^3 v2^2", "  t^4 v0^4 v2", "  t^6 v0^5",
+        "degree 7:", "  t^5 v0^4 v2", "  t^7 v0^5", "degree 8:", "  t^6 v0^4 v2", "  t^8 v0^5",
+        "degree 9:", "  t^7 v0^4 v2", "degree 10:", "  t^8 v0^4 v2"]),
+], ids=["v21", "kl-tilde"])
+def test_show_basis_prints_monomials(argv, lines):
+    proc = run_script("show_basis.py", *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "family=kl-tilde n=2 k=3 kind=full total=9",
-        "degree 0:", "  v0^3", "degree 1:", "  t v0^3",
-        "degree 2:", "  v0^2 v2", "  t^2 v0^3", "degree 3:", "  t v0^2 v2", "  t^3 v0^3",
-        "degree 4:", "  t^2 v0^2 v2", "  t^4 v0^3", "degree 5:", "  t^5 v0^3"]
-
-
-def test_show_basis_orders_degrees_as_numbers():
-    # the degrees reach 12, past 9, where their order as strings differs
-    proc = run_script("show_basis.py", "--family", "kl", "--n", "3", "--k", "5")
-    assert proc.returncode == 0, proc.stderr
-    degrees = [int(line.split()[1].rstrip(":")) for line in proc.stdout.splitlines()
-               if line.startswith("degree ")]
-    assert degrees == [0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
+    assert proc.stdout.splitlines() == lines
 
 
 def test_diamond_gallery_runs():
