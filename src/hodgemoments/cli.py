@@ -234,6 +234,8 @@ def _cmd_counts(args) -> tuple[dict, int]:
 
 def _cmd_basis(args) -> tuple[dict, int]:
     family = Family(args.family)
+    if args.vectors and args.format != "json":
+        raise CliError(f"--vectors needs --format json: {args.format} has no place for them")
     if family is Family.AIRY_Z and args.mid:
         raise CliError("--mid does not apply to airy: its middle part is the full "
                        "cohomology; drop --mid")

@@ -3,11 +3,11 @@
 One generating function drives every closed formula downstream: the weight
 character c(t) of V, by the hook-content formula (Stanley EC2 7.21)
     s_shape(1, t, .., t^{m-1}) = t^{n(shape)} prod_u (1 - t^{m+c(u)}) / (1 - t^{h(u)}),
-the Gaussian binomial [n+k choose k]_t for Sym^k on n+1 slots.  Every count
-reads it through one map: the block multiplicity polynomial Q(t) = (1 - t) c(t),
-whose low-degree coefficients count the nilpotent-string bottoms, and the
-slice steps s(t) = Q(t) / (1 - t^z) of C[z] (x) V, z of weight z, which give
-every pure closed table.
+the Gaussian binomial [n+k choose k]_t for Sym^k on n+1 slots, divided out
+here (weight_character).  Every count reads it through one map: the block
+multiplicity polynomial Q(t) = (1 - t) c(t), whose low-degree coefficients
+count the nilpotent-string bottoms, and the slice steps s(t) = Q(t) / (1 - t^z)
+of C[z] (x) V, z of weight z, which give every pure closed table.
 
 lattice_step(n, k, d) is s(d) for Sym^k on n+1 slots, z of weight n+1.  The
 step series (1 - t) / ((1 - t^{n+1}) (1-x)(1-tx)...(1-t^n x)) holds it in its
@@ -16,10 +16,11 @@ x^k column and serves only as verify's step-series check.
 
 from collections import Counter
 from functools import lru_cache
+from math import isqrt
 
 from .cyclo import signed_orbit_count, vanishing_orbit_count, vanishing_tuple_count
 from .families import Family
-from .poly import binomial_quotient
+from .poly import RemainderNonzero
 from .series import BiSeries, expand_rational
 
 
@@ -46,10 +47,10 @@ def bottom_multiplicity(n: int, k: int, d: int) -> int:
 def weight_character(shape: tuple[int, ...], m: int) -> tuple[int, ...]:
     """Entry w counts the semistandard tableaux of a partition shape, entries 0..m-1, of sum w.
 
-    Equal up and down factors cancel, leaving as many of each; they pair in
-    ascending order in binomial_quotient, which raises RemainderNonzero if a
-    partial quotient is not a polynomial.  For shape (k) the pairs left give
-    [hi+i choose i]_t, i = 1..lo (lo, hi = min, max of m-1 and k).
+    As 1 - t^a = -prod_{d | a} Phi_d(t), the ups left after cancelling multiply in
+    ascending order, and a down 1 - t^b divides out once each Phi_d, d | b, is in
+    (`have` counts them), so for a partition every partial quotient is a polynomial.
+    Each division is checked: a shape that is not a partition raises RemainderNonzero.
     """
     if len(shape) > m:
         return ()
@@ -59,8 +60,35 @@ def weight_character(shape: tuple[int, ...], m: int) -> tuple[int, ...]:
         # the hooks of the cells past the next row's length, then the rest cell by cell
         downs.update(range(1, row - below + 1))
         downs.update(row - j + sum(r > j for r in shape[i + 1:]) for j in range(below))
-    quotient = binomial_quotient(sorted((ups - downs).elements()), sorted((downs - ups).elements()))
-    return (0,) * sum(i * row for i, row in enumerate(shape)) + quotient
+    ups, downs = ups - downs, downs - ups
+    f, have, waiting = [1], Counter(), [(b, _divisors(b)) for b in downs.elements()]
+    for a in range(min(ups, default=1), max(ups, default=0) + 1):  # the ups, ascending
+        for _ in range(ups[a]):
+            f += [0] * a
+            for i in range(len(f) - 1, a - 1, -1):
+                f[i] -= f[i - a]
+            have.update(_divisors(a))
+            for b, divs in list(waiting):
+                if have[b] and all(have[d] for d in divs):
+                    have.subtract(divs)
+                    waiting.remove((b, divs))
+                    _divide_binomial(f, b)
+    for b, _ in waiting:  # none left for a partition
+        _divide_binomial(f, b)
+    return (0,) * sum(i * row for i, row in enumerate(shape)) + tuple(f)
+
+
+def _divisors(a: int) -> set[int]:
+    return {e for d in range(1, isqrt(a) + 1) if a % d == 0 for e in (d, a // d)}
+
+
+def _divide_binomial(f: list[int], b: int) -> None:
+    """f /= 1 - t^b in place: a prefix sum with stride b, exact iff its top b entries are 0."""
+    for i in range(b, len(f)):
+        f[i] += f[i - b]
+    if any(f[-b:]):
+        raise RemainderNonzero("weight character division left a nonzero remainder")
+    del f[-b:]
 
 
 def _slice_steps(counts, zweight: int):

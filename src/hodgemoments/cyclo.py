@@ -11,9 +11,9 @@ basis of Q(zeta) over Q(w), w = zeta^(m/p) a primitive p-th root of unity.
 Hence sum_j I_j zeta^j = 0 iff every coset sum sum_r I_{s + r m/p} w^r is 0,
 i.e. (Phi_p has degree p - 1) iff I is constant on each coset s + (m/p)Z.  The
 vanishing tuples are the p-fold repeats J * p of the weak compositions J of
-k/p into m/p parts: whole regular p-gons, as in Lam-Leung.  Other m are
-enumerated once per (m, k), up to ENUMERATION_BUDGET exponent tuples, into
-the cached orbit representatives that every count reads.
+k/p into m/p parts: whole regular p-gons, as in Lam-Leung.  Other m with a
+vanishing sum (Lam-Leung again) are enumerated once per (m, k), up to
+ENUMERATION_BUDGET exponent tuples, into the cached orbit representatives.
 """
 
 from dataclasses import dataclass
@@ -117,6 +117,24 @@ class CycloInt:
             raise ValueError("mixed cyclotomic orders")
 
 
+def _vanishing_sum_exists(m: int, k: int) -> bool:
+    """Do some k m-th roots of unity sum to zero, i.e. is d_k != 0?
+
+    By Lam-Leung this holds exactly when k lies in N p_1 + ... + N p_r over
+    the primes p_i dividing m.  Every divisor d > 1 of m lies in some N p_i,
+    so the coin problem may run over all of them.  k and m + k % m get the
+    same answer (with two primes p q <= m, every k >= m is reached; with one,
+    only k mod p counts), so the table stays below 2m cells for any k.
+    """
+    k = min(k, m + k % m)
+    reach = [True] + [False] * k
+    for p in range(2, m + 1):
+        if m % p == 0:
+            for s in range(p, k + 1):
+                reach[s] = reach[s] or reach[s - p]
+    return reach[k]
+
+
 def tuple_vanishes(m: int, index: MultiIndex) -> bool:
     return not CycloInt.from_exponents(m, index)
 
@@ -132,11 +150,12 @@ def vanishing_tuple_count(m: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def vanishing_orbits(m: int, k: int) -> tuple[MultiIndex, ...]:
     """The canonical representatives of the cyclic-shift orbits of vanishing tuples, sorted."""
+    if not _vanishing_sum_exists(m, k):
+        return ()
     p = _prime_power_base(m)
     if p is not None:
-        # rotating and comparing J * p is doing so on J
-        blocks = weak_compositions(k // p, m // p) if k % p == 0 else ()
-        reps = {canonical_rotation(block) * p for block in blocks}
+        # p | k past the gate; rotating and comparing J * p is doing so on J
+        reps = {canonical_rotation(block) * p for block in weak_compositions(k // p, m // p)}
     else:
         size = comb(k + m - 1, m - 1)
         if size > ENUMERATION_BUDGET:

@@ -3,6 +3,8 @@
 from enum import Enum
 from math import gcd
 
+from .cyclo import _vanishing_sum_exists
+
 
 class BadFamilyParams(ValueError):
     """The (family, n, k) combination does not define this construction."""
@@ -18,24 +20,6 @@ class Family(Enum):
 def has_tower(family: Family, n: int, k: int) -> bool:
     """The eta-tower case of the Kloosterman chains: n = 2 with 3 | k."""
     return family in (Family.KL_Z, Family.KL_TILDE_T) and n == 2 and k % 3 == 0
-
-
-def _vanishing_sum_exists(m: int, k: int) -> bool:
-    """Do some k m-th roots of unity sum to zero, i.e. is d_k != 0?
-
-    By Lam-Leung this holds exactly when k lies in N p_1 + ... + N p_r over
-    the primes p_i dividing m.  Every divisor d > 1 of m lies in some N p_i,
-    so the coin problem may run over all of them.  k and m + k % m get the
-    same answer (with two primes p q <= m, every k >= m is reached; with one,
-    only k mod p counts), so the table stays below 2m cells for any k.
-    """
-    k = min(k, m + k % m)
-    reach = [True] + [False] * k
-    for p in range(2, m + 1):
-        if m % p == 0:
-            for s in range(p, k + 1):
-                reach[s] = reach[s] or reach[s - p]
-    return reach[k]
 
 
 def admissible(family: Family, n: int, k: int) -> bool:

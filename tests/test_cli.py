@@ -166,6 +166,20 @@ def test_composite_enumeration_over_budget_exits_2(capsys, monkeypatch, argv):
     assert f"budget of {cyclo.ENUMERATION_BUDGET}" in err
 
 
+@pytest.mark.parametrize("argv", [["dims", "--family", "kl"], ["counts", "--what", "d"],
+                                  ["counts", "--what", "a"], ["counts", "--what", "b"]])
+def test_composite_counts_with_no_vanishing_sum_enumerate_nothing(capsys, monkeypatch, argv):
+    # m = 35 is composite, and 23 is not in 5N + 7N, so by Lam-Leung no 23 of the
+    # 35th roots of unity sum to 0: the count is 0 without C(57, 34) exponent tuples
+    def no_enumeration(m, index):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(cyclo, "tuple_vanishes", no_enumeration)
+    code, out, err = run_main(capsys, *argv, "--n", "34", "--k", "23")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"]["soln_infty" if argv[0] == "dims" else "count"] == 0
+
+
 def test_missing_nk_exit_2(capsys):
     code, _, err = run_main(capsys, "dims", "--family", "kl")
     assert code == 2
@@ -364,6 +378,19 @@ def test_basis_vectors_blob(capsys):
                 assert term["z"] >= 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_basis_vectors_need_json(capsys, monkeypatch, fmt):
+    # csv and md have no place for the vectors: refuse before building the chain
+    def no_chain(*args):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(cli, "build_chain", no_chain)
+    code, out, err = run_main(capsys, "basis", "--family", "kl", "--n", "2", "--k", "4",
+                              "--vectors", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: --vectors")
+
+
 def test_csv_format(capsys):
     _, out, _ = run_main(capsys, "hodge", "--family", "kl", "--n", "2", "--k", "4",
                          "--format", "csv")
@@ -376,6 +403,74 @@ def test_md_format_renders_tuple(capsys):
     _, out, _ = run_main(capsys, "hodge", "--family", "kl", "--n", "2", "--k", "4",
                          "--route", "closed", "--format", "md")
     assert "(0, 0, 0, 1, 0, 0, 1, 0, 0, 0)" in out
+
+
+# today's exact csv and md lines for every payload shape both renderers take:
+# key/value rows (dims, counts d/a/b and point queries), the counts columns,
+# basis cardinalities, verify checks, fractional Airy levels, --route both
+RENDERED = [
+    ("dims --family kl --n 2 --k 4 --format csv", [
+       "key,value", "dim_h1,5", "dim_mid,2", "family,kl", "irregularity,5", "k,4", "n,2",
+       "soln_infty,0", "soln_zero,3"]),
+    ("dims --family kl --n 2 --k 4 --format md", [
+       "| key | value |", "| - | - |", "| dim_h1 | 5 |", "| dim_mid | 2 |",
+       "| family | kl |", "| irregularity | 5 |", "| k | 4 |", "| n | 2 |",
+       "| soln_infty | 0 |", "| soln_zero | 3 |"]),
+    ("counts --what q --n 1 --k 3 --format csv", [
+       "d,coefficient", "0,1", "1,0", "2,0", "3,0", "4,-1"]),
+    ("counts --what n --n 1 --k 3 --format md", [
+       "| d | value |", "| - | - |", "| 0 | 1 |", "| 1 | 0 |", "| 2 | 1 |", "| 3 | 0 |",
+       "| 4 | 0 |"]),
+    ("counts --what d --n 5 --k 2 --format csv", [
+       "key,value", "count,3", "k,2", "m,6", "n,5"]),
+    ("counts --what a --n 5 --k 2 --format csv", [
+       "key,value", "count,1", "k,2", "m,6", "n,5"]),
+    ("counts --what b --n 5 --k 2 --format md", [
+       "| key | value |", "| - | - |", "| count | 0 |", "| k | 2 |", "| m | 6 |",
+       "| n | 5 |"]),
+    ("counts --what q --n 2 --k 4 --d 2 --format csv", [
+       "key,value", "d,2", "k,4", "n,2", "value,1"]),
+    ("basis --family kl --n 2 --k 4 --mid --format csv", [
+       "degree,count", "3,1", "6,1"]),
+    ("basis --family kl --n 2 --k 4 --mid --format md", [
+       "| degree | count |", "| - | - |", "| 3 | 1 |", "| 6 | 1 |"]),
+    ("verify --n 2 --k 2 --format csv", [
+       "n,k,check,pass", "2,2,counting-clauses,True", "2,2,counting-closed-n2,True",
+       "2,2,step-series,True", "2,2,hidden-step-identity,True", "2,2,jordan-blocks,True",
+       "2,2,shift-coker,True", "2,2,coker-matches-steps,True", "2,2,basis-totals-kl,True",
+       "2,2,mid-degree-mirror,True", "2,2,route-kl,True", "2,2,basis-totals-tilde,True",
+       "2,2,tilde-kernel-dims,True", "2,2,tilde-eigen-relation,True",
+       "2,2,dims-consistent,True", "2,2,mixed-tilde,True"]),
+    ("verify --sweep --max-n 1 --max-k 2 --format md", [
+       "| n | k | check | pass |", "| - | - | - | - |",
+       "| 1 | 1 | counting-clauses | True |", "| 1 | 1 | step-series | True |",
+       "| 1 | 1 | hidden-step-identity | True |", "| 1 | 1 | jordan-blocks | True |",
+       "| 1 | 1 | shift-coker | True |", "| 1 | 1 | coker-matches-steps | True |",
+       "| 1 | 1 | basis-totals-kl | True |", "| 1 | 1 | mid-degree-mirror | True |",
+       "| 1 | 1 | route-kl | True |", "| 1 | 1 | basis-totals-tilde | True |",
+       "| 1 | 1 | tilde-kernel-dims | True |", "| 1 | 1 | tilde-eigen-relation | True |",
+       "| 1 | 1 | dims-consistent | True |", "| 1 | 2 | step-series | True |",
+       "| 1 | 2 | jordan-blocks | True |", "| 1 | 2 | shift-coker | True |",
+       "| 1 | 2 | tilde-kernel-tail | True |", "| 1 | 2 | tilde-eigen-relation | True |"]),
+    ("hodge --family airy --n 3 --k 2 --format md", [
+       "## closed", "", "**airy** n=3 k=2 weight=3 (pure)", "", "| p | q | h |",
+       "| - | - | - |", "| 5/4 | 7/4 | 1 |", "| 3/2 | 3/2 | 0 |", "| 7/4 | 5/4 | 1 |", "",
+       "## basis", "", "**airy** n=3 k=2 weight=3 (pure)", "", "| p | q | h |",
+       "| - | - | - |", "| 5/4 | 7/4 | 1 |", "| 3/2 | 3/2 | 0 |", "| 7/4 | 5/4 | 1 |", "",
+       "routes equal: True"]),
+    ("hodge --family kl --n 2 --k 4 --route both --format md", [
+       "## closed", "", "**kl** n=2 k=4 weight=9 (pure)", "",
+       "(0, 0, 0, 1, 0, 0, 1, 0, 0, 0)", "", "## basis", "",
+       "**kl** n=2 k=4 weight=9 (pure)", "", "(0, 0, 0, 1, 0, 0, 1, 0, 0, 0)", "",
+       "routes equal: True"]),
+]
+
+
+@pytest.mark.parametrize("request_line,lines", RENDERED)
+def test_csv_and_md_render_every_payload(capsys, request_line, lines):
+    code, out, _ = run_main(capsys, *request_line.split())
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_out_file(tmp_path, capsys):

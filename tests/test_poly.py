@@ -1,10 +1,10 @@
-"""Exact integer polynomial division, checked against sympy."""
+"""Exact division by a monic polynomial, checked against sympy."""
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from hodgemoments.poly import RemainderNonzero, _divmod_monic, binomial_quotient, div_exact_monic
+from hodgemoments.poly import RemainderNonzero, _divmod_monic, div_exact_monic
 
 t = sympy.symbols("t")
 
@@ -21,37 +21,6 @@ def times(f, g):
         for j, b in enumerate(g):
             out[i + j] += a * b
     return out
-
-
-@given(st.integers(0, 6), st.integers(0, 6))
-def test_paired_quotient_matches_sympy(a, b):
-    # prod_{i<=b} (1 - t^{a+i}) / (1 - t^i) is the Gaussian binomial [a+b, b]_t
-    want = sympy.prod([(1 - t ** (a + i)) / (1 - t ** i) for i in range(1, b + 1)])
-    got = binomial_quotient(range(a + 1, a + b + 1), range(1, b + 1))
-    assert to_sympy(list(got)) == sympy.Poly(sympy.cancel(want), t)
-
-
-@pytest.mark.parametrize("ups,downs", [([3], []), ([1], []), ([], [2]), ([1, 2], [3])])
-def test_binomial_quotient_needs_as_many_downs_as_ups(ups, downs):
-    # no unpaired up: 1 - t^3 alone is not a quotient of paired binomials
-    with pytest.raises(RemainderNonzero):
-        binomial_quotient(ups, downs)
-
-
-def test_binomial_quotient_gaussian_binomial():
-    # prod_{i<=k} (1 - t^{n+i}) / (1 - t^i) is the Gaussian binomial [n+k, k]_t
-    n, k = 3, 4
-    got = binomial_quotient(range(n + 1, n + k + 1), range(1, k + 1))
-    assert sum(got) == 35 and got == tuple(reversed(got)) and len(got) == n * k + 1
-
-
-@pytest.mark.parametrize("ups,downs", [([3], [2]), ([2], [3]), ([4, 1], [3]), ([], [1]),
-                                       # paired in order, (1 - t) / (1 - t^2) comes
-                                       # first and is not a polynomial, though the whole is 1
-                                       ([1, 2], [2, 1])])
-def test_binomial_quotient_rejects_remainder(ups, downs):
-    with pytest.raises(RemainderNonzero):
-        binomial_quotient(ups, downs)
 
 
 @given(small_polys, small_polys)

@@ -109,13 +109,12 @@ def test_closed_tables_read_one_slice_step_of_one_character():
     # pure part of both n = 2 mixed tables, whose diagonal reads the string
     # bottoms of Q(t) (in hodge, only verify reads them besides); Q(t), the
     # cached lattice reader and the solution count at 0 read the same
-    # character, and the character alone pairs binomials.  The step series is
-    # only verify's second computation of those steps.  The tower line comes
-    # from the gate: hodge counts vanishing tuples for dims_kl and verify
-    # only, since the count enumerates for composite m
-    found = callers(["_slice_steps", "weight_character", "binomial_quotient",
-                     "lattice_step_series", "_character_diamond", "bottom_multiplicity",
-                     "vanishing_tuple_count"])
+    # character.  The step series is only verify's second computation of
+    # those steps.  The tower line comes from the gate: hodge counts
+    # vanishing tuples for dims_kl and verify only, since the count
+    # enumerates for composite m
+    found = callers(["_slice_steps", "weight_character", "lattice_step_series",
+                     "_character_diamond", "bottom_multiplicity", "vanishing_tuple_count"])
     for name in ("bottom_multiplicity", "vanishing_tuple_count"):
         found[name] = sorted({c for c in found[name] if c.startswith("hodge.py:")})
     assert found == {
@@ -125,7 +124,6 @@ def test_closed_tables_read_one_slice_step_of_one_character():
                              "counting.py:solution_dim_at_zero", "hodge.py:hodge_kl_closed",
                              "hodge.py:hodge_airy_closed", "hodge.py:hodge_v21",
                              "hodge.py:_mixed_diamond"],
-        "binomial_quotient": ["counting.py:weight_character"],
         "lattice_step_series": ["hodge.py:verify"],
         "_character_diamond": ["hodge.py:hodge_kl_closed", "hodge.py:hodge_v21",
                                "hodge.py:_mixed_diamond"],
