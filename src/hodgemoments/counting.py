@@ -47,34 +47,34 @@ def bottom_multiplicity(n: int, k: int, d: int) -> int:
 def weight_character(shape: tuple[int, ...], m: int) -> tuple[int, ...]:
     """Entry w counts the semistandard tableaux of a partition shape, entries 0..m-1, of sum w.
 
-    As 1 - t^a = -prod_{d | a} Phi_d(t), the ups left after cancelling multiply in
-    ascending order, and a down 1 - t^b divides out once each Phi_d, d | b, is in
-    (`have` counts them), so for a partition every partial quotient is a polynomial.
-    Each division is checked: a shape that is not a partition raises RemainderNonzero.
+    As 1 - t^a = -prod_{d | a} Phi_d(t), the ups left after cancelling multiply in ascending
+    order, and a down 1 - t^b divides out once every Phi_d, d | b, is in (`have` counts them;
+    ready downs go in the order built), so for a partition every partial quotient is a
+    polynomial and no down is left.  Each division is checked: else RemainderNonzero.
     """
     if len(shape) > m:
         return ()
     ups, downs = Counter(), Counter()
     for i, (row, below) in enumerate(zip(shape, (*shape[1:], 0))):
         ups.update(range(m - i, m - i + row))  # m + content
-        # the hooks of the cells past the next row's length, then the rest cell by cell
-        downs.update(range(1, row - below + 1))
+        # hooks past the next row's length, largest first to lower the degree, then cell by cell
+        downs.update(range(row - below, 0, -1))
         downs.update(row - j + sum(r > j for r in shape[i + 1:]) for j in range(below))
     ups, downs = ups - downs, downs - ups
-    f, have, waiting = [1], Counter(), [(b, _divisors(b)) for b in downs.elements()]
+    f, have, waiting = [1], Counter(), list(downs.elements())
     for a in range(min(ups, default=1), max(ups, default=0) + 1):  # the ups, ascending
         for _ in range(ups[a]):
             f += [0] * a
             for i in range(len(f) - 1, a - 1, -1):
                 f[i] -= f[i - a]
             have.update(_divisors(a))
-            for b, divs in list(waiting):
-                if have[b] and all(have[d] for d in divs):
-                    have.subtract(divs)
-                    waiting.remove((b, divs))
+            for b in list(waiting):
+                if have[1] and have[b] and all(have[d] for d in _divisors(b)):  # misses first
+                    have.subtract(_divisors(b))
+                    waiting.remove(b)
                     _divide_binomial(f, b)
-    for b, _ in waiting:  # none left for a partition
-        _divide_binomial(f, b)
+    if waiting:
+        raise RemainderNonzero(f"the hook quotient of {shape} on {m} slots is not a polynomial")
     return (0,) * sum(i * row for i, row in enumerate(shape)) + tuple(f)
 
 

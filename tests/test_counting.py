@@ -14,6 +14,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hodgemoments.counting import (
+    _divide_binomial,
     _slice_steps,
     block_multiplicity,
     block_multiplicity_n2_closed,
@@ -146,12 +147,22 @@ def test_weight_character_is_the_tableau_count(shape, m):
     assert weight_character(shape, m) == tableau_weights(shape, m)
 
 
-@pytest.mark.parametrize("shape,m", [((1, 2), 3), ((1, 1, 2), 4), ((2, 3), 3)])
+@pytest.mark.parametrize("shape,m", [((1, 2), 3), ((1, 1, 2), 4), ((2, 3), 3),
+                                     ((1, 3), 4), ((1, 4), 5)])
 def test_weight_character_of_a_non_partition_raises(shape, m):
-    # the hook quotient of a tuple that is not a partition is no polynomial:
-    # the division that finds this is checked, not skipped
+    # the hook quotient of a tuple that is not a partition is no polynomial: a down
+    # never finds its cyclotomic factors, or its hook is 0 ((1, 3)) or negative ((1, 4))
     with pytest.raises(RemainderNonzero):
         weight_character(shape, m)
+
+
+def test_binomial_division_is_checked():
+    # (1 + t + t^2) / (1 - t^2) leaves a remainder; (1 - t^4) / (1 - t^2) = 1 + t^2 does not
+    with pytest.raises(RemainderNonzero):
+        _divide_binomial([1, 1, 1], 2)
+    f = [1, 0, 0, 0, -1]
+    _divide_binomial(f, 2)
+    assert f == [1, 0, 1]
 
 
 @given(st.integers(0, 6), st.integers(0, 6))
