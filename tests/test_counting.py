@@ -137,13 +137,24 @@ def tableau_weights(shape, m):
     return tuple(sums[w] for w in range(max(sums, default=-1) + 1))
 
 
-SCHUR_CASES = [(shape, m) for size in range(7) for shape in partitions(size)
-               for m in range(1, 7)] + [((k,), m) for m in range(1, 7) for k in (7, 8)]
+SCHUR_CASES = [(shape, m) for size in range(6) for shape in partitions(size)
+               for m in range(1, 6)] + [((3, 3), 4)]
+# then every other partition with |shape| <= 6 on m <= 6
+SCHUR_CASES += [(shape, m) for size in range(7) for shape in partitions(size)
+                for m in range(1, 7) if (shape, m) not in SCHUR_CASES]
 
 
 @pytest.mark.parametrize("shape,m", SCHUR_CASES)
-def test_weight_character_is_the_tableau_count(shape, m):
-    # every partition divides exactly, (2, 2) on 5 slots and (3, 3) on 4 included
+def test_weight_character_is_the_tableau_count_or_raises(shape, m):
+    # every partition divides exactly, (2, 2) on 5 slots and (3, 3) on 4 included;
+    # only a tuple that is not a partition raises (the test below)
+    assert weight_character(shape, m) == tableau_weights(shape, m)
+
+
+@pytest.mark.parametrize("shape,m", [((k,), m) for m in range(1, 7) for k in range(1, 9)]
+                         + [((3, 1), 3), ((2, 2), 3)])
+def test_weight_character_never_raises_on_rows_or_v21(shape, m):
+    # (2, 2) on 3 slots: after equal factors cancel, (1 - t^3)(1 - t^4) / ((1 - t)(1 - t^2))
     assert weight_character(shape, m) == tableau_weights(shape, m)
 
 
@@ -163,21 +174,6 @@ def test_binomial_division_is_checked():
     f = [1, 0, 0, 0, -1]
     _divide_binomial(f, 2)
     assert f == [1, 0, 1]
-
-
-@given(st.integers(0, 6), st.integers(0, 6))
-def test_row_character_is_the_gaussian_binomial_of_sympy(a, b):
-    # prod_{i<=b} (1 - t^{a+i}) / (1 - t^i) is the Gaussian binomial [a+b, b]_t
-    t = sympy.symbols("t")
-    want = sympy.prod([(1 - t ** (a + i)) / (1 - t ** i) for i in range(1, b + 1)])
-    got = weight_character((b,), a + 1)
-    assert sympy.Poly(list(reversed(got)), t) == sympy.Poly(sympy.cancel(want), t)
-
-
-def test_row_character_gaussian_binomial():
-    # [n+k, k]_t with n, k = 3, 4: C(7, 3) tableaux, palindromic of degree n k
-    got = weight_character((4,), 4)
-    assert sum(got) == 35 and got == tuple(reversed(got)) and len(got) == 13
 
 
 def test_v21_character_is_the_young_projector_grading():
