@@ -26,12 +26,13 @@ one row in every degree, and the z-powers are never stored.
 
 Cohomology in each degree d is the cokernel of theta_bar from the degree
 d-1 slice, further divided by the power tower z^* eta when n = 2 and 3 | k.
-Its representatives are the slice monomials off the pivots of the image and
-the tower.  The "middle" part drops the local solutions at 0, which are the
+Its representatives are the monomials off the pivots of the image and the
+tower.  The "middle" part drops the local solutions at 0, which are the
 representatives in the z^0 layer, and, in the tower case, the z^{k/3} v_0^k
 line in degree k; so the middle basis is a filter of the full one.  Both
-(cohomology_bases) and the kernel dims read one walk of the image echelons:
-the degree in which each column key first becomes an image pivot.  The walk
+(cohomology_bases) and the kernel dims read one walk of the image echelons,
+the degree in which each column key first becomes an image pivot, once per
+index j of V: in O(dim V + output), building no slice.  The walk
 reads only m, k and whether there is a tower, never the family or n, so it
 is kept for the life of the process under those (_image_walk): the rank-n
 Airy chain is the rank-n Kloosterman chain with a longer range of degrees,
@@ -57,8 +58,6 @@ from .families import BadFamilyParams, Family, has_tower, require_admissible
 from .linalg import SparseEchelon, apply_columns
 from .multiindex import MultiIndex, weak_compositions, weight
 from .poly import div_exact_monic
-
-Mono = tuple[int, int]  # (z_power, index j of V), j also its column key
 
 
 class DegenerateReduction(ArithmeticError):
@@ -130,13 +129,6 @@ class GradedChain:
     def _strings(self) -> tuple[int, dict[int, int]]:
         """_sl2_strings, certified once per chain."""
         return _sl2_strings(self)
-
-    def slice_monomials(self, d: int) -> list[Mono]:
-        """Basis (z_power, j) of the degree-d slice, z_power ascending, so j ascending."""
-        if d < 0:
-            return []
-        return [(a, j) for a in range(d // self.zweight + 1)
-                for j in self._by_weight.get(d - self.zweight * a, ())]
 
     def _theta_bar_row(self, j: int) -> dict[int, int]:
         """N + z^e E of the source (0, j), keyed by index in V: theta_bar, up to kl-tilde's n+1.
@@ -336,7 +328,7 @@ def build_chain(family: Family, n: int, k: int) -> GradedChain:
 def tilde_chain(chain: GradedChain) -> GradedChain:
     """The kl-tilde chain in the t chart, z = t^{n+1}, on a kl chain's V, N, E and tower."""
     tchain = replace(chain, family=Family.KL_TILDE_T, zweight=1)
-    if len(tchain.slice_monomials(tchain.max_degree)) != comb(chain.n + chain.k, chain.n):
+    if sum(w <= tchain.max_degree for w in chain.weights) != comb(chain.n + chain.k, chain.n):
         raise RuntimeError("tilde slices failed to stabilize; bad construction")
     return tchain
 
@@ -417,20 +409,21 @@ def _walk_images(chain: GradedChain) -> tuple:
 
 
 def kernel_slice_dims(chain: GradedChain) -> list[int]:
-    """dim ker(theta_bar restricted to slice d) for d = 0..max_degree-1.
+    """dim ker(theta_bar restricted to slice d) for d = 0..max_degree-1, building no slice.
 
-    The rank of the image in degree d counts the keys born in its class by
-    degree d, read off the walk that cohomology_bases shares.
+    dims[d] counts V's weight-d indices less the keys born in degree d + 1; summed
+    over the class of d, that is dim slice(d) less the rank of the image in d + 1.
     """
     top, zweight = chain.max_degree, chain.zweight
-    ranks = [0] * (top + 1)
+    dims = [0] * top
     born, _ = _image_walk(chain)
-    for b in born:
-        if b:
-            ranks[b] += 1
-    for d in range(zweight, top + 1):
-        ranks[d] += ranks[d - zweight]
-    return [len(chain.slice_monomials(d)) - ranks[d + 1] for d in range(top)]
+    for w in chain.weights:  # every weight is at most n*k < top
+        dims[w] += 1
+    for b in filter(None, born):
+        dims[b - 1] -= 1
+    for d in range(zweight, top):
+        dims[d] += dims[d - zweight]
+    return dims
 
 
 @dataclass(frozen=True)
@@ -445,7 +438,7 @@ class BasisSet:
     """
 
     kind: str
-    vectors: dict  # degree -> tuple of Mono
+    vectors: dict  # degree -> tuple of (z_power, index j of V), j also its column key
 
     def cardinalities(self) -> dict[int, int]:
         return {d: len(v) for d, v in self.vectors.items() if v}
@@ -458,10 +451,13 @@ def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
     """The full and the middle basis per degree, read off the walk of the class echelons.
 
     Full: the slice monomials that are neither a pivot of the image of
-    theta_bar nor the pivot the tower adds to it.  Middle: the full
-    cohomology less the z^0 embeddings of the shift-cokernel complement
-    (the local solutions at 0) and, when 3 | k, the z^{k/3} v_0^k line in
-    degree k.  The middle basis is a filter of the full one, by two facts:
+    theta_bar nor the pivot the tower adds to it.  Index j of V gives (a, j) in
+    each degree wt(j) + zweight a below born[j], or in every degree if j is
+    never born, and j ascending is slice order.  The tower pivot, never an
+    image pivot, is in its degree's list and leaves it.  Middle: the full
+    cohomology less the z^0 embeddings of the shift-cokernel complement (the
+    local solutions at 0) and, when 3 | k, the z^{k/3} v_0^k line in degree
+    k.  The middle basis is a filter of the full one, by two facts:
 
     * the z^0 columns come first and only z^0 sources reach them, so the
       image's z^0 pivots are N's pivots from weight d-1, and the z^0 full
@@ -475,18 +471,19 @@ def cohomology_bases(chain: GradedChain) -> tuple[BasisSet, BasisSet]:
     """
     require_admissible(chain.family, chain.n, chain.k)
     airy = chain.family is Family.AIRY_Z
-    line = None if chain.tower is None else (chain.k // chain.zweight, chain._by_weight[0][0])
+    top, zweight, weights = chain.max_degree, chain.zweight, chain.weights
+    line = None if chain.tower is None else (chain.k // zweight, chain._by_weight[0][0])
     born, extra = _image_walk(chain)
-    extra = dict(extra)
-    full, mid = {}, {}
-    for d in range(chain.max_degree + 1):
-        tower_pivot = extra.get(d)
-        full[d] = tuple((a, j) for a, j in chain.slice_monomials(d)
-                        if not 0 < born[j] <= d and j != tower_pivot)
-        mid[d] = full[d] if airy else tuple(mono for mono in full[d]
-                                            if mono[0] and mono != line)
+    full = {d: [] for d in range(top + 1)}
+    for j, (w, b) in enumerate(zip(weights, born)):
+        for d in range(w, b or top + 1, zweight):
+            full[d].append(((d - w) // zweight, j))
+    for d, key in extra:
+        full[d].remove(((d - weights[key]) // zweight, key))
+    full = {d: tuple(reps) for d, reps in full.items()}
+    mid = {d: reps if airy else tuple(mono for mono in reps if mono[0] and mono != line)
+           for d, reps in full.items()}
     # the middle representatives are among the full ones, so one check covers both
-    top = chain.max_degree
     if full[top]:
         raise RuntimeError(
             f"full basis still nonzero in degree {top}, past the top degree "

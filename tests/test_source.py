@@ -173,16 +173,16 @@ def test_test_oracles_stay_out_of_the_library():
     # The eigenvector products in Z[zeta_m], the balanced unpacker of the
     # packed group ring and the rationality test of CycloInt are test-only too,
     # and so are theta_bar and the tower on chain monomials, z-powers kept,
-    # the slice step summed afresh per degree, and the per-label Leibniz rule
-    # that the raise-table columns of N, E and F are checked against.  The
-    # group composition behind the V21 symmetrizer, the projected space read
-    # off it and the formal signed shift sum are oracles too
+    # the monomials of a slice, the slice step summed afresh per degree, and
+    # the per-label Leibniz rule that the raise-table columns of N, E and F are
+    # checked against.  The group composition behind the V21 symmetrizer, the
+    # projected space read off it and the formal signed shift sum are oracles too
     oracles = {"jordan_type", "matrix_rank", "coker_slice_dims", "eigenvector_product",
                "cycloint_eigenvector_product", "unpack", "is_rational", "rational_part",
-               "theta_bar_mono", "tower_slice", "_slice_step", "strided_slice_step",
-               "_leibniz", "shift_action", "corner_action", "_lowering_action",
-               "young_projector", "ProjectedSpace", "_signed_group_elements", "_apply_perm",
-               "_compose", "signed_shift_sum"}
+               "theta_bar_mono", "tower_slice", "slice_monomials", "_slice_step",
+               "strided_slice_step", "_leibniz", "shift_action", "corner_action",
+               "_lowering_action", "young_projector", "ProjectedSpace",
+               "_signed_group_elements", "_apply_perm", "_compose", "signed_shift_sum"}
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
