@@ -9,9 +9,7 @@ multiplicity polynomial Q(t) = (1 - t) c(t), whose low-degree coefficients
 count the nilpotent-string bottoms, and the slice steps s(t) = Q(t) / (1 - t^z)
 of C[z] (x) V, z of weight z, which give every pure closed table.
 
-lattice_step(n, k, d) is s(d) for Sym^k on n+1 slots, z of weight n+1.  The
-step series (1 - t) / ((1 - t^{n+1}) (1-x)(1-tx)...(1-t^n x)) holds it in its
-x^k column and serves only as verify's step-series check.
+lattice_step(n, k, d) is s(d) for Sym^k on n+1 slots, z of weight n+1.
 """
 
 from collections import Counter
@@ -21,7 +19,6 @@ from math import isqrt
 from .cyclo import signed_orbit_count, vanishing_orbit_count, vanishing_tuple_count
 from .families import Family
 from .poly import RemainderNonzero
-from .series import BiSeries, expand_rational
 
 
 @lru_cache(maxsize=None)
@@ -112,12 +109,6 @@ def _lattice_steps(n: int, k: int):
 
 def lattice_step(n: int, k: int, d: int) -> int:
     return _lattice_steps(n, k)(d)
-
-
-def lattice_step_series(n: int, trunc_t: int, trunc_x: int) -> BiSeries:
-    """The step series as a truncated integer biseries."""
-    factors = [(n + 1, 0)] + [(i, 1) for i in range(n + 1)]
-    return expand_rational([1, -1], factors, trunc_t, trunc_x)
 
 
 def block_multiplicity_n2_closed(k: int, d: int) -> int:

@@ -15,8 +15,7 @@ from .chains import (DegenerateReduction, build_chain, cohomology_bases, eigen_r
                      jordan_block_sizes, kernel_slice_dims, shift_coker_dims, tilde_chain)
 from .counting import (_slice_steps, block_multiplicity, block_multiplicity_n2_closed,
                        bottom_multiplicity, lattice_step, lattice_step_n2_closed,
-                       lattice_step_series, solution_dim_at_infinity,
-                       solution_dim_at_zero, weight_character)
+                       solution_dim_at_infinity, solution_dim_at_zero, weight_character)
 from .cyclo import vanishing_tuple_count
 from .families import BadFamilyParams, Family, admissible, has_tower, require_admissible
 from .weyl import v21_chain
@@ -258,7 +257,7 @@ def verify(n: int, k: int) -> ConsistencyReport:
     tchain = tilde_chain(chain)  # on the kl chain's V, and so its walk
 
     # counting clauses; the step counts are supported on [0, nk-n] and mirror
-    # around nk-n (forced by the functional equation of the step series), and
+    # around nk-n (they are c(t) / (1 + t + .. + t^n), a quotient of palindromes), and
     # the tighter bound nk-n-k+1 with its own mirror belongs to the rank-n
     # grading used by the Airy family (slots 0..n-1, z-weight n)
     def support_mirror(rank, top):
@@ -284,8 +283,15 @@ def verify(n: int, k: int) -> ConsistencyReport:
             and block_multiplicity(2, k, d) == block_multiplicity_n2_closed(k, d)
             for d in range(k + 1)))
 
-    series = lattice_step_series(n, w + 1, k + 1)
-    record("step-series", all(series.coeff(d, k) == lattice_step(n, k, d) for d in range(w + 1)))
+    # the steps again, from V's enumerated weights instead of the character:
+    # dim slice(d) counts the indices of weight <= d, congruent to d mod n+1
+    slices = [0] * (w + 1)
+    for wt in chain.weights:
+        slices[wt] += 1
+    for d in range(m, w + 1):
+        slices[d] += slices[d - m]
+    record("step-series", all(b - a == lattice_step(n, k, d)
+                              for d, (a, b) in enumerate(zip([0] + slices, slices))))
 
     if coprime:
         ok = all(lattice_step(n, k, p) - bottom_multiplicity(n, k, p)

@@ -22,7 +22,6 @@ from hodgemoments.counting import (
     bottom_multiplicity,
     lattice_step,
     lattice_step_n2_closed,
-    lattice_step_series,
     solution_dim_at_infinity,
     solution_dim_at_zero,
     weight_character,
@@ -35,6 +34,7 @@ from hodgemoments.cyclo import (
 from hodgemoments.families import Family
 from hodgemoments.multiindex import weak_compositions, weight
 from hodgemoments.poly import RemainderNonzero
+from hodgemoments.series import BiSeries, expand_rational
 from hodgemoments.weyl import v21_chain
 
 
@@ -181,6 +181,15 @@ def test_v21_character_is_the_young_projector_grading():
     hist = Counter(v21_chain().weights)
     assert weight_character((3, 1), 3) == tuple(hist[w] for w in range(max(hist) + 1))
     assert weight_character((3, 1), 3) == (0, 1, 2, 3, 3, 3, 2, 1)
+
+
+def lattice_step_series(n: int, trunc_t: int, trunc_x: int) -> BiSeries:
+    """The step series (1 - t) / ((1 - t^{n+1}) (1-x)(1-tx)...(1-t^n x)), truncated.
+
+    Its x^k column holds lattice_step(n, k, .); the oracle of the closed routes.
+    """
+    factors = [(n + 1, 0)] + [(i, 1) for i in range(n + 1)]
+    return expand_rational([1, -1], factors, trunc_t, trunc_x)
 
 
 @pytest.mark.parametrize("n,k", [(1, 4), (2, 5), (3, 4), (4, 3)])

@@ -12,7 +12,6 @@ from hodgemoments import hodge
 from hodgemoments import chains
 from hodgemoments.chains import DegenerateReduction, Sl2CertificateFailed, build_chain
 from hodgemoments.cyclo import CycloInt, vanishing_tuple_count
-from hodgemoments.counting import lattice_step_series
 from hodgemoments.families import BadFamilyParams, Family, admissible, has_tower
 from hodgemoments.hodge import (
     dims_airy,
@@ -30,6 +29,7 @@ from hodgemoments.hodge import (
 from hodgemoments.linalg import apply_columns
 from hodgemoments.multiindex import weak_compositions
 from test_chains import cycloint_eigenvector_product, theta_bar_mono
+from test_counting import lattice_step_series
 
 GOLDEN_2_10 = (0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 0, 1, 0, 0, 0)
 
@@ -399,6 +399,21 @@ class TestVerify:
         monkeypatch.setattr(hodge, "build_chain", corrupted_build)
         with pytest.raises(Sl2CertificateFailed):
             verify(3, 5)
+
+    @pytest.mark.parametrize("degree", [0, 7, 16])
+    def test_step_off_by_one_fails_step_series(self, monkeypatch, degree):
+        # the clause recounts the steps from the chain's weights, so a step
+        # reader wrong at one degree (16 = nk + 1, past the support) fails it
+        step = hodge.lattice_step
+        monkeypatch.setattr(hodge, "lattice_step",
+                            lambda n_, k_, d: step(n_, k_, d) + (d == degree))
+        report = verify(3, 5)
+        assert "step-series" in [c.name for c in report.checks if not c.passed]
+
+    def test_thin_extreme_passes(self):
+        # n = 1, k in the thousands: every clause costs about dim V + nk
+        report = verify(1, 2001)
+        assert [c.name for c in report.checks if not c.passed] == []
 
     # for n = 1 no two multi-indices share a weight, so no cancelling pair
     @pytest.mark.parametrize("n,k,corrupt", [

@@ -109,12 +109,11 @@ def test_closed_tables_read_one_slice_step_of_one_character():
     # pure part of both n = 2 mixed tables, whose diagonal reads the string
     # bottoms of Q(t) (in hodge, only verify reads them besides); Q(t), the
     # cached lattice reader and the solution count at 0 read the same
-    # character.  The step series is only verify's second computation of
-    # those steps.  The tower line comes from the gate: hodge counts
+    # character.  The tower line comes from the gate: hodge counts
     # vanishing tuples for dims_kl and verify only, since the count
     # enumerates for composite m
-    found = callers(["_slice_steps", "weight_character", "lattice_step_series",
-                     "_character_diamond", "bottom_multiplicity", "vanishing_tuple_count"])
+    found = callers(["_slice_steps", "weight_character", "_character_diamond",
+                     "bottom_multiplicity", "vanishing_tuple_count"])
     for name in ("bottom_multiplicity", "vanishing_tuple_count"):
         found[name] = sorted({c for c in found[name] if c.startswith("hodge.py:")})
     assert found == {
@@ -124,7 +123,6 @@ def test_closed_tables_read_one_slice_step_of_one_character():
                              "counting.py:solution_dim_at_zero", "hodge.py:hodge_kl_closed",
                              "hodge.py:hodge_airy_closed", "hodge.py:hodge_v21",
                              "hodge.py:_mixed_diamond"],
-        "lattice_step_series": ["hodge.py:verify"],
         "_character_diamond": ["hodge.py:hodge_kl_closed", "hodge.py:hodge_v21",
                                "hodge.py:_mixed_diamond"],
         "bottom_multiplicity": ["hodge.py:_mixed_diamond", "hodge.py:verify"],
@@ -176,18 +174,39 @@ def test_test_oracles_stay_out_of_the_library():
     # the monomials of a slice, the slice step summed afresh per degree, and
     # the per-label Leibniz rule that the raise-table columns of N, E and F are
     # checked against.  The group composition behind the V21 symmetrizer, the
-    # projected space read off it and the formal signed shift sum are oracles too
+    # projected space read off it, the formal signed shift sum and the
+    # bivariate step series are oracles too
     oracles = {"jordan_type", "matrix_rank", "coker_slice_dims", "eigenvector_product",
                "cycloint_eigenvector_product", "unpack", "is_rational", "rational_part",
                "theta_bar_mono", "tower_slice", "slice_monomials", "_slice_step",
                "strided_slice_step", "_leibniz", "shift_action", "corner_action",
                "_lowering_action", "young_projector", "ProjectedSpace",
-               "_signed_group_elements", "_apply_perm", "_compose", "signed_shift_sum"}
+               "_signed_group_elements", "_apply_perm", "_compose", "signed_shift_sum",
+               "lattice_step_series"}
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.name}" for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in oracles]
+    assert found == []
+
+
+def test_library_imports_no_series():
+    # verify recounts the slice steps from V's weights, so the bivariate
+    # series is a test oracle; series.py stays in the package, imported by none
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ("hodgemoments" if node.level else "", node.module)))
+                named = {base, *(f"{base}.{alias.name}" for alias in node.names)}
+            elif isinstance(node, ast.Import):
+                named = {alias.name for alias in node.names}
+            else:
+                continue
+            if "hodgemoments.series" in named and path.name != "series.py":
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
