@@ -32,9 +32,11 @@ representatives in the z^0 layer, and, in the tower case, the z^{k/3} v_0^k
 line in degree k; so the middle basis is a filter of the full one.  Both
 (cohomology_bases) and the kernel dims read one walk of the image echelons,
 the degree in which each column key first becomes an image pivot, once per
-index j of V: in O(dim V + output), building no slice.  The walk
-reads only m, k and whether there is a tower, never the family or n, so it
-is kept for the life of the process under those (_image_walk): the rank-n
+index j of V: in O(dim V + output), building no slice.  It eliminates
+modulo a fixed prime, under an exact certificate that sends a class back to
+the integers when it fails (_walk_images).  The walk reads only m, k and
+whether there is a tower, never the family or n, so it is kept for the
+life of the process under those (_image_walk): the rank-n
 Airy chain is the rank-n Kloosterman chain with a longer range of degrees,
 and the kl-tilde chain is m copies of the kl chain, so both share its walk.
 
@@ -55,7 +57,7 @@ from math import comb
 
 from .cyclo import cyclotomic_poly
 from .families import BadFamilyParams, Family, has_tower, require_admissible
-from .linalg import SparseEchelon, apply_columns
+from .linalg import PRIME, SparseEchelon, apply_columns
 from .multiindex import MultiIndex, weak_compositions, weight
 from .poly import div_exact_monic
 
@@ -386,25 +388,58 @@ def _walk_images(chain: GradedChain) -> tuple:
     The last layer enters at max weight + 1, so the walk is complete for any
     range of degrees.  It runs on to max weight + 2, the top degree of the
     Kloosterman chains, which are the only ones with a tower.
+
+    Each class is walked mod PRIME, where no coefficient grows, and the walk
+    is certified exactly, degree by degree:
+
+    (a) every offered row gets a pivot.  A row independent mod p is
+        independent over Q, so every rank, born count and cardinality is exact;
+    (b) then the pivot columns carry a minor that is nonzero mod p, hence
+        nonzero over Z, so the monomials off them are a basis of the cokernel
+        over Q;
+    (c) the pivots born in degree d at weight-d keys, the z^0 columns that
+        only N from the weight d - 1 layer reaches, number rank_p(N) <=
+        rank_Q(N) <= min(dim V_{d-1}, dim V_d).  Equality with that minimum
+        makes the z^0 non-pivots a complement of im N over Q, which the
+        middle filter of cohomology_bases reads.
+
+    A class that fails (a) or (c) is walked again over Z, and so are, on a
+    tower chain, the class of the tower degrees 2k + a zweight and the class
+    of 2k + 1, whose one dependent row is theta_bar(eta^{k/3}) = 0: no answer
+    rests on the choice of p.  Mod p the bases are the greedy bases over F_p,
+    which equal the greedy bases over Q unless p divides a prefix minor.
     """
-    tower = chain.tower
+    tower, weights, by_weight = chain.tower, chain.weights, chain._by_weight
     zweight = chain.n + 1 if chain.family is Family.KL_TILDE_T else chain.zweight
-    top = max(chain.weights) + 2
-    born = [0] * len(chain.weights)
+    top = max(weights) + 2
+    # the class of the tower degrees, and that of 2k + 1 with its one dependent row
+    over_z = () if tower is None else (2 * chain.k % zweight, (2 * chain.k + 1) % zweight)
+    born = [0] * len(weights)
     extra = []
     for r in range(zweight):
-        ech = SparseEchelon()
-        for d in range(r, top + 1, zweight):
-            for j in reversed(chain._by_weight.get(d - 1, ())):
-                pivot = ech.add_row(chain._theta_bar_row(j))
-                if pivot is not None:
-                    born[pivot] = d
-            # z^r eta, the tower element of degree 2k + r zweight, is one row
-            excess = d - 2 * chain.k
-            if tower is not None and excess >= 0 and excess % zweight == 0:
-                residual = ech.residual(tower)
-                if residual:
-                    extra.append((d, min(residual)))
+        for modulus in (None,) if r in over_z else (PRIME, None):
+            ech, offered = SparseEchelon(modulus), 0
+            for d in range(r, top + 1, zweight):
+                layer, keys = by_weight.get(d - 1, ()), by_weight.get(d, ())
+                for j in reversed(layer):
+                    pivot = ech.add_row(chain._theta_bar_row(j))
+                    if pivot is not None:
+                        born[pivot] = d
+                offered += len(layer)
+                # (a), and (c) on the weight-d keys, which no earlier degree reaches
+                if modulus is not None and (ech.rank < offered or sum(
+                        c in ech.rows for c in keys) < min(len(layer), len(keys))):
+                    for c in ech.rows:  # forget the class, and walk it over Z
+                        born[c] = 0
+                    break
+                # z^r eta, the tower element of degree 2k + r zweight, is one row
+                excess = d - 2 * chain.k
+                if tower is not None and excess >= 0 and excess % zweight == 0:
+                    residual = ech.residual(tower)
+                    if residual:
+                        extra.append((d, min(residual)))
+            else:  # certified, or walked over Z
+                break
     return tuple(born), tuple(extra)
 
 

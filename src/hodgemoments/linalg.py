@@ -1,8 +1,12 @@
-"""Sparse exact linear algebra over Z.
+"""Sparse exact linear algebra over Z, or over F_p for one fixed prime p.
 
 Vectors are dicts mapping column index to a nonzero int.  The workhorse is a
-forward echelon with fraction-free updates: rows are combined by
-cross-multiplication and stripped by their gcd, so no division ever happens.
+forward echelon.  Over Z (modulus None) its updates are fraction-free: rows
+are combined by cross-multiplication and stripped by their gcd, so no
+division ever happens.  Over F_p (modulus PRIME) each stored row is scaled to
+leading entry 1 and a probe loses a multiple of it, so every entry stays a
+residue in [0, p), one 30-bit digit of a Python int.  A row independent mod
+p is independent over Q, which is what lets a caller certify a walk mod p.
 
 A solve runs on the same integer rows through tag columns.  Add each input
 b_t with a unit entry in its own tag column, past every data column, and
@@ -18,6 +22,9 @@ questions require.
 import heapq
 from math import gcd
 
+# the largest prime below 2^30, so that every reduced entry is one digit
+PRIME = 1_073_741_789
+
 
 def _strip_int_row(vec, pivot):
     # divide by the gcd, with the sign that leaves the pivot entry positive
@@ -30,9 +37,10 @@ def _strip_int_row(vec, pivot):
 
 
 class SparseEchelon:
-    """Incremental echelon of sparse integer rows; tracks rank and pivot columns."""
+    """Incremental echelon of sparse rows over Z, or mod modulus; tracks rank and pivot columns."""
 
-    def __init__(self):
+    def __init__(self, modulus: int | None = None):
+        self.modulus = modulus
         self.rows = {}  # pivot column -> row dict
 
     @property
@@ -46,7 +54,7 @@ class SparseEchelon:
         its pivot, so once a pivot is eliminated no later row brings it back,
         and a second heap entry for it finds it gone from vec.
         """
-        rows = self.rows
+        rows, p = self.rows, self.modulus
         heap = [c for c in vec if c in rows]
         heapq.heapify(heap)
         while heap:
@@ -55,28 +63,50 @@ class SparseEchelon:
             if a is None:
                 continue
             row = rows[c]
-            b = row[c]
-            g = gcd(a, b)
-            sv, sr = b // g, -(a // g)
-            if sv != 1:
-                for cc in vec:
-                    vec[cc] *= sv
-            for cc, v in row.items():
-                old = vec.get(cc)
-                if old is None:
-                    vec[cc] = sr * v
-                    if cc in rows:
-                        heapq.heappush(heap, cc)
-                else:
-                    nv = old + sr * v
-                    if nv:
-                        vec[cc] = nv
+            if p is None:
+                b = row[c]
+                g = gcd(a, b)
+                sv, sr = b // g, -(a // g)
+                if sv != 1:
+                    for cc in vec:
+                        vec[cc] *= sv
+                for cc, v in row.items():
+                    old = vec.get(cc)
+                    if old is None:
+                        vec[cc] = sr * v
+                        if cc in rows:
+                            heapq.heappush(heap, cc)
                     else:
-                        del vec[cc]
+                        nv = old + sr * v
+                        if nv:
+                            vec[cc] = nv
+                        else:
+                            del vec[cc]
+            else:  # the row leads with 1: take away a times it
+                sr = p - a
+                for cc, v in row.items():
+                    old = vec.get(cc)
+                    if old is None:
+                        vec[cc] = sr * v % p
+                        if cc in rows:
+                            heapq.heappush(heap, cc)
+                    else:
+                        nv = (old + sr * v) % p
+                        if nv:
+                            vec[cc] = nv
+                        else:
+                            del vec[cc]
+
+    def _entries(self, vec) -> dict:
+        """vec's nonzero entries, reduced mod the modulus if there is one."""
+        p = self.modulus
+        if p is None:
+            return {c: v for c, v in vec.items() if v}
+        return {c: r for c, v in vec.items() if (r := v % p)}
 
     def residual(self, vec) -> dict:
         """A nonzero multiple of vec minus a combination of the rows, off every pivot."""
-        vec = {c: v for c, v in vec.items() if v}
+        vec = self._entries(vec)
         self._eliminate(vec)
         return vec
 
@@ -85,12 +115,18 @@ class SparseEchelon:
 
         The pivot may be column 0, so test the result against None.
         """
-        vec = {c: v for c, v in vec.items() if v}
+        vec = self._entries(vec)
         self._eliminate(vec)
         if not vec:
             return None
         pivot = min(vec)
-        _strip_int_row(vec, pivot)
+        p = self.modulus
+        if p is None:
+            _strip_int_row(vec, pivot)
+        elif vec[pivot] != 1:
+            inv = pow(vec[pivot], -1, p)
+            for c in vec:
+                vec[c] = vec[c] * inv % p
         self.rows[pivot] = vec
         return pivot
 
@@ -107,4 +143,3 @@ def apply_columns(cols, vec) -> dict:
             elif i in out:
                 del out[i]
     return out
-

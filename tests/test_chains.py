@@ -1,5 +1,6 @@
 """Graded chain construction, the degree-1 differential, and basis extraction."""
 
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -35,7 +36,7 @@ from hodgemoments.counting import (
 from hodgemoments.cyclo import CycloInt, cyclotomic_poly, vanishing_tuple_count
 from hodgemoments.families import Family, admissible
 from hodgemoments.hodge import dims_kl
-from hodgemoments.linalg import SparseEchelon
+from hodgemoments.linalg import PRIME, SparseEchelon
 from hodgemoments.multiindex import weak_compositions, weight
 from hodgemoments.weyl import v21_chain
 from test_linalg import jordan_type, matrix_rank
@@ -80,15 +81,16 @@ def tower_slice(chain, d):
     return {((d - chain.weights[j]) // chain.zweight, j): c for j, c in chain.tower.items()}
 
 
-def class_image_echelons(chain):
+def class_image_echelons(chain, modulus=None):
     """Yield (d, echelon of im theta_bar in degree d) for d = 0..max_degree.
 
     One echelon per residue class of d mod zweight, columns keyed by the
     index j in V, layers in ascending weight and j descending inside a
     layer: the walk the library keeps only as the degree each pivot is born.
+    Over Z by default, which makes it the oracle of the walk mod PRIME.
     """
     for r in range(chain.zweight):
-        ech = SparseEchelon()
+        ech = SparseEchelon(modulus)
         for d in range(r, chain.max_degree + 1, chain.zweight):
             for j in reversed(chain._by_weight.get(d - 1, ())):
                 ech.add_row(chain._theta_bar_row(j))
@@ -830,3 +832,139 @@ def test_memo_hit_gives_the_cold_answers(monkeypatch):
     for point, chain in built.items():
         assert _answers(chain) == cold[point], point
     assert offered == []
+
+
+def exact_walk(chain):
+    """(born, extra) of a kl or airy chain, read off the class echelons over Z degree by degree."""
+    born, extra = [0] * len(chain.weights), []
+    for d, image in class_image_echelons(chain):
+        for c in image.rows:
+            born[c] = born[c] or d
+        tower = tower_slice(chain, d)
+        if tower is not None:
+            residual = image.residual({j: c for (_, j), c in tower.items()})
+            if residual:
+                extra.append((d, min(residual)))
+    return tuple(born), tuple(extra)
+
+
+def spy_moduli(monkeypatch):
+    """Record the modulus of every echelon the walk makes, in order."""
+    made = []
+    echelon = chains.SparseEchelon
+
+    def spy(modulus=None):
+        made.append(modulus)
+        return echelon(modulus)
+
+    monkeypatch.setattr(chains, "SparseEchelon", spy)
+    return made
+
+
+def fallbacks(made, prime):
+    """(classes certified mod prime, classes walked again over Z) in a list of moduli."""
+    tried = [i for i, modulus in enumerate(made) if modulus == prime]
+    again = sum(i + 1 < len(made) and made[i + 1] is None for i in tried)
+    return len(tried) - again, again
+
+
+# every admissible kl and airy point with n <= 12, k <= 30 and dim V <= 1500
+GRID_POINTS = [(family, n, k) for family in (Family.KL_Z, Family.AIRY_Z)
+               for n in range(1, 13) for k in range(1, 31)
+               if admissible(family, n, k)
+               and comb(n + k - (family is Family.AIRY_Z), k) <= 1500]
+
+
+def test_modular_walk_matches_the_exact_walk_on_the_grid(monkeypatch):
+    # the 163 grid points share 89 walk keys; kl (2, 101) is thin, and its
+    # entries over Z reach thousands of bits.  The walk mod PRIME certifies
+    # every class without a tower; the tower chains (2, 3j) walk two classes
+    # over Z, and the airy keys (6, 5) and (6, 7), which the gate still
+    # admits, fall back in all six
+    keyed = {}
+    for point in GRID_POINTS + [(Family.KL_Z, 2, 101)]:
+        chain = build_chain(*point)
+        keyed.setdefault(_walk_key(chain), chain)
+    assert len(GRID_POINTS) == 163 and len(keyed) == 90
+    made = spy_moduli(monkeypatch)
+    over_z = {}
+    for key, chain in keyed.items():
+        made.clear()
+        assert chains._walk_images(chain) == exact_walk(chain), key
+        over_z[key] = fallbacks(made, PRIME)[1], made.count(None)
+    assert {key: z for key, z in over_z.items() if z != (0, 2 * key[2])} == {
+        (6, 5, False): (6, 6), (6, 7, False): (6, 6)}
+
+
+def _spans_every_cokernel(chain, full):
+    """Whether each degree's representatives, the image and the tower span the slice over Q."""
+    for d, reps in full.vectors.items():
+        ech, idx, _ = _slice_quotient(chain, d)
+        for mono in reps:
+            ech.add_row({idx[mono]: 1})
+        if ech.rank != len(idx):
+            return False
+    return True
+
+
+TINY_PRIME_POINTS = [(Family.KL_Z, 1, 5), (Family.KL_Z, 2, 4), (Family.KL_Z, 2, 6),
+                     (Family.KL_Z, 3, 5), (Family.KL_Z, 4, 3), (Family.KL_TILDE_T, 2, 5),
+                     (Family.AIRY_Z, 3, 5), (Family.AIRY_Z, 5, 4), (Family.V21, 2, 4)]
+
+
+def test_tiny_prime_falls_back_or_certifies(monkeypatch):
+    # mod 3 many theta_bar entries vanish, so many classes are walked again
+    # over Z.  A class that passes the certificate may pick other pivots than
+    # the greedy walk over Q, but every count is exact and the
+    # representatives are still a basis of each cokernel
+    built = {point: _chain(*point) for point in TINY_PRIME_POINTS}
+    exact = {}
+    for point, chain in built.items():
+        chains._IMAGE_WALKS.clear()
+        exact[point] = [basis.cardinalities() for basis in cohomology_bases(chain)]
+        exact[point].append(kernel_slice_dims(chain))
+    monkeypatch.setattr(chains, "PRIME", 3)
+    made = spy_moduli(monkeypatch)
+    for point, chain in built.items():
+        chains._IMAGE_WALKS.clear()
+        full, mid = cohomology_bases(chain)
+        assert [full.cardinalities(), mid.cardinalities(), kernel_slice_dims(chain)] == exact[point]
+        assert _spans_every_cokernel(chain, full), point
+    chains._IMAGE_WALKS.clear()
+    certified, again = fallbacks(made, 3)
+    assert certified > 0 and again > 0
+
+
+def _scaled(chain, j, name, factor):
+    """The chain with column j of nmat or emat times factor."""
+    cols = list(getattr(chain, name))
+    cols[j] = {i: factor * c for i, c in cols[j].items()}
+    return replace(chain, **{name: cols}, _by_weight={})
+
+
+def test_row_that_vanishes_mod_p_falls_back(monkeypatch):
+    # theta_bar of one source times PRIME is zero mod p, so its class fails
+    # (a) and is walked again over Z; scaling a row moves no pivot over Q.
+    # Past the middle weight 15/2, N from weight 10 onto weight 11 keeps its
+    # rank without that source, so (c) alone would not see it
+    chain = build_chain(Family.KL_Z, 3, 5)
+    j = chain._by_weight[10][0]
+    broken = _scaled(_scaled(chain, j, "nmat", PRIME), j, "emat", PRIME)
+    made = spy_moduli(monkeypatch)
+    assert chains._walk_images(broken) == exact_walk(broken) == exact_walk(chain)
+    assert fallbacks(made, PRIME) == (3, 1)
+
+
+def test_shift_column_that_vanishes_mod_p_falls_back(monkeypatch):
+    # N times PRIME on one source of weight 3, where N is injective: mod p
+    # its row keeps its E part and still gets a pivot, so (a) holds, but N
+    # loses rank into weight 4 and (c) sends the class back over Z
+    chain = build_chain(Family.KL_Z, 3, 5)
+    j = next(j for j in chain._by_weight[3] if chain.emat[j])
+    broken = _scaled(chain, j, "nmat", PRIME)
+    for d, image in class_image_echelons(broken, PRIME):
+        offered = sum(len(broken._by_weight.get(e - 1, ())) for e in range(d % 4, d + 1, 4))
+        assert image.rank == offered, d
+    made = spy_moduli(monkeypatch)
+    assert chains._walk_images(broken) == exact_walk(broken)
+    assert fallbacks(made, PRIME) == (3, 1)

@@ -415,6 +415,12 @@ class TestVerify:
         report = verify(1, 2001)
         assert [c.name for c in report.checks if not c.passed] == []
 
+    def test_thin_point_n2_passes(self):
+        # dim V 18 528: the walk mod PRIME keeps every entry one digit, where
+        # the entries of the walk over Z reach 14 325 bits
+        report = verify(2, 191)
+        assert [c.name for c in report.checks if not c.passed] == []
+
     # for n = 1 no two multi-indices share a weight, so no cancelling pair
     @pytest.mark.parametrize("n,k,corrupt", [
         (n, k, corrupt) for n, k in [(1, 3), (2, 4), (2, 6), (3, 5), (3, 6)]

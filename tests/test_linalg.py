@@ -11,7 +11,7 @@ from math import gcd
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from hodgemoments.linalg import SparseEchelon, apply_columns
+from hodgemoments.linalg import PRIME, SparseEchelon, apply_columns
 
 
 class OracleEchelon(SparseEchelon):
@@ -237,6 +237,47 @@ def test_kernel_matches_oracle_when_a_pivot_cancels_and_returns():
     for probe in ({0: 1, 1: 1, 2: 1}, {-1: 1, 0: 1, 1: 1, 2: 1}):
         assert ech.residual(probe) == oracle.residual(probe) != {}
     assert ech.residual({0: 1, 1: 1, 2: 1}) == {3: -2}
+
+
+# up to 6 rows on 6 columns with entries in [-6, 6]: by Hadamard every minor
+# is at most (6 sqrt 6)^6 = 6^9 < 2^24 < PRIME in size, so a minor vanishes mod
+# PRIME only where it vanishes over Z, and both rings pick the same pivots
+_SMALL_ROW = st.dictionaries(st.integers(0, 5), st.integers(-6, 6), max_size=6)
+
+
+@settings(max_examples=200)
+@given(st.lists(_SMALL_ROW, max_size=6), st.lists(_SMALL_ROW, max_size=3))
+def test_modular_kernel_pivots_where_the_integer_kernel_does(rows, probes):
+    over_z, mod_p = SparseEchelon(), SparseEchelon(PRIME)
+    for row in rows:
+        assert mod_p.add_row(row) == over_z.add_row(row)
+    for probe in probes:
+        assert min(mod_p.residual(probe), default=None) == min(over_z.residual(probe),
+                                                               default=None)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(-10**12, 10**12), max_size=6),
+                max_size=8))
+def test_modular_rows_lead_with_one_and_stay_reduced(rows):
+    # entries past PRIME, negative ones and multiples of PRIME come in reduced
+    ech = SparseEchelon(PRIME)
+    for row in rows:
+        ech.add_row({**row, 8: PRIME * 5})
+    for pivot, row in ech.rows.items():
+        assert min(row) == pivot and row[pivot] == 1
+        assert all(0 < v < PRIME for v in row.values())
+        assert 8 not in row
+
+
+def test_modular_kernel_reduces_its_input():
+    # a row that is a multiple of PRIME is zero mod PRIME, and -1 is PRIME - 1
+    ech = SparseEchelon(PRIME)
+    assert ech.add_row({0: PRIME, 1: 2 * PRIME}) is None
+    assert ech.add_row({0: 2, 1: -1}) == 0
+    assert ech.rows == {0: {0: 1, 1: (PRIME - 1) // 2}}
+    assert ech.residual({0: 4, 1: -2}) == {}
+    assert SparseEchelon().add_row({0: PRIME, 1: 2 * PRIME}) == 0
 
 
 class TestSparseEchelon:

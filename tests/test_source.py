@@ -4,6 +4,8 @@ import ast
 from dataclasses import fields
 from pathlib import Path
 
+import sympy
+
 import hodgemoments
 from hodgemoments.chains import BasisSet, GradedChain
 
@@ -41,6 +43,28 @@ def test_one_elimination_loop():
     # add_row and residual share one elimination loop in linalg
     pops = sum(path.read_text().count("heapq.heappop") for path in SOURCES)
     assert pops == 1
+
+
+def test_walk_prime_is_one_fixed_constant():
+    # PRIME is assigned once, to a literal prime below 2^30, so that every
+    # reduced entry is one digit of a Python int; only the kernel and the
+    # walk name it, and nothing reads the environment, so no option or
+    # variable can change it
+    assigned, named = [], set()
+    for path in SOURCES:
+        text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
+        assigned += [(path.name, node.value) for node in ast.walk(tree)
+                     if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == "PRIME" for t in node.targets)]
+        if any(isinstance(node, ast.Name) and node.id == "PRIME" or
+               isinstance(node, ast.alias) and node.name == "PRIME" for node in ast.walk(tree)):
+            named.add(path.name)
+        assert "environ" not in text and "getenv" not in text, path.name
+    (where, value), = assigned
+    assert where == "linalg.py" and isinstance(value, ast.Constant)
+    assert sympy.isprime(value.value) and value.value < 2 ** 30
+    assert named == {"linalg.py", "chains.py"}
 
 
 def test_chain_operators_built_in_one_place():
