@@ -32,17 +32,18 @@ representatives in the z^0 layer, and, in the tower case, the z^{k/3} v_0^k
 line in degree k; so the middle basis is a filter of the full one.  Both
 (cohomology_bases) and the kernel dims read one walk of the image echelons,
 the degree in which each column key first becomes an image pivot, once per
-index j of V: in O(dim V + output), building no slice.  It eliminates
-modulo a fixed prime, under an exact certificate that sends a class back to
-the integers when it fails (_walk_images).  The walk reads only m, k and
-whether there is a tower, never the family or n, so it is kept for the
-life of the process under those (_image_walk): the rank-n
-Airy chain is the rank-n Kloosterman chain with a longer range of degrees,
-and the kl-tilde chain is m copies of the kl chain, so both share its walk.
+index j of V: in O(dim V + output), building no slice.  Every class of it,
+the tower's too, is eliminated modulo a fixed prime under an exact
+certificate that sends it back to the integers when it fails (_walk_images).
+The walk reads only m, k and whether there is a tower, never the family or
+n, so it is kept for the life of the process under those (_image_walk): the
+rank-n Airy chain is the rank-n Kloosterman chain with a longer range of
+degrees, and the kl-tilde chain m copies of the kl chain: both share its walk.
 
 The tower element eta = f_0 f_1 f_2 is the norm of f_0 from Q(zeta_3), an
 integer polynomial in four terms (eta_power_vector), so its powers are plain
-sparse integer products.  The group ring serves the eigen relation only: the
+sparse integer products.  eta^{k/3} is f_I for I = (k/3, k/3, k/3), whose
+c_I is 0, so it is a cycle.  The group ring serves the eigen relation: the
 twisted eigenvectors f_I live in Z[C_m] = Z[x]/(x^m - 1), one Python int per
 coefficient: x -> 2^B (Kronecker substitution) modulo M = 2^{mB} - 1, where
 multiplying by x^e is a rotation of mB bits.  The relation is decided modulo
@@ -401,43 +402,47 @@ def _walk_images(chain: GradedChain) -> tuple:
         only N from the weight d - 1 layer reaches, number rank_p(N) <=
         rank_Q(N) <= min(dim V_{d-1}, dim V_d).  Equality with that minimum
         makes the z^0 non-pivots a complement of im N over Q, which the
-        middle filter of cohomology_bases reads.
+        middle filter of cohomology_bases reads;
+    (d) on a tower chain theta_bar(eta^{k/3}) = 0, checked exactly once per
+        walk, ties the rows offered by degree 2k + 1; from there on that class
+        may leave one row without a pivot, rank_p = offered - 1 <= rank_Q;
+    (e) a tower residual nonzero mod p reduces the p-integral one over Q, so
+        its first column is an extra pivot over Q; one zero mod p fails.
 
-    A class that fails (a) or (c) is walked again over Z, and so are, on a
-    tower chain, the class of the tower degrees 2k + a zweight and the class
-    of 2k + 1, whose one dependent row is theta_bar(eta^{k/3}) = 0: no answer
-    rests on the choice of p.  Mod p the bases are the greedy bases over F_p,
-    which equal the greedy bases over Q unless p divides a prefix minor.
+    A failed class drops its pivots and extras and walks again over Z, so
+    no answer rests on the choice of p.  Mod p the bases are the greedy ones
+    over F_p, equal to the greedy bases over Q unless p divides a prefix minor.
     """
     tower, weights, by_weight = chain.tower, chain.weights, chain._by_weight
     zweight = chain.n + 1 if chain.family is Family.KL_TILDE_T else chain.zweight
     top = max(weights) + 2
-    # the class of the tower degrees, and that of 2k + 1 with its one dependent row
-    over_z = () if tower is None else (2 * chain.k % zweight, (2 * chain.k + 1) % zweight)
+    # (d): the N part of theta_bar(eta^{k/3}) cancels the z^e E part, key by key
+    cycle = tower is not None and apply_columns(chain.nmat, tower) == {
+        i: -c for i, c in apply_columns(chain.emat, tower).items()}
+    # z^r eta, the tower element of degree 2k + r zweight, is one row
+    tower_degrees = () if tower is None else range(2 * chain.k, top + 1, zweight)
     born = [0] * len(weights)
     extra = []
     for r in range(zweight):
-        for modulus in (None,) if r in over_z else (PRIME, None):
-            ech, offered = SparseEchelon(modulus), 0
+        for modulus in (PRIME, None):
+            ech, offered, kept = SparseEchelon(modulus), 0, len(extra)
             for d in range(r, top + 1, zweight):
                 layer, keys = by_weight.get(d - 1, ()), by_weight.get(d, ())
                 for j in reversed(layer):
                     pivot = ech.add_row(chain._theta_bar_row(j))
                     if pivot is not None:
                         born[pivot] = d
-                offered += len(layer)
-                # (a), and (c) on the weight-d keys, which no earlier degree reaches
-                if modulus is not None and (ech.rank < offered or sum(
+                offered += len(layer) - (cycle and d == 2 * chain.k + 1)  # (d)
+                residual = ech.residual(tower) if d in tower_degrees else None
+                if residual:
+                    extra.append((d, min(residual)))
+                # (a), (e), and (c) on the weight-d keys, which no earlier degree reaches
+                if modulus is not None and (ech.rank < offered or residual == {} or sum(
                         c in ech.rows for c in keys) < min(len(layer), len(keys))):
                     for c in ech.rows:  # forget the class, and walk it over Z
                         born[c] = 0
+                    del extra[kept:]
                     break
-                # z^r eta, the tower element of degree 2k + r zweight, is one row
-                excess = d - 2 * chain.k
-                if tower is not None and excess >= 0 and excess % zweight == 0:
-                    residual = ech.residual(tower)
-                    if residual:
-                        extra.append((d, min(residual)))
             else:  # certified, or walked over Z
                 break
     return tuple(born), tuple(extra)

@@ -878,9 +878,9 @@ GRID_POINTS = [(family, n, k) for family in (Family.KL_Z, Family.AIRY_Z)
 def test_modular_walk_matches_the_exact_walk_on_the_grid(monkeypatch):
     # the 163 grid points share 89 walk keys; kl (2, 101) is thin, and its
     # entries over Z reach thousands of bits.  The walk mod PRIME certifies
-    # every class without a tower; the tower chains (2, 3j) walk two classes
-    # over Z, and the airy keys (6, 5) and (6, 7), which the gate still
-    # admits, fall back in all six
+    # every class, the tower classes of the chains (2, 3j) included, but for
+    # the airy keys (6, 5) and (6, 7), which the gate still admits and which
+    # fall back in all six
     keyed = {}
     for point in GRID_POINTS + [(Family.KL_Z, 2, 101)]:
         chain = build_chain(*point)
@@ -892,7 +892,7 @@ def test_modular_walk_matches_the_exact_walk_on_the_grid(monkeypatch):
         made.clear()
         assert chains._walk_images(chain) == exact_walk(chain), key
         over_z[key] = fallbacks(made, PRIME)[1], made.count(None)
-    assert {key: z for key, z in over_z.items() if z != (0, 2 * key[2])} == {
+    assert {key: z for key, z in over_z.items() if z != (0, 0)} == {
         (6, 5, False): (6, 6), (6, 7, False): (6, 6)}
 
 
@@ -968,3 +968,58 @@ def test_shift_column_that_vanishes_mod_p_falls_back(monkeypatch):
     made = spy_moduli(monkeypatch)
     assert chains._walk_images(broken) == exact_walk(broken)
     assert fallbacks(made, PRIME) == (3, 1)
+
+
+def theta_bar_of_tower(chain):
+    """theta_bar of the tower element eta^{k/3}, z-powers kept, as chain monomials of degree 2k + 1."""
+    out = {}
+    for mono, c in tower_slice(chain, 2 * chain.k).items():
+        for image, e in theta_bar_mono(chain, mono).items():
+            out[image] = out.get(image, 0) + c * e
+    return {mono: c for mono, c in out.items() if c}
+
+
+@pytest.mark.parametrize("k", range(3, 31, 3))
+def test_tower_element_is_a_cycle(k):
+    # eta^{k/3} is the twisted eigenvector f_I with I = (k/3, k/3, k/3), the
+    # one I with c_I = 0 on three slots, so theta_bar kills it exactly: the
+    # relation that certificate (d) lets the class of 2k + 1 keep
+    assert theta_bar_of_tower(build_chain(Family.KL_Z, 2, k)) == {}
+
+
+def test_tower_off_by_one_falls_back_in_the_class_of_2k_plus_1(monkeypatch):
+    # one tower coefficient off by one: eta^{k/3} is no cycle, (d) does not
+    # apply, and the class of 2k + 1 (1 mod 3) fails (a) on its one dependent
+    # row and is walked again over Z; the tower class still certifies (e)
+    chain = build_chain(Family.KL_Z, 2, 6)
+    j = min(chain.tower)
+    broken = replace(chain, tower={**chain.tower, j: chain.tower[j] + 1})
+    assert theta_bar_of_tower(broken) != {}
+    made = spy_moduli(monkeypatch)
+    assert chains._walk_images(broken) == exact_walk(broken)
+    assert made == [PRIME, PRIME, None, PRIME]
+
+
+def test_tower_times_prime_fails_the_tower_class(monkeypatch):
+    # the tower times PRIME is still a cycle, so (d) holds, but its residual
+    # vanishes mod p in every tower degree: (e) sends the class of the tower
+    # degrees (0 mod 3) back over Z.  Over Q the scaled tower leaves the
+    # same extra pivots
+    chain = build_chain(Family.KL_Z, 2, 6)
+    broken = replace(chain, tower={j: PRIME * c for j, c in chain.tower.items()})
+    made = spy_moduli(monkeypatch)
+    assert chains._walk_images(broken) == exact_walk(broken) == exact_walk(chain)
+    assert made == [PRIME, None, PRIME, PRIME]
+
+
+def test_failed_tower_class_drops_its_extra(monkeypatch):
+    # a theta_bar row of weight 2k - 1 times PRIME enters the tower class in
+    # degree 2k, the tower degree, which also takes its residual: mod p that
+    # row is zero, the residual leaves an extra, and (a) fails the class.  The
+    # walk over Z finds the extra again, so the one from mod p must go
+    chain = build_chain(Family.KL_Z, 2, 6)
+    j = chain._by_weight[2 * chain.k - 1][0]
+    broken = _scaled(_scaled(chain, j, "nmat", PRIME), j, "emat", PRIME)
+    made = spy_moduli(monkeypatch)
+    assert chains._walk_images(broken) == exact_walk(broken) == exact_walk(chain)
+    assert made == [PRIME, None, PRIME, PRIME]

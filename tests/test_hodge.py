@@ -421,6 +421,12 @@ class TestVerify:
         report = verify(2, 191)
         assert [c.name for c in report.checks if not c.passed] == []
 
+    def test_thin_tower_point_n2_passes(self):
+        # 3 | k: the tower classes walk mod PRIME too, under the walk's
+        # certificates (d) and (e), so no class of this walk runs over Z
+        report = verify(2, 150)
+        assert [c.name for c in report.checks if not c.passed] == []
+
     # for n = 1 no two multi-indices share a weight, so no cancelling pair
     @pytest.mark.parametrize("n,k,corrupt", [
         (n, k, corrupt) for n, k in [(1, 3), (2, 4), (2, 6), (3, 5), (3, 6)]
